@@ -477,17 +477,14 @@ let ablations () =
 (* ------------------------------------------------------------------ *)
 
 let engine () =
-  header "Exploration engine (stats + extrapolation / packed-codec ablations)";
-  (* Each row: one checker run on the shared engine core, across four
+  header "Exploration engine (stats + extrapolation ablations)";
+  (* Each row: one checker run on the shared engine core, across three
      configurations. "packed-lu" is the default (packed-codec fused
-     store keys + sealed zones under LU extrapolation); "poly-lu" swaps
-     the store keys back to the polymorphic-hash tuples; "extra-k" and
-     "extra-none" keep the packed store but seal under classic Extra-M /
-     no extrapolation. The packed-vs-poly pair exposes the fused-key
-     throughput and store-memory delta, the extrapolation trio how much
-     LU shrinks the zone graph. "extra-none" may hit the state limit on
-     models whose raw zone graph is infinite; it then reports a
-     truncated row instead of aborting the bench. *)
+     store keys + sealed zones under LU extrapolation); "extra-k" and
+     "extra-none" seal under classic Extra-M / no extrapolation instead,
+     exposing how much LU shrinks the zone graph. "extra-none" may hit
+     the state limit on models whose raw zone graph is infinite; it then
+     reports a truncated row instead of aborting the bench. *)
   let runs =
     [
       ("fischer-5/mutex", lazy (Ta.Fischer.make ~n:5 ()),
@@ -498,10 +495,9 @@ let engine () =
   in
   let variants =
     [
-      ("packed-lu", true, `Lu);
-      ("poly-lu", false, `Lu);
-      ("extra-k", true, `K);
-      ("extra-none", true, `None);
+      ("packed-lu", `Lu);
+      ("extra-k", `K);
+      ("extra-none", `None);
     ]
   in
   let truncated_stats =
@@ -522,11 +518,11 @@ let engine () =
            variant's samples alike instead of inverting a close ablation
            pair. Fresh telemetry per attempt, so the embedded snapshot
            holds exactly the kept exploration's metrics and spans. *)
-        let attempt (_, packed, extrapolation) =
+        let attempt (_, extrapolation) =
           Obs.reset ();
           Gc.compact ();
           let r =
-            match Ta.Checker.check ~packed ~extrapolation net (query net) with
+            match Ta.Checker.check ~extrapolation net (query net) with
             | r -> Some r
             | exception Failure _ -> None
           in
@@ -559,9 +555,7 @@ let engine () =
           Obs.reset ();
           Obs.Flight.enable ();
           let p =
-            match
-              Ta.Checker.check ~packed:true ~extrapolation:`Lu net (query net)
-            with
+            match Ta.Checker.check ~extrapolation:`Lu net (query net) with
             | r -> r.Ta.Checker.stats.Ta.Checker.phases
             | exception Failure _ -> []
           in
@@ -584,7 +578,7 @@ let engine () =
                phases)
         end;
         List.mapi
-          (fun vi (vname, _, _) ->
+          (fun vi (vname, _) ->
             let r, g, metrics, spans = best.(vi) in
             let tag = Printf.sprintf "%s/%s" name vname in
             let holds, stats =
@@ -637,7 +631,6 @@ let engine () =
         (s, hr)
       in
       let packed, packed_hr = find (name ^ "/packed-lu")
-      and poly, _ = find (name ^ "/poly-lu")
       and k, _ = find (name ^ "/extra-k")
       and none, _ = find (name ^ "/extra-none") in
       Printf.printf
@@ -645,10 +638,7 @@ let engine () =
         name
         (if none.Ta.Checker.truncated then "truncated"
          else string_of_int none.Ta.Checker.visited)
-        k.Ta.Checker.visited packed.Ta.Checker.visited (100.0 *. packed_hr);
-      Printf.printf
-        "%-24s store retained words: %d (poly) -> %d (packed)\n" name
-        poly.Ta.Checker.store_words packed.Ta.Checker.store_words)
+        k.Ta.Checker.visited packed.Ta.Checker.visited (100.0 *. packed_hr))
     runs;
   (* Parallel zone exploration: fischer-6 under the sharded engine at
      jobs = 1/2/4 on the mutex query. Sharded runs pin [stats.time_s]

@@ -171,32 +171,16 @@ let id_of g st = Engine.Codec.Tbl.find g.index (g.pack st)
 let explore_stats ?(max_states = 2_000_000) ?jobs ?pool net =
   let _spec, pack = codec net in
   let succ st = List.map (fun t -> (t, t.target)) (successors net st) in
+  (* With [jobs] the graph is the same for every [j >= 1], numbered
+     canonically over the shards; [jobs:None] numbers it in one-shard
+     BFS order. *)
   let out =
-    match jobs with
-    | Some j ->
-      if j < 1 then invalid_arg "Digital.explore: jobs must be >= 1";
-      (* Sharded build: same graph for every [j >= 1] — node numbering
-         is the canonical sharded one, so [jobs:1] is the determinism
-         reference for [jobs:4], while [jobs:None] keeps the historical
-         sequential BFS numbering. *)
-      let mk_pool f =
-        match pool with
-        | Some p -> f (Some p)
-        | None ->
-          if j <= 1 then f None
-          else Par.Pool.with_pool ~jobs:j (fun p -> f (Some p))
-      in
-      mk_pool (fun pool ->
-          Engine.Core.run_sharded ~max_states ~record_edges:true ?pool
-            ~store:(fun () -> Engine.Store.discrete_keyed ~size_hint:256 ())
-            ~key:pack ~successors:succ
-            ~on_state:(fun _ -> None)
-            ~init:(initial net) ())
-    | None ->
-      let store = Engine.Store.discrete ~key:pack () in
-      Engine.Core.run ~max_states ~record_edges:true ~store ~successors:succ
-        ~on_state:(fun _ -> None)
-        ~init:(initial net) ()
+    Engine.Core.with_jobs jobs pool @@ fun ~shards ~size_hint pool ->
+    Engine.Core.run_sharded ~max_states ~record_edges:true ~shards ?pool
+      ~store:(fun () -> Engine.Store.discrete_keyed ~size_hint ())
+      ~key:pack ~successors:succ
+      ~on_state:(fun _ -> None)
+      ~init:(initial net) ()
   in
   if out.Engine.Core.stats.Engine.Stats.truncated then
     failwith "Digital.explore: state limit exceeded";

@@ -64,9 +64,9 @@ val codec :
 val id_of : graph -> dstate -> int
 
 (** [explore net] builds the reachable graph, breadth-first on the shared
-    {!Engine.Core} with a {!Engine.Store.discrete} store. With [jobs] the
-    build runs on the sharded parallel core instead
-    ({!Engine.Core.run_sharded}, optionally over a caller-owned [pool]):
+    {!Engine.Core} with a {!Engine.Store.discrete_keyed} store. With
+    [jobs] the build is spread over the engine's shards
+    ({!Engine.Core.with_jobs}, optionally over a caller-owned [pool]):
     the same graph is produced for every [jobs >= 1] — node numbering is
     the canonical sharded one, so it may differ from the sequential BFS
     numbering of a [jobs]-less build (graph consumers rebuild indices

@@ -15,14 +15,17 @@ let m_fanout = Obs.histogram "engine.fanout"
 let m_run_wall = Obs.histogram "engine.run_wall_s"
 
 (* Flight-recorder phases (ids interned once; recording is a no-op
-   unless [Obs.Flight.enable] ran). *)
+   unless [Obs.Flight.enable] ran). [codec.encode] is the packed-key
+   construction of every successor, timed here because the loop, not
+   the store, computes keys. *)
 let ph_pop = Obs.Flight.intern "engine.frontier_pop"
 let ph_frontier_len = Obs.Flight.intern "engine.frontier_len"
+let ph_encode = Obs.Flight.intern "codec.encode"
 let ph_shard_merge = Obs.Flight.intern "engine.shard_merge"
 let ph_shard_expand = Obs.Flight.intern "engine.shard_expand"
 let ph_mailbox_len = Obs.Flight.intern "engine.mailbox_len"
 
-type 's order = Bfs | Dfs | Priority of ('s -> int)
+type 's order = Bfs | Priority of ('s -> int)
 
 type ('s, 'l) node = { state : 's; parent : int; label : 'l option }
 
@@ -46,216 +49,11 @@ type ('s, 'l, 'a) outcome = {
   par : par_info option;
 }
 
-let run ?(max_states = 1_000_000) ?stop ?mem_budget_words ?(order = Bfs)
-    ?(record_edges = false) ~store ~successors ~on_state ~init () =
-  Obs.Span.with_ ~name:"engine.run" @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  let cmp0 = Dbm.cmp_stats () in
-  let fl0 = if Obs.Flight.is_enabled () then Obs.Flight.totals () else [] in
-  let arena : ('s, 'l) node Arena.t = Arena.create () in
-  let bfs = Queue.create () in
-  let dfs = ref [] in
-  let pq = Pqueue.create () in
-  let frontier_len = ref 0 in
-  let peak = ref 0 in
-  let push_frontier id pri =
-    (match order with
-     | Bfs -> Queue.push id bfs
-     | Dfs -> dfs := id :: !dfs
-     | Priority _ -> Pqueue.push pq ~priority:pri id);
-    incr frontier_len;
-    if !frontier_len > !peak then peak := !frontier_len
-  in
-  let pop_frontier () =
-    let fl = Obs.Flight.start () in
-    let popped =
-      match order with
-      | Bfs -> if Queue.is_empty bfs then None else Some (Queue.pop bfs)
-      | Dfs -> (
-          match !dfs with
-          | [] -> None
-          | id :: rest ->
-            dfs := rest;
-            Some id)
-      | Priority _ -> Option.map snd (Pqueue.pop_min pq)
-    in
-    if popped <> None then decr frontier_len;
-    Obs.Flight.stop ph_pop fl;
-    popped
-  in
-  let pri_of st = match order with Priority f -> f st | Bfs | Dfs -> 0 in
-  let edge_tbl = Hashtbl.create (if record_edges then 4096 else 1) in
-  let add_edge src label dst =
-    if record_edges then begin
-      let old =
-        match Hashtbl.find_opt edge_tbl src with Some e -> e | None -> []
-      in
-      Hashtbl.replace edge_tbl src ((label, dst) :: old)
-    end
-  in
-  let visited = ref 0 in
-  let subsumed = ref 0 in
-  let dropped = ref 0 in
-  let reopened = ref 0 in
-  let stopped = ref None in
-  (* The store's retained-words walk is O(store size), so the memory
-     budget is polled at geometrically spaced store sizes: the total
-     poll cost stays a constant factor of one final walk, yet a run
-     that outgrows its budget is caught within ~25% of the threshold. *)
-  let next_words_check = ref 2048 in
-  let over_mem_budget () =
-    match mem_budget_words with
-    | None -> false
-    | Some budget ->
-      let n = Arena.size arena in
-      n >= !next_words_check
-      && begin
-           next_words_check := n + max 1024 (n / 4);
-           Store.over_budget store ~budget_words:budget
-         end
-  in
-  let stop_requested () = match stop with Some f -> f () | None -> false in
-  (* Offer [st] to the store; on acceptance commit it to the arena and the
-     frontier. Returns the id the state lives under, [None] if covered. *)
-  let enqueue ~parent ~label st =
-    match store.Store.insert st ~id:(Arena.size arena) with
-    | Store.Added { dropped = d; reopened = r } ->
-      dropped := !dropped + d;
-      if r then incr reopened;
-      let id = Arena.add arena { state = st; parent; label } in
-      push_frontier id (pri_of st);
-      Some id
-    | Store.Dup id' ->
-      incr subsumed;
-      Some id'
-    | Store.Covered ->
-      incr subsumed;
-      None
-  in
-  (match store.Store.insert init ~id:0 with
-   | Store.Added { dropped = d; reopened = _ } ->
-     dropped := !dropped + d;
-     let id = Arena.add arena { state = init; parent = -1; label = None } in
-     push_frontier id (pri_of init)
-   | Store.Dup _ | Store.Covered ->
-     invalid_arg "Engine: store rejected the initial state");
-  let found = ref None in
-  let running = ref true in
-  while !running do
-    match pop_frontier () with
-    | None -> running := false
-    | Some id ->
-      let node = Arena.get arena id in
-      if not (store.Store.stale node.state) then begin
-        incr visited;
-        (* Periodic frontier-depth samples become a counter track in the
-           trace; the modulo check is the only always-on cost. *)
-        if !visited land 1023 = 0 then
-          Obs.Flight.sample ph_frontier_len (float_of_int !frontier_len);
-        if !visited > max_states || Arena.size arena > max_states then begin
-          stopped := Some Max_states;
-          running := false
-        end
-        else if stop_requested () then begin
-          stopped := Some Stop_requested;
-          running := false
-        end
-        else if over_mem_budget () then begin
-          stopped := Some Mem_budget;
-          running := false
-        end
-        else begin
-          match on_state node.state with
-          | Some payload ->
-            found := Some (payload, id);
-            running := false
-          | None ->
-            let succs = successors node.state in
-            Obs.Metrics.Histogram.observe m_fanout
-              (float_of_int (List.length succs));
-            List.iter
-              (fun (label, st') ->
-                match enqueue ~parent:id ~label:(Some label) st' with
-                | Some id' -> add_edge id label id'
-                | None -> ())
-              succs
-        end
-      end
-  done;
-  let trace_to id =
-    let rec walk id acc =
-      if id < 0 then acc
-      else begin
-        let n = Arena.get arena id in
-        match n.label with
-        | None -> acc
-        | Some l -> walk n.parent ((l, n.state) :: acc)
-      end
-    in
-    walk id []
-  in
-  let cmp1 = Dbm.cmp_stats () in
-  let n = Arena.size arena in
-  let states = Array.init n (fun i -> (Arena.get arena i).state) in
-  let parents =
-    Array.init n (fun i ->
-        let nd = Arena.get arena i in
-        (nd.parent, nd.label))
-  in
-  let edges =
-    if record_edges then
-      Array.init n (fun i ->
-          match Hashtbl.find_opt edge_tbl i with
-          | Some e -> List.rev e
-          | None -> [])
-    else [||]
-  in
-  let stats =
-    {
-      Stats.visited = !visited;
-      stored = store.Store.size ();
-      subsumed = !subsumed;
-      dropped = !dropped;
-      reopened = !reopened;
-      peak_frontier = !peak;
-      store_words = store.Store.words ();
-      truncated = !stopped <> None;
-      time_s = Unix.gettimeofday () -. t0;
-      dbm_phys_eq = cmp1.Dbm.phys_hits - cmp0.Dbm.phys_hits;
-      dbm_full_cmp = cmp1.Dbm.full_scans - cmp0.Dbm.full_scans;
-      dbm_lattice_cmp = cmp1.Dbm.lattice_scans - cmp0.Dbm.lattice_scans;
-      phases =
-        (if Obs.Flight.is_enabled () then
-           Stats.phase_delta fl0 (Obs.Flight.totals ())
-         else []);
-    }
-  in
-  (* Publish the run's counters to the registry (bulk adds at the end of
-     the run: the loop above never touches a hashtable). *)
-  Obs.Metrics.Counter.incr m_runs;
-  Obs.Metrics.Counter.add m_visited stats.Stats.visited;
-  Obs.Metrics.Counter.add m_stored stats.Stats.stored;
-  Obs.Metrics.Counter.add m_subsumed stats.Stats.subsumed;
-  Obs.Metrics.Counter.add m_dropped stats.Stats.dropped;
-  Obs.Metrics.Counter.add m_reopened stats.Stats.reopened;
-  if stats.Stats.truncated then Obs.Metrics.Counter.incr m_truncated;
-  Obs.Metrics.Gauge.set_max m_peak_frontier (float_of_int stats.Stats.peak_frontier);
-  Obs.Metrics.Histogram.observe m_run_wall stats.Stats.time_s;
-  {
-    found = Option.map (fun (p, id) -> (p, trace_to id)) !found;
-    states;
-    parents;
-    edges;
-    stopped = !stopped;
-    stats;
-    par = None;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Sharded parallel exploration.
+(* The passed/waiting loop.
 
    The packed-state space is partitioned over [shards] disjoint shards
-   by key hash; each shard owns a private arena, keyed store and FIFO
+   by key hash; each shard owns a private arena, keyed store and
    frontier, so no lock ever guards a store probe. Execution proceeds
    in barrier-synchronised rounds (Par.Shards): a shard's step first
    {e merges} the mailbox messages other shards addressed to it in the
@@ -264,6 +62,9 @@ let run ?(max_states = 1_000_000) ?stop ?mem_budget_words ?(order = Bfs)
    successors are pushed into the current round's outboxes. The round
    barrier is the only synchronisation: a mailbox is written by exactly
    one shard step in round [r] and read by exactly one in round [r+1].
+   A sequential run is the one-shard case: every successor stays in
+   its shard, so the run is a single round of a plain BFS (or
+   Dijkstra) loop.
 
    Determinism: which domain runs a shard step never influences what
    the step computes — shard state is touched only by its own step, and
@@ -272,16 +73,29 @@ let run ?(max_states = 1_000_000) ?stop ?mem_budget_words ?(order = Bfs)
    run by densely renumbering shards in rotation order starting at the
    initial state's shard, so the initial state is id 0 and every id,
    trace, edge list and stat is byte-identical across pool sizes.
-   [time_s] and [phases] are scheduling observables, so sharded stats
-   pin them to [0.0] / [[]]; wall-clock belongs to the caller's bench
-   harness, steal counts to {!par_info}. *)
+   [time_s] and [phases] are scheduling observables once there are
+   several shards, so multi-shard stats pin them to [0.0] / [[]];
+   wall-clock belongs to the caller's bench harness, steal counts to
+   {!par_info}. *)
 
-type ('s, 'l) snode = {
-  nstate : 's;
-  nkey : Codec.packed;
-  nparent : int; (* global id, -1 for the root *)
-  nlabel : 'l option;
-}
+(* A shard's waiting list of local arena indices: FIFO for [Bfs], a
+   binary heap for [Priority] (ties in insertion order). *)
+type 's frontier = Fifo of int Queue.t | Heap of int Pqueue.t * ('s -> int)
+
+let frontier_push f idx st =
+  match f with
+  | Fifo q -> Queue.push idx q
+  | Heap (h, pri) -> Pqueue.push h ~priority:(pri st) idx
+
+(* The next local index, or -1 when the frontier is empty. *)
+let frontier_pop = function
+  | Fifo q -> if Queue.is_empty q then -1 else Queue.pop q
+  | Heap (h, _) -> (
+      match Pqueue.pop_min h with Some (_, idx) -> idx | None -> -1)
+
+let frontier_length = function
+  | Fifo q -> Queue.length q
+  | Heap (h, _) -> Pqueue.length h
 
 (* A successor handed across shards. [m_res]/[m_res_i] carry the
    producer's edge-resolution slot: the consumer writes the id it
@@ -296,11 +110,11 @@ type ('s, 'l) msg = {
   m_res_i : int; (* -1 when edges are off *)
 }
 
-type ('s, 'l, 'a) shard_ctx = {
+type ('s, 'l, 'a) shard = {
   sid : int;
-  arena : ('s, 'l) snode Arena.t;
+  arena : ('s, 'l) node Arena.t; (* parents: global ids, -1 for the root *)
   st : 's Store.keyed;
-  frontier : int Queue.t; (* local indices *)
+  frontier : 's frontier;
   mutable visited : int;
   mutable subsumed : int;
   mutable dropped : int;
@@ -308,18 +122,33 @@ type ('s, 'l, 'a) shard_ctx = {
   mutable peak : int;
   mutable sent : int;
   mutable witnesses : (int * 'a) list; (* local idx, newest first *)
-  mutable halted : bool; (* stop_on_found: witness seen, stop expanding *)
+  mutable halted : bool; (* a witness (stop_on_found) or a bound tripped *)
+  mutable cause : stop_cause option; (* the bound this shard tripped *)
   mutable elog : (int * 'l array * int array) list; (* gid, labels, dst gids *)
+  (* Bound polling: this shard's counts at the last barrier, its last
+     measured store words, and the node count at which it next
+     measures them. *)
+  mutable visited_mark : int;
+  mutable nodes_mark : int;
+  mutable words : int;
+  mutable words_mark : int;
+  mutable next_words : int;
 }
 
 let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
-    ?(record_edges = false) ?(stop_on_found = true) ?prefer ?(shards = 64)
-    ?shard_of ?pool ~(store : unit -> 's Store.keyed)
+    ?(order = Bfs) ?(record_edges = false) ?(stop_on_found = true) ?prefer
+    ?(shards = 64) ?shard_of ?pool ~(store : unit -> 's Store.keyed)
     ~(key : 's -> Codec.packed) ~successors ~on_state ~init () =
-  Obs.Span.with_ ~name:"engine.run_sharded" @@ fun () ->
   if shards < 1 then invalid_arg "Engine: shards must be >= 1";
   let nsh = shards in
+  let solo = nsh = 1 in
+  Obs.Span.with_ ~name:(if solo then "engine.run" else "engine.run_sharded")
+  @@ fun () ->
+  let t0 = Unix.gettimeofday () in
   let cmp0 = Dbm.cmp_stats () in
+  let fl0 =
+    if solo && Obs.Flight.is_enabled () then Obs.Flight.totals () else []
+  in
   let route =
     match shard_of with
     | Some f -> f
@@ -335,7 +164,10 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
           sid;
           arena = Arena.create ();
           st = store ();
-          frontier = Queue.create ();
+          frontier =
+            (match order with
+             | Bfs -> Fifo (Queue.create ())
+             | Priority f -> Heap (Pqueue.create (), f));
           visited = 0;
           subsumed = 0;
           dropped = 0;
@@ -344,7 +176,13 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
           sent = 0;
           witnesses = [];
           halted = false;
+          cause = None;
           elog = [];
+          visited_mark = 0;
+          nodes_mark = 0;
+          words = 0;
+          words_mark = 0;
+          next_words = 2048;
         })
   in
   (* boxes.(p).(src).(dst): double-buffered so round r writes parity p
@@ -367,11 +205,10 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
     | Store.Added { dropped = d; reopened = r } ->
       sh.dropped <- sh.dropped + d;
       if r then sh.reopened <- sh.reopened + 1;
-      ignore
-        (Arena.add sh.arena
-           { nstate = st; nkey = pk; nparent = parent; nlabel = label });
-      Queue.push (gid / nsh) sh.frontier;
-      let len = Queue.length sh.frontier in
+      frontier_push sh.frontier
+        (Arena.add sh.arena { state = st; parent; label })
+        st;
+      let len = frontier_length sh.frontier in
       if len > sh.peak then sh.peak <- len;
       gid
     | Store.Dup id' ->
@@ -381,55 +218,97 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
       sh.subsumed <- sh.subsumed + 1;
       -1
   in
+  (* Bounds are polled after every visited state, each shard against
+     the totals at the last barrier plus its own growth since: exactly
+     per-state polling with one shard, and independent of scheduling
+     with several. The store's retained-words walk is O(store size), so
+     it is measured at geometrically spaced node counts: the total cost
+     stays a constant factor of one final walk, yet a run that outgrows
+     its budget is caught within ~25% of the threshold. *)
+  let visited_base = ref 0 and nodes_base = ref 0 and words_base = ref 0 in
+  let bound_hit sh =
+    let nodes = !nodes_base + Arena.size sh.arena - sh.nodes_mark in
+    if !visited_base + sh.visited - sh.visited_mark > max_states
+       || nodes > max_states
+    then Some Max_states
+    else if match stop with Some f -> f () | None -> false then
+      Some Stop_requested
+    else
+      match mem_budget_words with
+      | Some budget when nodes >= sh.next_words ->
+        sh.next_words <- nodes + max 1024 (nodes / 4);
+        sh.words <- sh.st.Store.kwords ();
+        if !words_base + sh.words - sh.words_mark > budget then
+          Some Mem_budget
+        else None
+      | _ -> None
+  in
   let expand sh idx =
     let node = Arena.get sh.arena idx in
-    if not (sh.st.Store.kstale node.nstate ~key:node.nkey) then begin
+    (* Nodes keep no packed key, which keeps the arena small: the stale
+       probe re-encodes the state. *)
+    if not (sh.st.Store.kstale node.state ~key:(key node.state)) then begin
       sh.visited <- sh.visited + 1;
-      match on_state node.nstate with
-      | Some payload ->
-        sh.witnesses <- (idx, payload) :: sh.witnesses;
-        if stop_on_found then sh.halted <- true
-      | None ->
-        let gid = (idx * nsh) + sh.sid in
-        let succs = successors node.nstate in
-        Obs.Metrics.Histogram.observe m_fanout
-          (float_of_int (List.length succs));
-        let res =
-          if record_edges && succs <> [] then begin
-            let labels = Array.of_list (List.map fst succs) in
-            let dsts = Array.make (Array.length labels) (-1) in
-            sh.elog <- (gid, labels, dsts) :: sh.elog;
-            dsts
-          end
-          else no_res
-        in
-        let cur = boxes.(!parity) in
-        List.iteri
-          (fun j (label, st') ->
-            let pk = key st' in
-            let ds = route pk in
-            if ds = sh.sid then begin
-              let g' = accept sh ~parent:gid ~label:(Some label) ~pk st' in
-              if res != no_res then res.(j) <- g'
+      (* Periodic frontier-depth samples become a counter track in the
+         trace; the mask check is the only always-on cost. *)
+      if sh.visited land 1023 = 0 then
+        Obs.Flight.sample ph_frontier_len
+          (float_of_int (frontier_length sh.frontier));
+      match bound_hit sh with
+      | Some _ as cause ->
+        sh.cause <- cause;
+        sh.halted <- true
+      | None -> (
+        match on_state node.state with
+        | Some payload ->
+          sh.witnesses <- (idx, payload) :: sh.witnesses;
+          if stop_on_found then sh.halted <- true
+        | None ->
+          let gid = (idx * nsh) + sh.sid in
+          let succs = successors node.state in
+          Obs.Metrics.Histogram.observe m_fanout
+            (float_of_int (List.length succs));
+          let res =
+            if record_edges && succs <> [] then begin
+              let labels = Array.of_list (List.map fst succs) in
+              let dsts = Array.make (Array.length labels) (-1) in
+              sh.elog <- (gid, labels, dsts) :: sh.elog;
+              dsts
             end
-            else begin
-              sh.sent <- sh.sent + 1;
-              Par.Mailbox.push cur.(sh.sid).(ds)
-                {
-                  m_state = st';
-                  m_key = pk;
-                  m_parent = gid;
-                  m_label = label;
-                  m_res = res;
-                  m_res_i = (if res != no_res then j else -1);
-                }
-            end)
-          succs
+            else no_res
+          in
+          let cur = boxes.(!parity) in
+          List.iteri
+            (fun j (label, st') ->
+              let fl = Obs.Flight.start () in
+              let pk = key st' in
+              Obs.Flight.stop ph_encode fl;
+              let ds = route pk in
+              if ds = sh.sid then begin
+                let g' = accept sh ~parent:gid ~label:(Some label) ~pk st' in
+                if res != no_res then res.(j) <- g'
+              end
+              else begin
+                sh.sent <- sh.sent + 1;
+                Par.Mailbox.push cur.(sh.sid).(ds)
+                  {
+                    m_state = st';
+                    m_key = pk;
+                    m_parent = gid;
+                    m_label = label;
+                    m_res = res;
+                    m_res_i = (if res != no_res then j else -1);
+                  }
+              end)
+            succs)
     end
   in
   let step sid =
     let sh = shard_arr.(sid) in
-    let fl = Obs.Flight.start () in
+    (* A single shard merges nothing and waits at no barrier: its time
+       is the run's own, so it records no shard phases (the negative
+       sentinel turns both stops into no-ops). *)
+    let fl = if solo then -1.0 else Obs.Flight.start () in
     (* Merge: drain last round's inboxes in source-shard order; within a
        box, FIFO push order. Both orders are scheduling-independent. *)
     let prev = boxes.(1 - !parity) in
@@ -451,63 +330,56 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
     let fl = Obs.Flight.stop_start ph_shard_merge fl in
     (* Expand to local exhaustion; in-shard successors keep the round
        going, cross-shard ones wait in the outboxes for the barrier. *)
-    while (not sh.halted) && not (Queue.is_empty sh.frontier) do
-      expand sh (Queue.pop sh.frontier)
-    done;
+    let rec drain () =
+      if not sh.halted then begin
+        let fp = Obs.Flight.start () in
+        let idx = frontier_pop sh.frontier in
+        Obs.Flight.stop ph_pop fp;
+        if idx >= 0 then begin
+          expand sh idx;
+          drain ()
+        end
+      end
+    in
+    drain ();
     Obs.Flight.stop ph_shard_expand fl
   in
   let pk0 = key init in
   let s0 = route pk0 in
   if s0 < 0 || s0 >= nsh then invalid_arg "Engine: shard_of out of range";
-  if accept shard_arr.(s0) ~parent:(-1) ~label:None ~pk:pk0 init <> s0 then
+  ignore (accept shard_arr.(s0) ~parent:(-1) ~label:None ~pk:pk0 init);
+  if Arena.size shard_arr.(s0).arena = 0 then
     invalid_arg "Engine: store rejected the initial state";
-  let rounds = ref 0 in
-  let found_any () =
-    Array.exists (fun sh -> sh.witnesses <> []) shard_arr
-  in
-  let total_nodes () =
-    Array.fold_left (fun a sh -> a + Arena.size sh.arena) 0 shard_arr
-  in
-  let total_visited () =
-    Array.fold_left (fun a sh -> a + sh.visited) 0 shard_arr
-  in
-  let total_words () =
-    Array.fold_left (fun a sh -> a + sh.st.Store.kwords ()) 0 shard_arr
-  in
+  let sum f = Array.fold_left (fun a sh -> a + f sh) 0 shard_arr in
   let pending () =
     Array.exists
       (fun row -> Array.exists (fun b -> Par.Mailbox.length b > 0) row)
       boxes.(!parity)
-    || Array.exists (fun sh -> not (Queue.is_empty sh.frontier)) shard_arr
+    || Array.exists (fun sh -> frontier_length sh.frontier > 0) shard_arr
   in
-  (* Global bounds are re-checked only here, at round barriers — a round
-     may overshoot [max_states]/the memory budget by its own growth, but
-     which states exist when a bound trips is scheduling-independent. *)
-  let next_words_check = ref 2048 in
   let continue_ () =
-    incr rounds;
-    let n = total_nodes () in
-    if stop_on_found && found_any () then false
-    else if total_visited () > max_states || n > max_states then begin
-      stopped := Some Max_states;
-      false
-    end
-    else if match stop with Some f -> f () | None -> false then begin
-      stopped := Some Stop_requested;
-      false
-    end
-    else if
-      match mem_budget_words with
-      | Some budget when n >= !next_words_check ->
-        next_words_check := n + max 1024 (n / 4);
-        total_words () > budget
-      | _ -> false
-    then begin
-      stopped := Some Mem_budget;
+    let cause =
+      Array.fold_left
+        (fun acc sh -> if acc = None then sh.cause else acc)
+        None shard_arr
+    in
+    if stop_on_found && Array.exists (fun sh -> sh.witnesses <> []) shard_arr
+    then false
+    else if cause <> None then begin
+      stopped := cause;
       false
     end
     else if not (pending ()) then false
     else begin
+      visited_base := sum (fun sh -> sh.visited);
+      nodes_base := sum (fun sh -> Arena.size sh.arena);
+      words_base := sum (fun sh -> sh.words);
+      Array.iter
+        (fun sh ->
+          sh.visited_mark <- sh.visited;
+          sh.nodes_mark <- Arena.size sh.arena;
+          sh.words_mark <- sh.words)
+        shard_arr;
       parity := 1 - !parity;
       true
     end
@@ -516,27 +388,26 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
   (* Canonical dense renumbering: shards in rotation order from the
      initial state's shard, nodes in arena (insertion) order within a
      shard. The rotation puts the initial state at id 0. *)
-  let order = Array.init nsh (fun i -> (s0 + i) mod nsh) in
+  let rotation = Array.init nsh (fun i -> (s0 + i) mod nsh) in
   let base = Array.make nsh 0 in
   let total = ref 0 in
   Array.iter
     (fun sid ->
       base.(sid) <- !total;
       total := !total + Arena.size shard_arr.(sid).arena)
-    order;
+    rotation;
   let dense_of gid = if gid < 0 then -1 else base.(gid mod nsh) + (gid / nsh) in
   let n = !total in
   let states = Array.make n init in
   let parents = Array.make n (-1, None) in
   Array.iter
     (fun sid ->
-      let sh = shard_arr.(sid) in
       Arena.iteri
         (fun idx nd ->
-          states.(base.(sid) + idx) <- nd.nstate;
-          parents.(base.(sid) + idx) <- (dense_of nd.nparent, nd.nlabel))
-        sh.arena)
-    order;
+          states.(base.(sid) + idx) <- nd.state;
+          parents.(base.(sid) + idx) <- (dense_of nd.parent, nd.label))
+        shard_arr.(sid).arena)
+    rotation;
   let edges =
     if not record_edges then [||]
     else begin
@@ -554,7 +425,7 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
               done;
               a.(dense_of gid) <- !l)
             shard_arr.(sid).elog)
-        order;
+        rotation;
       a
     end
   in
@@ -577,21 +448,20 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
             if c < 0 || (c = 0 && dense_of gid < dense_of bg) then
               chosen := Some (payload, gid))
         (List.rev sh.witnesses))
-    order;
+    rotation;
   let trace_to gid =
     let rec walk gid acc =
       if gid < 0 then acc
       else begin
         let nd = Arena.get shard_arr.(gid mod nsh).arena (gid / nsh) in
-        match nd.nlabel with
+        match nd.label with
         | None -> acc
-        | Some l -> walk nd.nparent ((l, nd.nstate) :: acc)
+        | Some l -> walk nd.parent ((l, nd.state) :: acc)
       end
     in
     walk gid []
   in
   let cmp1 = Dbm.cmp_stats () in
-  let sum f = Array.fold_left (fun a sh -> a + f sh) 0 shard_arr in
   let stats =
     {
       Stats.visited = sum (fun sh -> sh.visited);
@@ -602,11 +472,14 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
       peak_frontier = sum (fun sh -> sh.peak);
       store_words = sum (fun sh -> sh.st.Store.kwords ());
       truncated = !stopped <> None;
-      time_s = 0.0;
+      time_s = (if solo then Unix.gettimeofday () -. t0 else 0.0);
       dbm_phys_eq = cmp1.Dbm.phys_hits - cmp0.Dbm.phys_hits;
       dbm_full_cmp = cmp1.Dbm.full_scans - cmp0.Dbm.full_scans;
       dbm_lattice_cmp = cmp1.Dbm.lattice_scans - cmp0.Dbm.lattice_scans;
-      phases = [];
+      phases =
+        (if solo && Obs.Flight.is_enabled () then
+           Stats.phase_delta fl0 (Obs.Flight.totals ())
+         else []);
     }
   in
   let mailbox_hwm =
@@ -618,16 +491,8 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
           acc plane)
       0 boxes
   in
-  let par =
-    Some
-      {
-        par_shards = nsh;
-        rounds = pstats.Par.Shards.rounds;
-        steals = pstats.Par.Shards.steals;
-        handoffs = sum (fun sh -> sh.sent);
-        mailbox_hwm;
-      }
-  in
+  (* Publish the run's counters to the registry (bulk adds at the end of
+     the run: the loop above never touches a hashtable). *)
   Obs.Metrics.Counter.incr m_runs;
   Obs.Metrics.Counter.add m_visited stats.Stats.visited;
   Obs.Metrics.Counter.add m_stored stats.Stats.stored;
@@ -637,6 +502,7 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
   if stats.Stats.truncated then Obs.Metrics.Counter.incr m_truncated;
   Obs.Metrics.Gauge.set_max m_peak_frontier
     (float_of_int stats.Stats.peak_frontier);
+  if solo then Obs.Metrics.Histogram.observe m_run_wall stats.Stats.time_s;
   {
     found = Option.map (fun (p, gid) -> (p, trace_to gid)) !chosen;
     states;
@@ -644,5 +510,54 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
     edges;
     stopped = !stopped;
     stats;
-    par;
+    par =
+      (if solo then None
+       else
+         Some
+           {
+             par_shards = nsh;
+             rounds = pstats.Par.Shards.rounds;
+             steals = pstats.Par.Shards.steals;
+             handoffs = sum (fun sh -> sh.sent);
+             mailbox_hwm;
+           });
   }
+
+(* The pre-keyed entry point: one shard, no pool, and the caller's
+   store lifted to a keyed one that ignores the key. Nothing in the
+   library calls it; it stays only until perfbench (which builds a
+   [Store.t] and calls [run]) next changes. *)
+let no_key = Codec.encode (Codec.spec []) (fun _ -> 0)
+
+let run ?max_states ?stop ?mem_budget_words ?order ?record_edges ~store
+    ~successors ~on_state ~init () =
+  let keyed =
+    {
+      Store.kname = store.Store.name;
+      kinsert = (fun s ~key:_ ~id -> store.Store.insert s ~id);
+      kstale = (fun s ~key:_ -> store.Store.stale s);
+      ksize = store.Store.size;
+      kwords = store.Store.words;
+    }
+  in
+  run_sharded ?max_states ?stop ?mem_budget_words ?order ?record_edges
+    ~shards:1
+    ~store:(fun () -> keyed)
+    ~key:(fun _ -> no_key)
+    ~successors ~on_state ~init ()
+
+(* The one place a caller's [jobs] request becomes an engine
+   configuration; see the interface. *)
+let with_jobs jobs pool f =
+  match jobs with
+  | None -> f ~shards:1 ~size_hint:4096 None
+  | Some j -> (
+    if j < 1 then invalid_arg "Engine: jobs must be >= 1";
+    (* Per-shard tables start small: 64 shards at the default 4096
+       buckets would retain half a megaword before storing anything,
+       which the memory-budget accounting would charge to the run. *)
+    let f = f ~shards:64 ~size_hint:256 in
+    match pool with
+    | Some _ -> f pool
+    | None when j = 1 -> f None
+    | None -> Par.Pool.with_pool ~jobs:j (fun p -> f (Some p)))

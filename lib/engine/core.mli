@@ -5,21 +5,20 @@
     that TIGA games and ECDAR refinement run on. The pieces that differ
     per backend plug in:
 
-    - the {e state store} ({!Store.t}) decides coverage/subsumption;
-    - the {e search order} picks BFS, DFS or a priority queue;
+    - the {e state store} ({!Store.keyed}) decides coverage/subsumption;
+    - the {e search order} picks BFS or a priority queue;
     - [successors] generates the labelled transition relation on the fly;
     - [on_state] may short-circuit with a payload (witness found).
 
-    The core owns the node arena, parent links and trace reconstruction,
-    and reports a {!Stats.t} for every run. *)
+    The loop is sharded ({!run_sharded}): a sequential run is the
+    one-shard case with no pool. The core owns the node arenas, parent
+    links and trace reconstruction, and reports a {!Stats.t} for every
+    run. *)
 
 type 's order =
   | Bfs
-  | Dfs
   | Priority of ('s -> int)
       (** smallest priority first; ties broken by insertion order *)
-
-type ('s, 'l) node = { state : 's; parent : int; label : 'l option }
 
 (** Why a run stopped before draining its frontier: the [max_states]
     cap, the [mem_budget_words] retained-heap budget, or the caller's
@@ -28,7 +27,7 @@ type ('s, 'l) node = { state : 's; parent : int; label : 'l option }
     explicit, reportable result, not a crash. *)
 type stop_cause = Max_states | Mem_budget | Stop_requested
 
-(** Parallel-execution observables of a {!run_sharded} run. Everything
+(** Parallel-execution observables of a multi-shard run. Everything
     here except [steals] is deterministic (identical for every pool
     size); [steals] counts shard steps run by a non-home domain and
     varies run to run — it is reported for bench visibility and must
@@ -58,50 +57,26 @@ type ('s, 'l, 'a) outcome = {
       (** [None] for a complete run; mirrored as [stats.truncated] *)
   stats : Stats.t;
   par : par_info option;
-      (** [Some] for {!run_sharded} outcomes, [None] for {!run} *)
+      (** [Some] for runs over several shards, [None] for one shard *)
 }
 
-(** [run ~store ~successors ~on_state ~init ()] explores from [init]
-    until [on_state] returns a payload, the frontier drains, or
-    [max_states] is exceeded (reported as [stats.truncated]; callers
-    choose whether that is an error). With a {!Store.best_cost} store and
-    a [Priority] order this is exactly Dijkstra: re-improved states are
-    re-enqueued and stale arena entries are skipped at pop time.
-
-    [stop] is polled once per visited state; when it answers true the
-    run ends with [stopped = Some Stop_requested] — the hook for
-    per-request deadlines and cooperative cancellation in a serving
-    loop. [mem_budget_words] bounds the store's retained heap
-    ({!Store.over_budget}, polled at geometrically spaced store sizes):
-    exceeding it ends the run with [stopped = Some Mem_budget] instead
-    of letting the exploration OOM.
-
-    @raise Invalid_argument if the store rejects the initial state. *)
-val run :
-  ?max_states:int ->
-  ?stop:(unit -> bool) ->
-  ?mem_budget_words:int ->
-  ?order:'s order ->
-  ?record_edges:bool ->
-  store:'s Store.t ->
-  successors:('s -> ('l * 's) list) ->
-  on_state:('s -> 'a option) ->
-  init:'s ->
-  unit ->
-  ('s, 'l, 'a) outcome
-
-(** [run_sharded ~store ~key ~successors ~on_state ~init ()] — the
-    sharded parallel counterpart of {!run} (BFS-flavoured: expansion
-    order is per-shard FIFO over barrier rounds, not global BFS).
+(** [run_sharded ~store ~key ~successors ~on_state ~init ()] explores
+    from [init] until [on_state] returns a payload, the frontier drains,
+    or a bound trips.
 
     The packed-key space is partitioned over [shards] (default 64)
     disjoint shards — by the high bits of {!Codec.hash}, or by
     [shard_of] when given (tests use it to force cross-shard traffic).
     Each shard owns a private keyed store ([store ()] is called once
-    per shard) and frontier; successors landing on another shard travel
-    through double-buffered per-(src,dst) mailboxes merged after the
-    next round barrier ({!Par.Shards.run}); termination is quiescence —
-    all frontiers and mailboxes empty at a barrier.
+    per shard) and a frontier ordered by [order] (default [Bfs]);
+    successors landing on another shard travel through double-buffered
+    per-(src,dst) mailboxes merged after the next round barrier
+    ({!Par.Shards.run}); termination is quiescence — all frontiers and
+    mailboxes empty at a barrier. With [shards = 1] every successor
+    stays home and the run is one round of a plain sequential search:
+    BFS, or with a {!Store.best_cost_keyed} store and a [Priority]
+    order exactly Dijkstra — re-improved states are re-enqueued and
+    stale entries skipped at pop time.
 
     {b Determinism}: verdicts, traces, ids, edges and stats are
     byte-identical for every pool size, including [jobs = 1] — shard
@@ -109,22 +84,31 @@ val run :
     (source shard, FIFO) order, node ids are canonically renumbered
     (dense, shards rotated so the initial state is id 0), and the
     witness is the [prefer]-minimal (ties: smallest canonical id) over
-    all shards. Sharded stats pin the scheduling observables: [time_s]
-    is [0.0] and [phases] is [[]]; wall-clock timing belongs to the
-    caller. Scheduling-dependent counts (steals) live only in
-    {!par_info}.
+    all shards. With several shards the stats pin the scheduling
+    observables: [time_s] is [0.0] and [phases] is [[]]; wall-clock
+    timing belongs to the caller, and scheduling-dependent counts
+    (steals) live only in {!par_info}. A one-shard run reports its real
+    [time_s] and flight [phases], and [par = None].
 
-    [stop_on_found = true] (default) mirrors {!run}: the run stops at
-    the first barrier after any shard hit a witness. [false] runs to
-    quiescence collecting every witness and returns the [prefer]-best —
-    the mode CORA's cost-optimal search uses, where later rounds can
-    re-open states on cheaper paths ([Store.best_cost_keyed] re-opens,
-    stale entries are skipped at pop).
+    [stop_on_found = true] (default) stops at the first barrier after
+    any shard hit a witness — with one shard, at the first witness.
+    [false] runs to quiescence collecting every witness and returns the
+    [prefer]-best — the mode CORA's multi-shard cost search uses, where
+    later rounds can re-open states on cheaper paths
+    ([Store.best_cost_keyed] re-opens, stale entries are skipped at
+    pop).
 
-    Global bounds ([max_states], [stop], [mem_budget_words]) are
-    checked at round barriers only, so a run may overshoot a bound by
-    one round's growth before truncating; which states exist at that
-    point is still deterministic.
+    Bounds are polled after every visited state: [max_states] on
+    visited and stored states, the [stop] hook (deadline /
+    cancellation; with several shards it is called from the pool's
+    domains), and [mem_budget_words] on the stores' retained words
+    ({!Store.keyed.kwords}, measured at geometrically spaced sizes).
+    Each shard compares the totals at the last barrier plus its own
+    growth since, so with one shard polling is exact and with several
+    the truncation point does not depend on scheduling. A tripped bound
+    ends the run at the next barrier with [stopped] set; the outcome's
+    [stats] are valid for the explored prefix — truncation is an
+    explicit, reportable result, not a crash.
 
     @raise Invalid_argument if [shards < 1], [shard_of] answers out of
     range for the initial state, or the store rejects the initial
@@ -133,6 +117,7 @@ val run_sharded :
   ?max_states:int ->
   ?stop:(unit -> bool) ->
   ?mem_budget_words:int ->
+  ?order:'s order ->
   ?record_edges:bool ->
   ?stop_on_found:bool ->
   ?prefer:('a -> 'a -> int) ->
@@ -146,3 +131,33 @@ val run_sharded :
   init:'s ->
   unit ->
   ('s, 'l, 'a) outcome
+
+(** [run ~store ...] is {!run_sharded} with one shard and no pool over a
+    store that derives its own keys. Kept for callers that build a
+    {!Store.t} by hand; library code calls {!run_sharded}. *)
+val run :
+  ?max_states:int ->
+  ?stop:(unit -> bool) ->
+  ?mem_budget_words:int ->
+  ?order:'s order ->
+  ?record_edges:bool ->
+  store:'s Store.t ->
+  successors:('s -> ('l * 's) list) ->
+  on_state:('s -> 'a option) ->
+  init:'s ->
+  unit ->
+  ('s, 'l, 'a) outcome
+
+(** [with_jobs jobs pool f] turns a caller's [jobs] request into the
+    arguments of one {!run_sharded} call, [f ~shards ~size_hint pool].
+    [None] is a sequential run: one shard, no pool, default-sized store
+    tables. [Some j] is the default 64 shards with small per-shard
+    tables, over [pool] when given (its size wins), else a transient
+    pool of [j] domains when [j > 1] (shut down after [f]), else no
+    pool.
+    @raise Invalid_argument if [j < 1]. *)
+val with_jobs :
+  int option ->
+  Par.Pool.t option ->
+  (shards:int -> size_hint:int -> Par.Pool.t option -> 'a) ->
+  'a

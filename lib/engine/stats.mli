@@ -1,6 +1,6 @@
 (** Per-run instrumentation of the exploration core.
 
-    Every {!Core.run} returns one of these; front ends ({e quantcli},
+    Every {!Core.run_sharded} returns one of these; front ends ({e quantcli},
     {e bench}) print it as JSON so performance trajectories can be
     compared across revisions. The same counters are also published to
     the {!Obs} default metrics registry under [engine.*] names. *)
@@ -18,11 +18,13 @@ type t = {
           other stores) *)
   peak_frontier : int;  (** maximum frontier (waiting list) length *)
   store_words : int;
-      (** retained-heap estimate of the state store at the end of the
-          run, in words (see {!Store.t.words}): the codec's memory win
-          shows up here as packed vs. polymorphic store footprint *)
-  truncated : bool;  (** the [max_states] bound stopped the run *)
-  time_s : float;  (** wall-clock seconds for the run *)
+      (** retained-heap estimate of the state stores at the end of the
+          run, in words (see {!Store.keyed.kwords}) *)
+  truncated : bool;
+      (** a bound ([max_states], [stop], memory budget) stopped the run *)
+  time_s : float;
+      (** wall-clock seconds for the run; [0.0] for multi-shard runs,
+          whose timing is a scheduling observable *)
   dbm_phys_eq : int;
       (** DBM comparisons settled by pointer identity during the run —
           with sealed zones this covers every equality decision *)
@@ -56,8 +58,9 @@ val store_hit_rate : t -> float
 
 (** [phase_delta before after] — the per-phase gain between two
     {!Obs.Flight.totals} snapshots (both sorted by name): what the
-    bracketed stretch of work spent where. {!Core.run} uses it to
-    attribute global flight totals to one run. *)
+    bracketed stretch of work spent where. A one-shard
+    {!Core.run_sharded} uses it to attribute global flight totals to
+    its run. *)
 val phase_delta :
   (string * (int * float)) list ->
   (string * (int * float)) list ->

@@ -13,16 +13,12 @@ type 's t = {
   words : unit -> int;
 }
 
-let no_stale _ = false
 let default_size_hint = 4096
 
-(* Flight-recorder phases shared by all store flavours: [codec.encode]
-   is the packed-key construction (timed here at the store seam rather
-   than inside [Codec], so encode-stop and probe-start share one clock
-   read via [stop_start]), [store.probe] the key lookup, [store.insert]
-   the table write, [store.subsume] the inclusion walk over a subsume
-   bucket. No-ops unless [Obs.Flight.enable] ran. *)
-let ph_encode = Obs.Flight.intern "codec.encode"
+(* Flight-recorder phases shared by all store flavours: [store.probe]
+   the key lookup, [store.insert] the table write, [store.subsume] the
+   inclusion walk over a subsume bucket. No-ops unless
+   [Obs.Flight.enable] ran. *)
 let ph_probe = Obs.Flight.intern "store.probe"
 let ph_insert = Obs.Flight.intern "store.insert"
 let ph_subsume = Obs.Flight.intern "store.subsume"
@@ -30,15 +26,9 @@ let ph_subsume = Obs.Flight.intern "store.subsume"
 (* Retained-heap estimate of the passed list: everything reachable from
    the table — buckets, keys and stored values (zones included), shared
    structure counted once. One full traversal per call; the engine calls
-   it once per run, when building the final [Stats.t]. *)
+   it when building the final [Stats.t] and at its geometrically spaced
+   memory-budget polls. *)
 let reachable_words tbl () = Obj.reachable_words (Obj.repr tbl)
-
-(* Memory-budget predicate for the exploration loop: has the passed
-   list's retained heap crossed [budget_words]? Costs one [words] walk —
-   callers amortize it by checking at geometrically spaced store sizes
-   (see [Core.run]), which is what lets a run degrade into an explicit
-   truncation instead of an OOM kill. *)
-let over_budget t ~budget_words = t.words () > budget_words
 
 (* The packed stores below key on {!Codec.packed} states: the probe hash
    is the memoized full-width one (O(1), no truncation) and collisions
@@ -117,11 +107,10 @@ module Ptbl = struct
       if 3 * t.len > 2 * (t.mask + 1) then grow t
 end
 
-(* Keyed store cores: the caller computes the packed key once and hands
-   it to every insert/stale call. The sharded engine lives on these —
+(* Keyed stores: the caller computes the packed key once and hands it
+   to every insert/stale call. The exploration loop lives on these —
    the same key that routes a state to its shard probes the shard's
-   table, so the hot path never encodes twice — and the classic
-   constructors below are thin wrappers that bolt a key function on. *)
+   table, so the hot path never encodes twice. *)
 type 's keyed = {
   kname : string;
   kinsert : 's -> key:Codec.packed -> id:int -> verdict;
@@ -131,20 +120,6 @@ type 's keyed = {
 }
 
 let k_no_stale _ ~key:_ = false
-
-let with_key ~key k =
-  {
-    name = k.kname;
-    insert =
-      (fun s ~id ->
-        let fl = Obs.Flight.start () in
-        let pk = key s in
-        Obs.Flight.stop ph_encode fl;
-        k.kinsert s ~key:pk ~id);
-    stale = (fun s -> k.kstale s ~key:(key s));
-    size = k.ksize;
-    words = k.kwords;
-  }
 
 let discrete_keyed ?(size_hint = default_size_hint) () =
   let tbl : int Codec.Tbl.t = Codec.Tbl.create size_hint in
@@ -288,122 +263,3 @@ let best_cost_keyed ?(size_hint = default_size_hint) ~cost () =
     ksize = (fun () -> Codec.Tbl.length best);
     kwords = reachable_words best;
   }
-
-let discrete ?size_hint ~key () = with_key ~key (discrete_keyed ?size_hint ())
-
-let exact ?size_hint ~key ~zone () =
-  with_key ~key (exact_keyed ?size_hint ~zone ())
-
-let subsume ?size_hint ~key ~zone () =
-  with_key ~key (subsume_keyed ?size_hint ~zone ())
-
-let best_cost ?size_hint ~key ~cost () =
-  with_key ~key (best_cost_keyed ?size_hint ~cost ())
-
-(* The pre-codec stores, kept verbatim behind polymorphic hashing: the
-   packed-vs-polymorphic ablation flag and generic engine tests run on
-   these. [Hashtbl.hash] inspects only the first ~10 meaningful words of
-   a key, so large discrete states hash-collide here by construction —
-   that is the behaviour the packed stores exist to remove. *)
-module Poly = struct
-  let discrete ?(size_hint = default_size_hint) ~key () =
-    let tbl = Hashtbl.create size_hint in
-    {
-      name = "discrete";
-      insert =
-        (fun s ~id ->
-          let k = key s in
-          match Hashtbl.find_opt tbl k with
-          | Some id' -> Dup id'
-          | None ->
-            Hashtbl.replace tbl k id;
-            Added { dropped = 0; reopened = false });
-      stale = no_stale;
-      size = (fun () -> Hashtbl.length tbl);
-      words = reachable_words tbl;
-    }
-
-  let exact ?(size_hint = default_size_hint) ~key ~zone () =
-    let tbl = Hashtbl.create size_hint in
-    let count = ref 0 in
-    {
-      name = "exact";
-      insert =
-        (fun s ~id ->
-          let k = key s and z : Dbm.canon = zone s in
-          let entries =
-            match Hashtbl.find_opt tbl k with Some e -> e | None -> []
-          in
-          (* Quiet comparisons: the reference store must not double-count
-             handles the packed stores already account for. *)
-          match
-            List.find_opt
-              (fun ((z' : Dbm.canon), _) ->
-                Dbm.equal_quiet (z :> Dbm.t) (z' :> Dbm.t))
-              entries
-          with
-          | Some (_, id') -> Dup id'
-          | None ->
-            Hashtbl.replace tbl k ((z, id) :: entries);
-            incr count;
-            Added { dropped = 0; reopened = false });
-      stale = no_stale;
-      size = (fun () -> !count);
-      words = reachable_words tbl;
-    }
-
-  let subsume ?(size_hint = default_size_hint) ~key ~zone () =
-    let tbl = Hashtbl.create size_hint in
-    let count = ref 0 in
-    {
-      name = "subsume";
-      insert =
-        (fun s ~id:_ ->
-          let k = key s and z : Dbm.canon = zone s in
-          let entries =
-            match Hashtbl.find_opt tbl k with Some e -> e | None -> []
-          in
-          if
-            List.exists
-              (fun (z' : Dbm.canon) ->
-                Dbm.subset_quiet (z :> Dbm.t) (z' :> Dbm.t))
-              entries
-          then Covered
-          else begin
-            let kept =
-              List.filter
-                (fun (z' : Dbm.canon) ->
-                  not (Dbm.subset_quiet (z' :> Dbm.t) (z :> Dbm.t)))
-                entries
-            in
-            let dropped = List.length entries - List.length kept in
-            Hashtbl.replace tbl k (z :: kept);
-            count := !count + 1 - dropped;
-            Added { dropped; reopened = false }
-          end);
-      stale = no_stale;
-      size = (fun () -> !count);
-      words = reachable_words tbl;
-    }
-
-  let best_cost ?(size_hint = default_size_hint) ~key ~cost () =
-    let best = Hashtbl.create size_hint in
-    {
-      name = "best-cost";
-      insert =
-        (fun s ~id:_ ->
-          let k = key s and c = cost s in
-          match Hashtbl.find_opt best k with
-          | Some old when old <= c -> Covered
-          | prev ->
-            Hashtbl.replace best k c;
-            Added { dropped = 0; reopened = prev <> None });
-      stale =
-        (fun s ->
-          match Hashtbl.find_opt best (key s) with
-          | Some b -> cost s > b
-          | None -> false);
-      size = (fun () -> Hashtbl.length best);
-      words = reachable_words best;
-    }
-end

@@ -4,35 +4,34 @@
     already covered by something seen before. The four implementations
     cover the backends' needs:
 
-    - {!discrete}: structural equality on the whole state (digital-clock
-      graphs: TIGA games, ECDAR views, {e modes}).
-    - {!exact}: exact zone equality on a fused (discrete, zone) key
-      (liveness graphs, the subsumption-off ablation).
-    - {!subsume}: inclusion subsumption — a candidate covered by a stored
-      zone is rejected, stored zones strictly inside the candidate are
-      evicted (UPPAAL-style safety/reachability).
-    - {!best_cost}: keep only the cheapest cost per key, re-opening a
-      state when a cheaper path arrives (CORA's Dijkstra).
+    - {!discrete_keyed}: equality on the packed discrete state
+      (digital-clock graphs: TIGA games, ECDAR views, {e modes}).
+    - {!exact_keyed}: exact zone equality on a fused (discrete, zone)
+      key (liveness graphs, the subsumption-off ablation).
+    - {!subsume_keyed}: inclusion subsumption — a candidate covered by a
+      stored zone is rejected, stored zones strictly inside the
+      candidate are evicted (UPPAAL-style safety/reachability).
+    - {!best_cost_keyed}: keep only the cheapest cost per key,
+      re-opening a state when a cheaper path arrives (CORA's Dijkstra).
 
-    All four key on {!Codec.packed} discrete states: probes use the
-    memoized full-width codec hash and compare packed words, so neither
-    hashing nor equality ever rescans the backend's state structure —
-    and, unlike the polymorphic [Hashtbl.hash] (which inspects only the
-    first ~10 meaningful words of a value), the hash never truncates.
-    Zone-holding stores take {!Zones.Dbm.canon} handles (sealed:
-    extrapolated, interned, hash memoized), so the un-sealed DBMs of a
-    successor pipeline cannot reach a store at the type level; probe
-    hashes fuse the packed hash with the zone's memoized hash and
-    equality settles on pointer identity in the common case.
-    The pre-codec polymorphic stores survive in {!Poly} as the ablation
-    baseline.
+    All four key on {!Codec.packed} discrete states, passed in by the
+    caller: probes use the memoized full-width codec hash and compare
+    packed words, so neither hashing nor equality ever rescans the
+    backend's state structure — and, unlike the polymorphic
+    [Hashtbl.hash] (which inspects only the first ~10 meaningful words
+    of a value), the hash never truncates. Zone-holding stores take
+    {!Zones.Dbm.canon} handles (sealed: extrapolated, interned, hash
+    memoized), so the un-sealed DBMs of a successor pipeline cannot
+    reach a store at the type level; probe hashes fuse the packed hash
+    with the zone's memoized hash and equality settles on pointer
+    identity in the common case.
 
     Every constructor takes [?size_hint] (default 4096): the initial
-    bucket count of the backing [Hashtbl]. It is a hint, not a limit —
-    the stdlib table grows by doubling once the load factor exceeds 2,
-    rehashing every entry — so a hint near the expected final state
-    count avoids the O(n) rehash cascade on large explorations, while an
-    oversized hint merely wastes [size_hint] words up front.
+    bucket count of the backing table. It is a hint, not a limit — the
+    table grows by doubling, rehashing every entry — so a hint near the
+    expected final state count avoids the O(n) rehash cascade on large
+    explorations, while an oversized hint merely wastes [size_hint]
+    words up front.
 
     Each constructor returns a fresh, independent store. *)
 
@@ -41,54 +40,45 @@ type verdict =
       (** stored under the candidate id; [dropped] weaker {e distinct}
           entries evicted. [reopened] is true when the accepted state
           re-opens a previously settled key on a cheaper path
-          ({!best_cost} only) — re-openings are not counted in
+          ({!best_cost_keyed} only) — re-openings are not counted in
           [dropped]. *)
   | Dup of int  (** exactly equal to the state already stored as [id] *)
   | Covered  (** covered by a stored state; no id of its own *)
 
+(** A store that derives its own keys: the shape {!Core.run} accepts
+    and lifts to a {!keyed} one. The library's stores are all keyed;
+    this record is for callers that build a store by hand. *)
 type 's t = {
   name : string;
   insert : 's -> id:int -> verdict;
-      (** [insert s ~id] offers [s] for storage under the candidate [id]
-          (the id it will get if accepted). *)
   stale : 's -> bool;
-      (** [stale s] at pop time: the stored information superseding [s]
-          arrived after it was enqueued, so skip it. Only {!best_cost}
-          ever answers [true]. *)
-  size : unit -> int;  (** states currently stored *)
+  size : unit -> int;
   words : unit -> int;
-      (** retained-heap estimate of the store in words: everything
-          reachable from the backing table (keys, values, zones), shared
-          structure counted once. O(store size) per call — meant for
-          end-of-run stats, not hot loops. *)
 }
 
-(** [over_budget t ~budget_words] — is the store's retained heap
-    ({!t.words}, an O(size) walk) past the budget? The exploration core
-    polls this at geometrically spaced store sizes when given
-    [mem_budget_words], turning would-be OOMs into an explicit truncated
-    outcome; the serving layer sizes its cache eviction off the same
-    number. *)
-val over_budget : 's t -> budget_words:int -> bool
-
-(** A keyed store core: every probe takes the state's packed key as an
-    argument instead of computing it. The sharded engine keys on these —
-    the packed key is computed once per candidate, routes the state to a
-    shard and then probes that shard's table, so the hot path never
-    encodes twice (mailbox messages carry the key across shards). The
-    classic constructors below are [with_key] wrappers over these
-    cores. *)
+(** A keyed store: every probe takes the state's packed key as an
+    argument instead of computing it. The exploration core computes the
+    key once per candidate, routes the state to a shard and then probes
+    that shard's table, so the hot path never encodes twice (mailbox
+    messages carry the key across shards). *)
 type 's keyed = {
   kname : string;
   kinsert : 's -> key:Codec.packed -> id:int -> verdict;
+      (** [kinsert s ~key ~id] offers [s] (whose packed key is [key])
+          for storage under the candidate [id] — the id it will get if
+          accepted. *)
   kstale : 's -> key:Codec.packed -> bool;
-  ksize : unit -> int;
+      (** [kstale s ~key] at pop time: the stored information
+          superseding [s] arrived after it was enqueued, so skip it.
+          Only {!best_cost_keyed} ever answers [true]. *)
+  ksize : unit -> int;  (** states currently stored *)
   kwords : unit -> int;
+      (** retained-heap estimate of the store in words: everything
+          reachable from the backing table (keys, values, zones), shared
+          structure counted once. O(store size) per call — meant for
+          end-of-run stats and the core's geometrically spaced
+          memory-budget polls, not hot loops. *)
 }
-
-(** [with_key ~key k] — the classic single-closure store over keyed core
-    [k], computing [key s] on every insert/stale probe. *)
-val with_key : key:('s -> Codec.packed) -> 's keyed -> 's t
 
 val discrete_keyed : ?size_hint:int -> unit -> 's keyed
 
@@ -100,50 +90,3 @@ val subsume_keyed :
 
 val best_cost_keyed :
   ?size_hint:int -> cost:('s -> int) -> unit -> 's keyed
-
-val discrete :
-  ?size_hint:int -> key:('s -> Codec.packed) -> unit -> 's t
-
-val exact :
-  ?size_hint:int ->
-  key:('s -> Codec.packed) ->
-  zone:('s -> Zones.Dbm.canon) ->
-  unit ->
-  's t
-
-val subsume :
-  ?size_hint:int ->
-  key:('s -> Codec.packed) ->
-  zone:('s -> Zones.Dbm.canon) ->
-  unit ->
-  's t
-
-val best_cost :
-  ?size_hint:int -> key:('s -> Codec.packed) -> cost:('s -> int) -> unit -> 's t
-
-(** The polymorphic-hash stores the packed ones replaced — semantics
-    identical, but keys are hashed with [Hashtbl.hash] (truncated to the
-    first ~10 meaningful words) and compared structurally on every
-    probe. Kept as the measurable baseline for the packed-vs-poly
-    ablation ([bench engine], [Ta.Checker.check ~packed:false]) and for
-    generic engine tests. *)
-module Poly : sig
-  val discrete : ?size_hint:int -> key:('s -> 'k) -> unit -> 's t
-
-  val exact :
-    ?size_hint:int ->
-    key:('s -> 'k) ->
-    zone:('s -> Zones.Dbm.canon) ->
-    unit ->
-    's t
-
-  val subsume :
-    ?size_hint:int ->
-    key:('s -> 'k) ->
-    zone:('s -> Zones.Dbm.canon) ->
-    unit ->
-    's t
-
-  val best_cost :
-    ?size_hint:int -> key:('s -> 'k) -> cost:('s -> int) -> unit -> 's t
-end

@@ -49,38 +49,24 @@ let min_cost_reach ?jobs ?pool net cm ~target =
       (Digital.successors net st)
   in
   let on_state (st, cost) = if target st then Some cost else None in
+  (* One shard is Dijkstra: the frontier is cost-ordered, so the first
+     target pop is optimal. Several shards make the search
+     Bellman-Ford-flavoured: each shard relaxes its cost-ordered
+     frontier in rounds, cheaper paths re-open settled keys, and the run
+     ends at quiescence — no relaxation pending anywhere — rather than
+     at the first target pop. Every witness cost is collected and the
+     minimum returned, so the answer (and all stats) is identical for
+     every [j >= 1]; termination holds because costs are non-negative
+     and a key re-opens only on a strictly cheaper path. *)
   let out =
-    match jobs with
-    | Some j ->
-      if j < 1 then invalid_arg "Cora: jobs must be >= 1";
-      (* Sharded cost search is Bellman-Ford-flavoured rather than
-         Dijkstra: each shard relaxes its frontier in rounds, cheaper
-         paths re-open settled keys, and the run ends at quiescence —
-         no relaxation pending anywhere — rather than at the first
-         target pop. Every witness cost is collected and the minimum
-         returned, so the answer (and all stats) is identical for every
-         [j >= 1]; termination holds because costs are non-negative and
-         a key re-opens only on a strictly cheaper path. *)
-      let mk_pool f =
-        match pool with
-        | Some p -> f (Some p)
-        | None ->
-          if j <= 1 then f None
-          else Par.Pool.with_pool ~jobs:j (fun p -> f (Some p))
-      in
-      mk_pool (fun pool ->
-          Engine.Core.run_sharded ~max_states:max_int ~stop_on_found:false
-            ~prefer:compare ?pool
-            ~store:(fun () -> Engine.Store.best_cost_keyed ~size_hint:256 ~cost:snd ())
-            ~key ~successors ~on_state
-            ~init:(Digital.initial net, 0)
-            ())
-    | None ->
-      let store = Engine.Store.best_cost ~key ~cost:snd () in
-      Engine.Core.run ~max_states:max_int ~order:(Engine.Core.Priority snd)
-        ~store ~successors ~on_state
-        ~init:(Digital.initial net, 0)
-        ()
+    Engine.Core.with_jobs jobs pool @@ fun ~shards ~size_hint pool ->
+    Engine.Core.run_sharded ~max_states:max_int
+      ~order:(Engine.Core.Priority snd) ~stop_on_found:(shards = 1)
+      ~prefer:compare ~shards ?pool
+      ~store:(fun () -> Engine.Store.best_cost_keyed ~size_hint ~cost:snd ())
+      ~key ~successors ~on_state
+      ~init:(Digital.initial net, 0)
+      ()
   in
   Option.map
     (fun (cost, steps) ->

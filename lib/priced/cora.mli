@@ -31,10 +31,10 @@ type outcome = {
 
 (** [min_cost_reach net cm ~target] is the cheapest cost to reach a state
     whose discrete part satisfies [target], or [None] if unreachable.
-    Runs Dijkstra on the shared {!Engine.Core}: a {!Engine.Store.best_cost}
-    store with a cost-priority frontier.
+    Runs Dijkstra on the shared {!Engine.Core}: a
+    {!Engine.Store.best_cost_keyed} store with a cost-priority frontier.
 
-    With [jobs] the search runs on the sharded parallel core in
+    With [jobs] the search is spread over the engine's shards in
     Bellman-Ford style: shards relax their frontiers in barrier rounds,
     cheaper paths re-open settled keys, and the run ends at quiescence
     with the minimum over all collected target costs. The optimal cost

@@ -91,10 +91,12 @@ let component_delay net cfg rng (st : cstate) ~inv_ub i =
       lo +. (-.log (max 1e-300 (Random.State.float rng 1.0)) /. rate)
     end
 
-let clock_guard_sat v constrs =
-  List.for_all
-    (fun (c : Model.constr) -> Bound.sat c.cb (v.(c.ci) -. v.(c.cj)))
-    constrs
+(* Closure-free: this runs for every enabled edge and, through
+   [invariants_hold], for every component on every fired move. *)
+let rec clock_guard_sat v = function
+  | [] -> true
+  | (c : Model.constr) :: rest ->
+    Bound.sat c.cb (v.(c.ci) -. v.(c.cj)) && clock_guard_sat v rest
 
 let edge_enabled net (st : cstate) i (e : Model.edge) =
   ignore net;
@@ -150,11 +152,38 @@ let apply_edges (st : cstate) participants =
     participants;
   { st with clocs = locs; cstore = store; cclocks = clocks }
 
+(* Does every component's location invariant hold at [st]? *)
+let invariants_hold net (st : cstate) =
+  let autos = net.Model.automata in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length autos do
+    ok :=
+      clock_guard_sat st.cclocks
+        autos.(!i).Model.locations.(st.clocs.(!i)).Model.invariant;
+    incr i
+  done;
+  !ok
+
+(* Uniform choice among [xs] of one whose [move] leads to a state that
+   satisfies its location invariants. A candidate whose post-state
+   breaks an invariant is not enabled: it is dropped and the pick
+   repeats over the rest. One draw per attempt, so a run that never
+   drops a candidate draws exactly what a plain uniform pick would. *)
+let rec pick_valid net rng xs move =
+  match xs with
+  | [] -> None
+  | _ -> (
+    let k = Random.State.int rng (List.length xs) in
+    match move (List.nth xs k) with
+    | Some st' as r when invariants_hold net st' -> r
+    | _ -> pick_valid net rng (List.filteri (fun j _ -> j <> k) xs) move)
+
 (* The move the winning component performs at the post-delay state:
    uniform among its enabled output edges, with uniform receiver choice
    for binary emissions and mandatory receivers for broadcasts. Returns
    None when nothing is actually enabled (e.g. the sampled delay fell in
-   a gap between guard windows). *)
+   a gap between guard windows, or every move breaks a target
+   invariant). *)
 let fire net rng (st : cstate) i =
   let candidates =
     List.filter (fun e -> edge_enabled net st i e) (output_edges net st i)
@@ -172,39 +201,36 @@ let fire net rng (st : cstate) i =
         | Model.Receive _ -> false)
       candidates
   in
-  match pick rng viable with
-  | None -> None
-  | Some e ->
-    (match e.Model.sync with
-     | Model.Tau -> Some (apply_edges st [ (i, e) ])
-     | Model.Emit ch ->
-       (match ch.Model.kind with
-        | Model.Binary ->
-          (match pick rng (receivers net st ~from:i ch) with
-           | Some (j, er) -> Some (apply_edges st [ (i, e); (j, er) ])
-           | None -> None)
-        | Model.Broadcast ->
-          (* All ready receivers participate; multiple enabled edges in
-             one component resolve uniformly. *)
-          let by_component = Hashtbl.create 8 in
-          List.iter
-            (fun (j, er) ->
-              let existing =
-                try Hashtbl.find by_component j with Not_found -> []
-              in
-              Hashtbl.replace by_component j (er :: existing))
-            (receivers net st ~from:i ch);
-          let rs =
-            Hashtbl.fold
-              (fun j es acc ->
-                match pick rng es with
-                | Some er -> (j, er) :: acc
-                | None -> acc)
-              by_component []
-          in
-          let rs = List.sort (fun (a, _) (b, _) -> compare a b) rs in
-          Some (apply_edges st ((i, e) :: rs)))
-     | Model.Receive _ -> None)
+  pick_valid net rng viable @@ fun (e : Model.edge) ->
+  match e.Model.sync with
+  | Model.Tau -> Some (apply_edges st [ (i, e) ])
+  | Model.Emit ch ->
+    (match ch.Model.kind with
+     | Model.Binary ->
+       pick_valid net rng (receivers net st ~from:i ch) (fun (j, er) ->
+           Some (apply_edges st [ (i, e); (j, er) ]))
+     | Model.Broadcast ->
+       (* All ready receivers participate; multiple enabled edges in
+          one component resolve uniformly. *)
+       let by_component = Hashtbl.create 8 in
+       List.iter
+         (fun (j, er) ->
+           let existing =
+             try Hashtbl.find by_component j with Not_found -> []
+           in
+           Hashtbl.replace by_component j (er :: existing))
+         (receivers net st ~from:i ch);
+       let rs =
+         Hashtbl.fold
+           (fun j es acc ->
+             match pick rng es with
+             | Some er -> (j, er) :: acc
+             | None -> acc)
+           by_component []
+       in
+       let rs = List.sort (fun (a, _) (b, _) -> compare a b) rs in
+       Some (apply_edges st ((i, e) :: rs)))
+  | Model.Receive _ -> None
 
 let step net cfg rng (st : cstate) =
   let n = Array.length net.Model.automata in

@@ -35,7 +35,6 @@ exception
 (* Exploration on the shared engine core                                *)
 (* ------------------------------------------------------------------ *)
 
-let state_key (st : Zone_graph.state) = Zone_graph.discrete_key st
 let state_zone (st : Zone_graph.state) = st.Zone_graph.zone
 
 (* Which extrapolation [Dbm.seal] applies at the sealing boundary of the
@@ -53,81 +52,49 @@ let reach_extra (extrapolation : extrapolation) net f =
     let lower, upper = Prop.merge_lu net f in
     Dbm.Extra_lu { lower; upper }
 
-(* Resolve an optional jobs request against an optional caller-owned
-   pool. A caller pool is used as-is (its size wins); otherwise a
-   transient pool is spun up only when the run actually needs worker
-   domains. *)
-let with_jobs_pool jobs pool f =
-  match pool with
-  | Some p -> f (Some p)
-  | None ->
-    if jobs <= 1 then f None
-    else Par.Pool.with_pool ~jobs (fun p -> f (Some p))
+(* [max_states] keeps its historical contract (a hard [Failure]); the
+   resource-bound stops raise [Truncated] with the partial stats so a
+   caller — the CLI under --mem-budget, the daemon on a deadline — can
+   degrade into a structured report instead of dying. *)
+let check_stopped ~what out =
+  match out.Engine.Core.stopped with
+  | Some Engine.Core.Max_states ->
+    failwith ("Checker: state limit exceeded " ^ what)
+  | Some Engine.Core.Mem_budget ->
+    raise (Truncated { reason = `Mem_budget; stats = out.Engine.Core.stats })
+  | Some Engine.Core.Stop_requested ->
+    raise (Truncated { reason = `Stop; stats = out.Engine.Core.stats })
+  | None -> ()
 
 (* Generic exploration. [on_state] is called once per fresh symbolic
    state and may short-circuit by returning a payload. With [rich_trace],
    witness steps carry the symbolic state they reach. Zones arrive sealed
-   from [Zone_graph], so no re-canonicalisation happens here.
+   from [Zone_graph], so no re-canonicalisation happens here. The store
+   keys on the packed codec encoding of the discrete part.
 
-   [jobs = Some j] switches to the sharded parallel core — including
+   [jobs = Some j] spreads the run over the engine's shards — including
    [j = 1], whose results are byte-identical to any higher [j] (the
-   sharded exploration order differs from the sequential one, so
+   sharded exploration order differs from the one-shard BFS, so
    [jobs:None] and [jobs:(Some 1)] may produce different witnesses for
    the same verdict; determinism is guaranteed within each mode). *)
-let explore ?(subsumption = true) ?(packed = true)
-    ?(max_states = 1_000_000) ?stop ?mem_budget_words ?(rich_trace = false)
-    ?jobs ?pool net ~extra ~on_state =
-  let init = Zone_graph.initial net ~extra in
-  let successors st = Zone_graph.successors net ~extra st in
+let explore ?(subsumption = true) ?(max_states = 1_000_000) ?stop
+    ?mem_budget_words ?(rich_trace = false) ?jobs ?pool net ~extra ~on_state =
+  let spec = Zone_graph.codec net in
   let out =
-    match jobs with
-    | Some j ->
-      if j < 1 then invalid_arg "Checker: jobs must be >= 1";
-      if not packed then
-        invalid_arg "Checker: parallel exploration requires packed stores";
-      let spec = Zone_graph.codec net in
-      let key st = Zone_graph.pack spec st in
-      (* Per-shard tables start small: 64 shards at the default 4096
-         buckets would retain half a megaword before storing anything,
-         which the --mem-budget accounting would charge to the run. *)
-      let store () =
-        if subsumption then
-          Engine.Store.subsume_keyed ~size_hint:256 ~zone:state_zone ()
-        else Engine.Store.exact_keyed ~size_hint:256 ~zone:state_zone ()
-      in
-      with_jobs_pool j pool (fun pool ->
-          Engine.Core.run_sharded ~max_states ?stop ?mem_budget_words ?pool
-            ~store ~key ~successors ~on_state ~init ())
-    | None ->
-      (* [packed] keys the store on the interned codec encoding of the
-         discrete part; the ablation baseline keys on the raw
-         (locs, store) tuple under polymorphic hashing. *)
-      let store =
-        if packed then begin
-          let spec = Zone_graph.codec net in
-          let key st = Zone_graph.pack spec st in
-          if subsumption then Engine.Store.subsume ~key ~zone:state_zone ()
-          else Engine.Store.exact ~key ~zone:state_zone ()
-        end
-        else if subsumption then
-          Engine.Store.Poly.subsume ~key:state_key ~zone:state_zone ()
-        else Engine.Store.Poly.exact ~key:state_key ~zone:state_zone ()
-      in
-      Engine.Core.run ~max_states ?stop ?mem_budget_words ~store ~successors
-        ~on_state ~init ()
+    Engine.Core.with_jobs jobs pool @@ fun ~shards ~size_hint pool ->
+    let store () =
+      if subsumption then
+        Engine.Store.subsume_keyed ~size_hint ~zone:state_zone ()
+      else Engine.Store.exact_keyed ~size_hint ~zone:state_zone ()
+    in
+    Engine.Core.run_sharded ~max_states ?stop ?mem_budget_words ~shards ?pool
+      ~store ~key:(Zone_graph.pack spec)
+      ~successors:(Zone_graph.successors net ~extra)
+      ~on_state
+      ~init:(Zone_graph.initial net ~extra)
+      ()
   in
-  (* [max_states] keeps its historical contract (a hard [Failure]); the
-     resource-bound stops raise [Truncated] with the partial stats so a
-     caller — the CLI under --mem-budget, the daemon on a deadline — can
-     degrade into a structured report instead of dying. *)
-  (match out.Engine.Core.stopped with
-   | Some Engine.Core.Max_states ->
-     failwith "Checker: state limit exceeded (model too large or diverging)"
-   | Some Engine.Core.Mem_budget ->
-     raise (Truncated { reason = `Mem_budget; stats = out.Engine.Core.stats })
-   | Some Engine.Core.Stop_requested ->
-     raise (Truncated { reason = `Stop; stats = out.Engine.Core.stats })
-   | None -> ());
+  check_stopped ~what:"(model too large or diverging)" out;
   let render (label, st) =
     if rich_trace then
       Format.asprintf "%s  @@ %a" label (Zone_graph.pp_state net) st
@@ -172,31 +139,19 @@ type graph = {
   parents : (int * string) array; (* for diagnostic traces *)
 }
 
-let build_graph ?(max_states = 1_000_000) ?stop ?mem_budget_words
-    ?(packed = true) net ~extra =
-  let store =
-    if packed then begin
-      let spec = Zone_graph.codec net in
-      Engine.Store.exact ~key:(Zone_graph.pack spec) ~zone:state_zone ()
-    end
-    else Engine.Store.Poly.exact ~key:state_key ~zone:state_zone ()
-  in
-  let successors st = Zone_graph.successors net ~extra st in
+let build_graph ?(max_states = 1_000_000) ?stop ?mem_budget_words net ~extra =
+  let spec = Zone_graph.codec net in
   let out =
-    Engine.Core.run ~max_states ?stop ?mem_budget_words ~record_edges:true
-      ~store ~successors
+    Engine.Core.run_sharded ~max_states ?stop ?mem_budget_words
+      ~record_edges:true ~shards:1
+      ~store:(fun () -> Engine.Store.exact_keyed ~zone:state_zone ())
+      ~key:(Zone_graph.pack spec)
+      ~successors:(Zone_graph.successors net ~extra)
       ~on_state:(fun _ -> None)
       ~init:(Zone_graph.initial net ~extra)
       ()
   in
-  (match out.Engine.Core.stopped with
-   | Some Engine.Core.Max_states ->
-     failwith "Checker: state limit exceeded during liveness exploration"
-   | Some Engine.Core.Mem_budget ->
-     raise (Truncated { reason = `Mem_budget; stats = out.Engine.Core.stats })
-   | Some Engine.Core.Stop_requested ->
-     raise (Truncated { reason = `Stop; stats = out.Engine.Core.stats })
-   | None -> ());
+  check_stopped ~what:"during liveness exploration" out;
   let parents =
     Array.map
       (fun (parent, label) ->
@@ -266,14 +221,14 @@ let trace_in_graph graph id =
 (* Top-level check                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let check_reach ?subsumption ?packed ?max_states ?stop ?mem_budget_words
+let check_reach ?subsumption ?max_states ?stop ?mem_budget_words
     ?rich_trace ?jobs ?pool ?(extrapolation = `Lu) net f =
   let extra = reach_extra extrapolation net f in
   let on_state st = if Prop.holds_somewhere net st f then Some () else None in
-  explore ?subsumption ?packed ?max_states ?stop ?mem_budget_words ?rich_trace
+  explore ?subsumption ?max_states ?stop ?mem_budget_words ?rich_trace
     ?jobs ?pool net ~extra ~on_state
 
-let check_liveness ?packed ?max_states ?stop ?mem_budget_words
+let check_liveness ?max_states ?stop ?mem_budget_words
     ?(from_initial_only = false) net ~p ~q =
   if not (Prop.crisp p && Prop.crisp q) then
     invalid_arg "Checker: leads-to operands must not contain clock atoms";
@@ -282,7 +237,7 @@ let check_liveness ?packed ?max_states ?stop ?mem_budget_words
      Extra-M on the network constants. *)
   let extra = Dbm.Extra_m (Array.copy net.Model.max_consts) in
   let graph, gstats =
-    build_graph ?max_states ?stop ?mem_budget_words ?packed net ~extra
+    build_graph ?max_states ?stop ?mem_budget_words net ~extra
   in
   let is_q id = Prop.eval_crisp net graph.states.(id) q in
   let starts = ref [] in
@@ -303,12 +258,12 @@ let check_liveness ?packed ?max_states ?stop ?mem_budget_words
   | Some id ->
     { holds = false; trace = Some (trace_in_graph graph id); stats; par = None }
 
-let check ?subsumption ?packed ?max_states ?stop ?mem_budget_words
+let check ?subsumption ?max_states ?stop ?mem_budget_words
     ?rich_trace ?jobs ?pool ?extrapolation net query =
   match query with
   | Prop.Possibly f ->
     let outcome, stats, par =
-      check_reach ?subsumption ?packed ?max_states ?stop ?mem_budget_words
+      check_reach ?subsumption ?max_states ?stop ?mem_budget_words
         ?rich_trace ?jobs ?pool ?extrapolation net f
     in
     (match outcome with
@@ -316,7 +271,7 @@ let check ?subsumption ?packed ?max_states ?stop ?mem_budget_words
      | None -> { holds = false; trace = None; stats; par })
   | Prop.Invariant f ->
     let outcome, stats, par =
-      check_reach ?subsumption ?packed ?max_states ?stop ?mem_budget_words
+      check_reach ?subsumption ?max_states ?stop ?mem_budget_words
         ?rich_trace ?jobs ?pool ?extrapolation net (Prop.Not f)
     in
     (match outcome with
@@ -328,7 +283,7 @@ let check ?subsumption ?packed ?max_states ?stop ?mem_budget_words
     let extra = Dbm.Extra_m (Array.copy net.Model.max_consts) in
     let on_state st = if deadlocked net st then Some () else None in
     let outcome, stats, par =
-      explore ?subsumption ?packed ?max_states ?stop ?mem_budget_words
+      explore ?subsumption ?max_states ?stop ?mem_budget_words
         ?rich_trace ?jobs ?pool net ~extra ~on_state
     in
     (match outcome with
@@ -337,14 +292,14 @@ let check ?subsumption ?packed ?max_states ?stop ?mem_budget_words
   | Prop.LeadsTo (p, q) ->
     (* Liveness analyses run on the exact sequential graph; [jobs] is
        deliberately ignored (documented in the interface). *)
-    check_liveness ?packed ?max_states ?stop ?mem_budget_words net ~p ~q
+    check_liveness ?max_states ?stop ?mem_budget_words net ~p ~q
   | Prop.Eventually f ->
     if not (Prop.crisp f) then
       invalid_arg "Checker: A<> operand must not contain clock atoms";
-    check_liveness ?packed ?max_states ?stop ?mem_budget_words
+    check_liveness ?max_states ?stop ?mem_budget_words
       ~from_initial_only:true net ~p:Prop.True ~q:f
 
-let reachable_states ?subsumption ?packed ?max_states
+let reachable_states ?subsumption ?max_states
     ?(extrapolation = `Lu) net =
   let extra = reach_extra extrapolation net Prop.True in
   let acc = ref [] in
@@ -354,6 +309,6 @@ let reachable_states ?subsumption ?packed ?max_states
   in
   let (_ : (unit * string list) option * stats * Engine.Core.par_info option)
       =
-    explore ?subsumption ?packed ?max_states net ~extra ~on_state
+    explore ?subsumption ?max_states net ~extra ~on_state
   in
   List.rev !acc

@@ -8,9 +8,10 @@
     delay can ever enable another move.
 
     The exploration itself runs on the shared {!Engine.Core} with a
-    {!Engine.Store.subsume} (or {!Engine.Store.exact}) store; this module
-    only contributes the zone-graph successor relation, the properties
-    and the deadlock predicate. *)
+    {!Engine.Store.subsume_keyed} (or {!Engine.Store.exact_keyed}) store
+    keyed on the packed discrete state; this module only contributes the
+    zone-graph successor relation, the properties and the deadlock
+    predicate. *)
 
 (** Per-run instrumentation, re-exported from {!Engine.Stats.t} so that
     field accesses through [Ta.Checker] keep working. *)
@@ -72,40 +73,32 @@ type extrapolation = [ `None | `K | `Lu ]
     Zones are sealed ({!Zones.Dbm.seal}) at the zone-graph boundary —
     extrapolated per [extrapolation], interned, hash memoized — so store
     lookups settle on pointer equality in the common case.
-    [packed] (default true) keys the passed list on the interned
-    {!Engine.Codec} encoding of the discrete part (memoized full-width
-    hash, physically shared states); [~packed:false] falls back to the
-    polymorphic-hash store as the ablation baseline — results are
-    identical, only hashing and memory behaviour differ.
     [rich_trace] (default false) annotates every witness step with the
     symbolic state it reaches. [max_states] (default 1_000_000) aborts
     pathological explorations.
     [stop] is polled once per visited state — a deadline or cancellation
     hook for serving contexts. [mem_budget_words] bounds the passed
-    list's retained heap (see {!Engine.Store.over_budget}).
+    list's retained heap (see {!Engine.Core.run_sharded}).
 
-    [jobs] switches safety / reachability / deadlock exploration to the
-    sharded parallel core ({!Engine.Core.run_sharded}): the zone graph
-    is partitioned over shards by packed-key hash and explored in
-    barrier rounds over a domain pool of [jobs] workers. The result —
-    verdict, witness trace, every stat — is byte-identical for every
-    [jobs >= 1]; only wall-clock changes. [jobs:1] therefore runs the
-    sharded path too (and is the determinism reference for [jobs:4]),
-    while omitting [jobs] keeps the historical sequential BFS — the two
-    modes can legitimately report different witnesses for the same
-    verdict, since their exploration orders differ. With [jobs], the
-    sharded stats pin [time_s] to 0.0 and [phases] to []. [pool] reuses
-    a caller-owned domain pool (the daemon's); without it a transient
-    pool is created when [jobs > 1]. Liveness queries (leads-to, A<>)
-    run their exact-graph analysis sequentially and ignore both
-    options.
+    [jobs] spreads safety / reachability / deadlock exploration over the
+    engine's shards ({!Engine.Core.with_jobs}): the zone graph is
+    partitioned by packed-key hash and explored in barrier rounds over a
+    domain pool of [jobs] workers. The result — verdict, witness trace,
+    every stat — is byte-identical for every [jobs >= 1]; only
+    wall-clock changes. [jobs:1] therefore runs the sharded path too
+    (and is the determinism reference for [jobs:4]), while omitting
+    [jobs] runs one shard, a plain sequential BFS — the two modes can
+    legitimately report different witnesses for the same verdict, since
+    their exploration orders differ. With [jobs], the stats pin
+    [time_s] to 0.0 and [phases] to []. [pool] reuses a caller-owned
+    domain pool (the daemon's); without it a transient pool is created
+    when [jobs > 1]. Liveness queries (leads-to, A<>) run their
+    exact-graph analysis sequentially and ignore both options.
     @raise Failure if the exploration exceeds [max_states].
     @raise Truncated if [stop] or [mem_budget_words] cut the run short.
-    @raise Invalid_argument for [jobs] with [~packed:false] — the
-    sharded stores key on codec encodings. *)
+    @raise Invalid_argument if [jobs < 1]. *)
 val check :
   ?subsumption:bool ->
-  ?packed:bool ->
   ?max_states:int ->
   ?stop:(unit -> bool) ->
   ?mem_budget_words:int ->
@@ -126,7 +119,6 @@ val deadlocked : Model.network -> Zone_graph.state -> bool
     digital-clocks engine. *)
 val reachable_states :
   ?subsumption:bool ->
-  ?packed:bool ->
   ?max_states:int ->
   ?extrapolation:extrapolation ->
   Model.network ->

@@ -31,8 +31,10 @@ let codec (net : Model.network) =
 
 (* No [Codec.intern] here: the checker stores keep at most one copy of
    each packed key (table keys are unique, duplicates are dropped on
-   arrival), so interning every candidate would pay a mutex + weak-table
-   probe per successor for sharing that never materialises. *)
+   arrival) and the engine's arena nodes keep none (the stale probe
+   re-encodes at pop), so interning every candidate would pay a mutex +
+   weak-table probe per successor for sharing that never
+   materialises. *)
 let pack spec st = Engine.Codec.encode_pair spec st.locs st.store
 
 let constrain_all zone constrs =

@@ -16,9 +16,8 @@ type state = {
     singleton for internal edges, emitter then receiver(s) for channels. *)
 type move = { mv_label : string; participants : (int * Model.edge) list }
 
-(** [discrete_key st] is the hashable discrete part of a state (the
-    pre-codec polymorphic key; kept for the packed-vs-poly ablation and
-    diagnostics). *)
+(** [discrete_key st] is the discrete part of a state as plain arrays,
+    for diagnostics and tests (stores key on {!pack}). *)
 val discrete_key : state -> int array * int array
 
 (** [codec net] compiles the network's discrete-state layout — one
@@ -26,8 +25,9 @@ val discrete_key : state -> int array * int array
     into a packed codec spec. Build one per network, not per state. *)
 val codec : Model.network -> Engine.Codec.spec
 
-(** [pack spec st] encodes and interns the discrete part of [st]:
-    physically shared across equal states, memoized full-width hash. *)
+(** [pack spec st] encodes the discrete part of [st] with its memoized
+    full-width hash. It does not intern: each call allocates a fresh
+    packed value. *)
 val pack : Engine.Codec.spec -> state -> Engine.Codec.packed
 
 (** [initial net ~extra] is the initial symbolic state. [extra] is the

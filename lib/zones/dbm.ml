@@ -222,13 +222,13 @@ type cmp_stats = {
   intern_misses : int;  (** [seal] calls that added a fresh DBM *)
 }
 
-(* Counter cells are domain-local: the sharded exploration engine runs
-   comparisons from several domains at once, and plain shared refs would
-   lose increments (and make per-run deltas nondeterministic) under that
-   contention. Each domain tallies into its own record, registered once
-   at first use; [cmp_stats] sums the registry. Reads happen when the
-   other domains are quiescent (the engines read at pool joins), so the
-   sums are exact — and deterministic, because each shard's comparison
+(* Counter cells are per-domain {!Obs.Shard} slots: the sharded
+   exploration engine runs comparisons from several domains at once,
+   and plain shared refs would lose increments (and make per-run deltas
+   nondeterministic) under that contention. Each domain tallies into its
+   own record; [cmp_stats] sums them. Reads happen when the other
+   domains are quiescent (the engines read at pool joins), so the sums
+   are exact — and deterministic, because each shard's comparison
    multiset is fixed by its inputs, never by scheduling. *)
 type cnt = {
   mutable phys : int;
@@ -238,25 +238,15 @@ type cnt = {
   mutable imiss : int;
 }
 
-let cnt_registry : cnt list ref = ref []
-let cnt_mu = Mutex.create ()
+let cnt_shards =
+  Obs.Shard.create (fun () ->
+      { phys = 0; full = 0; lattice = 0; ihit = 0; imiss = 0 })
 
-let cnt_key =
-  Domain.DLS.new_key (fun () ->
-      let c = { phys = 0; full = 0; lattice = 0; ihit = 0; imiss = 0 } in
-      Mutex.lock cnt_mu;
-      cnt_registry := c :: !cnt_registry;
-      Mutex.unlock cnt_mu;
-      c)
-
-let cnt () = Domain.DLS.get cnt_key
+let cnt () = Obs.Shard.my cnt_shards
 
 let cmp_stats () =
-  Mutex.lock cnt_mu;
-  let cells = !cnt_registry in
-  Mutex.unlock cnt_mu;
-  List.fold_left
-    (fun acc c ->
+  Obs.Shard.fold cnt_shards
+    (fun acc _ c ->
       {
         phys_hits = acc.phys_hits + c.phys;
         full_scans = acc.full_scans + c.full;
@@ -271,20 +261,14 @@ let cmp_stats () =
       intern_hits = 0;
       intern_misses = 0;
     }
-    cells
 
 let reset_cmp_stats () =
-  Mutex.lock cnt_mu;
-  let cells = !cnt_registry in
-  Mutex.unlock cnt_mu;
-  List.iter
-    (fun c ->
+  Obs.Shard.iter cnt_shards (fun _ c ->
       c.phys <- 0;
       c.full <- 0;
       c.lattice <- 0;
       c.ihit <- 0;
       c.imiss <- 0)
-    cells
 
 let subset_scan t1 t2 =
   assert (t1.dim = t2.dim);
@@ -335,7 +319,6 @@ let equal t1 t2 =
   end
 
 let subset_quiet t1 t2 = t1 == t2 || t1.m == t2.m || subset_scan t1 t2
-let equal_quiet t1 t2 = t1 == t2 || t1.m == t2.m || equal_scan t1 t2
 
 (* Bulk counter flush for callers that walk whole buckets of zones with
    the quiet comparisons and tally locally (in registers, not a ref

@@ -78,12 +78,9 @@ val subset : t -> t -> bool
 
 val equal : t -> t -> bool
 
-(** Uncounted variants for bookkeeping comparisons (e.g. reference
-    stores) that would otherwise double-count sealed handles in
-    {!cmp_stats}. *)
+(** Uncounted [subset], for loops that tally their scans locally and
+    flush them with {!note_scans}. *)
 val subset_quiet : t -> t -> bool
-
-val equal_quiet : t -> t -> bool
 
 (** [note_scans ~phys ~lattice] adds to the {!cmp_stats} counters in
     bulk. For hot loops that walk whole buckets of zones with the quiet
@@ -151,10 +148,10 @@ val width : t -> int
 
 (** Counters for {!equal}/{!subset}/{!seal} since the last
     {!reset_cmp_stats}; exploration engines report per-run deltas.
-    Tallies are kept in domain-local cells and summed on read, so
-    comparisons from pooled domains are never lost to races; read (and
-    reset) while those domains are quiescent — e.g. at a pool join —
-    for an exact snapshot. *)
+    Tallies are kept in per-domain {!Obs.Shard} slots and summed on
+    read, so comparisons from pooled domains are never lost to races;
+    read (and reset) while those domains are quiescent — e.g. at a pool
+    join — for an exact snapshot. *)
 type cmp_stats = {
   phys_hits : int;
       (** comparisons settled by pointer identity — including

@@ -11,9 +11,8 @@ module Stats = Engine.Stats
 module Arena = Engine.Arena
 module Codec = Engine.Codec
 
-(* A one-word codec for plain-int test states: every store test runs
-   both packed (codec keys, memoized hash) and poly (Hashtbl.hash)
-   flavours through the same assertions. *)
+(* A one-word codec for plain-int test states: the keys every store
+   test and every core test probes with. *)
 let ispec = Codec.spec [ Codec.Word "v" ]
 let ikey n = Codec.encode ispec (fun _ -> n)
 
@@ -34,115 +33,103 @@ let zone_y_le n = Dbm.seal (Dbm.constrain (Dbm.universal ~clocks:2) 2 0 (Bound.l
 (* Stores                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_discrete_store s =
-  (match s.Store.insert 1 ~id:0 with
+(* Each store is driven the way the core drives it: the caller
+   computes the packed key and hands it to every probe. *)
+let test_discrete_store () =
+  let s = Store.discrete_keyed () in
+  let ins v ~id = s.Store.kinsert v ~key:(ikey v) ~id in
+  (match ins 1 ~id:0 with
    | Store.Added { dropped; _ } -> check_int "no evictions" 0 dropped
    | _ -> Alcotest.fail "first insert must be Added");
-  (match s.Store.insert 2 ~id:1 with
+  (match ins 2 ~id:1 with
    | Store.Added _ -> ()
    | _ -> Alcotest.fail "distinct state must be Added");
-  (match s.Store.insert 1 ~id:2 with
+  (match ins 1 ~id:2 with
    | Store.Dup id -> check_int "dup reports original id" 0 id
    | _ -> Alcotest.fail "repeat insert must be Dup");
-  check_int "two states stored" 2 (s.Store.size ());
-  check "discrete stores are never stale" false (s.Store.stale 1);
-  check "words estimate is positive" true (s.Store.words () > 0)
+  check_int "two states stored" 2 (s.Store.ksize ());
+  check "discrete stores are never stale" false (s.Store.kstale 1 ~key:(ikey 1));
+  check "words estimate is positive" true (s.Store.kwords () > 0)
 
-let test_discrete_store () = run_discrete_store (Store.discrete ~key:ikey ())
-
-let test_discrete_store_poly () =
-  run_discrete_store (Store.Poly.discrete ~key:Fun.id ())
-
-let run_exact_store s =
-  (match s.Store.insert (0, zone_x_le 3) ~id:0 with
+let test_exact_store () =
+  let s = Store.exact_keyed ~zone:snd () in
+  let ins ((k, _) as st) ~id = s.Store.kinsert st ~key:(ikey k) ~id in
+  (match ins (0, zone_x_le 3) ~id:0 with
    | Store.Added _ -> ()
    | _ -> Alcotest.fail "first insert must be Added");
   (* Equal zone under the same key: duplicate, pointing at the original. *)
-  (match s.Store.insert (0, zone_x_le 3) ~id:1 with
+  (match ins (0, zone_x_le 3) ~id:1 with
    | Store.Dup id -> check_int "dup id" 0 id
    | _ -> Alcotest.fail "equal zone must be Dup");
   (* A strictly larger zone is still a distinct state for an exact store. *)
-  (match s.Store.insert (0, zone_x_le 5) ~id:1 with
+  (match ins (0, zone_x_le 5) ~id:1 with
    | Store.Added _ -> ()
    | _ -> Alcotest.fail "unequal zone must be Added");
   (* Same zone under another key is unrelated. *)
-  (match s.Store.insert (1, zone_x_le 3) ~id:2 with
+  (match ins (1, zone_x_le 3) ~id:2 with
    | Store.Added _ -> ()
    | _ -> Alcotest.fail "other key must be Added");
-  check_int "three states stored" 3 (s.Store.size ())
+  check_int "three states stored" 3 (s.Store.ksize ())
 
-let test_exact_store () =
-  run_exact_store (Store.exact ~key:(fun (k, _) -> ikey k) ~zone:snd ())
-
-let test_exact_store_poly () =
-  run_exact_store (Store.Poly.exact ~key:fst ~zone:snd ())
-
-let run_subsume_store s =
-  (match s.Store.insert (0, zone_x_le 1) ~id:0 with
+let test_subsume_store () =
+  let s = Store.subsume_keyed ~zone:snd () in
+  let ins ((k, _) as st) ~id = s.Store.kinsert st ~key:(ikey k) ~id in
+  (match ins (0, zone_x_le 1) ~id:0 with
    | Store.Added _ -> ()
    | _ -> Alcotest.fail "first insert must be Added");
   (* Incomparable zone: kept alongside. *)
-  (match s.Store.insert (0, zone_y_le 1) ~id:1 with
+  (match ins (0, zone_y_le 1) ~id:1 with
    | Store.Added { dropped; _ } -> check_int "incomparable evicts nothing" 0 dropped
    | _ -> Alcotest.fail "incomparable zone must be Added");
-  check_int "two incomparable zones stored" 2 (s.Store.size ());
+  check_int "two incomparable zones stored" 2 (s.Store.ksize ());
   (* Equal to a stored zone: covered. *)
-  (match s.Store.insert (0, zone_x_le 1) ~id:2 with
+  (match ins (0, zone_x_le 1) ~id:2 with
    | Store.Covered -> ()
    | _ -> Alcotest.fail "equal zone must be Covered");
   (* Strictly inside a stored zone: covered. *)
-  (match s.Store.insert (0, Dbm.seal (Dbm.constrain (zone_x_le 1 :> Dbm.t) 2 0 (Bound.le 0))) ~id:2 with
+  (match ins (0, Dbm.seal (Dbm.constrain (zone_x_le 1 :> Dbm.t) 2 0 (Bound.le 0))) ~id:2 with
    | Store.Covered -> ()
    | _ -> Alcotest.fail "included zone must be Covered");
   (* Strictly containing both stored zones: both must be dropped. *)
-  (match s.Store.insert (0, Dbm.seal (Dbm.universal ~clocks:2)) ~id:2 with
+  (match ins (0, Dbm.seal (Dbm.universal ~clocks:2)) ~id:2 with
    | Store.Added { dropped; _ } -> check_int "both stored zones evicted" 2 dropped
    | _ -> Alcotest.fail "superset zone must be Added");
-  check_int "only the superset remains" 1 (s.Store.size ());
+  check_int "only the superset remains" 1 (s.Store.ksize ());
   (* Zones under other keys are untouched by eviction. *)
-  (match s.Store.insert (1, zone_x_le 1) ~id:3 with
+  (match ins (1, zone_x_le 1) ~id:3 with
    | Store.Added { dropped; _ } -> check_int "other key untouched" 0 dropped
    | _ -> Alcotest.fail "other key must be Added")
 
-let test_subsume_store () =
-  run_subsume_store (Store.subsume ~key:(fun (k, _) -> ikey k) ~zone:snd ())
-
-let test_subsume_store_poly () =
-  run_subsume_store (Store.Poly.subsume ~key:fst ~zone:snd ())
-
-let run_best_cost_store s =
-  (match s.Store.insert (1, 5) ~id:0 with
+let test_best_cost_store () =
+  let s = Store.best_cost_keyed ~cost:snd () in
+  let ins ((k, _) as st) ~id = s.Store.kinsert st ~key:(ikey k) ~id in
+  let stale ((k, _) as st) = s.Store.kstale st ~key:(ikey k) in
+  (match ins (1, 5) ~id:0 with
    | Store.Added _ -> ()
    | _ -> Alcotest.fail "first insert must be Added");
   (* Worse cost: covered by the cheaper stored entry. *)
-  (match s.Store.insert (1, 7) ~id:1 with
+  (match ins (1, 7) ~id:1 with
    | Store.Covered -> ()
    | _ -> Alcotest.fail "worse cost must be Covered");
   (* Better cost: re-opens the state rather than evicting a rival. *)
-  (match s.Store.insert (1, 3) ~id:1 with
+  (match ins (1, 3) ~id:1 with
    | Store.Added { dropped; reopened } ->
      check_int "re-opening is not an eviction" 0 dropped;
      check "re-opening reported" true reopened
    | _ -> Alcotest.fail "better cost must be Added");
-  check "superseded entry is stale" true (s.Store.stale (1, 5));
-  check "current best is not stale" false (s.Store.stale (1, 3));
-  check_int "one key stored" 1 (s.Store.size ())
-
-let test_best_cost_store () =
-  run_best_cost_store (Store.best_cost ~key:(fun (k, _) -> ikey k) ~cost:snd ())
-
-let test_best_cost_store_poly () =
-  run_best_cost_store (Store.Poly.best_cost ~key:fst ~cost:snd ())
+  check "superseded entry is stale" true (stale (1, 5));
+  check "current best is not stale" false (stale (1, 3));
+  check_int "one key stored" 1 (s.Store.ksize ())
 
 let test_store_size_hint () =
   (* A tiny hint must not limit capacity: the table grows by doubling. *)
-  let s = Store.discrete ~size_hint:1 ~key:ikey () in
+  let s = Store.discrete_keyed ~size_hint:1 () in
   for i = 0 to 999 do
-    match s.Store.insert i ~id:i with
+    match s.Store.kinsert i ~key:(ikey i) ~id:i with
     | Store.Added _ -> ()
     | _ -> Alcotest.fail "fresh state must be Added"
   done;
-  check_int "all stored past the hint" 1000 (s.Store.size ())
+  check_int "all stored past the hint" 1000 (s.Store.ksize ())
 
 (* ------------------------------------------------------------------ *)
 (* The core loop                                                        *)
@@ -155,10 +142,19 @@ let diamond n =
   else if n = 3 then [ ("d", 4) ]
   else []
 
-let run_diamond ?order ~on_state () =
-  Core.run ?order
-    ~store:(Store.discrete ~key:ikey ())
-    ~successors:diamond ~on_state ~init:0 ()
+(* A sequential run: the one loop over a single shard, no pool. *)
+let run_seq ?max_states ?order ?record_edges ~store ~key ~successors
+    ~on_state init =
+  Core.run_sharded ?max_states ?order ?record_edges ~shards:1 ~store ~key
+    ~successors ~on_state ~init ()
+
+(* Plain-int states in a discrete store. *)
+let run_ints ?max_states ?order ?record_edges =
+  run_seq ?max_states ?order ?record_edges
+    ~store:(fun () -> Store.discrete_keyed ())
+    ~key:ikey
+
+let run_diamond ~on_state () = run_ints ~successors:diamond ~on_state 0
 
 let test_core_bfs_trace () =
   let out = run_diamond ~on_state:(fun n -> if n = 4 then Some n else None) () in
@@ -176,7 +172,8 @@ let test_core_bfs_trace () =
   check "visited all five" true (out.Core.stats.Stats.visited = 5);
   check "one duplicate (3 via 2)" true (out.Core.stats.Stats.subsumed >= 1);
   check "frontier was tracked" true (out.Core.stats.Stats.peak_frontier >= 2);
-  check "not truncated" false out.Core.stats.Stats.truncated
+  check "not truncated" false out.Core.stats.Stats.truncated;
+  check "one shard reports no par info" true (out.Core.par = None)
 
 let test_core_exhaustive () =
   let out = run_diamond ~on_state:(fun _ -> None) () in
@@ -184,34 +181,16 @@ let test_core_exhaustive () =
   check_int "all states visited" 5 out.Core.stats.Stats.visited;
   check_int "all states stored" 5 out.Core.stats.Stats.stored
 
-let test_core_dfs () =
-  let order = ref [] in
-  let out =
-    run_diamond ~order:Core.Dfs
-      ~on_state:(fun n ->
-        order := n :: !order;
-        None)
-      ()
-  in
-  check "dfs drains" true (out.Core.found = None);
-  (match List.rev !order with
-   | 0 :: next :: _ ->
-     (* DFS pops the most recently pushed successor first. *)
-     check_int "last successor first" 2 next
-   | _ -> Alcotest.fail "expected at least two pops")
-
 let test_core_priority () =
   (* Priority by value: pops ascending regardless of push order. *)
   let popped = ref [] in
   let succ n = if n = 0 then [ ("x", 9); ("x", 4); ("x", 7) ] else [] in
   let (_ : (int, string, unit) Core.outcome) =
-    Core.run ~order:(Core.Priority Fun.id)
-      ~store:(Store.discrete ~key:ikey ())
-      ~successors:succ
+    run_ints ~order:(Core.Priority Fun.id) ~successors:succ
       ~on_state:(fun n ->
         popped := n :: !popped;
         None)
-      ~init:0 ()
+      0
   in
   Alcotest.(check (list int)) "ascending pops" [ 0; 4; 7; 9 ] (List.rev !popped)
 
@@ -228,12 +207,12 @@ let test_core_dijkstra () =
     List.map (fun (w, m) -> (Printf.sprintf "%d->%d" n m, (m, c + w))) (edges n)
   in
   let out =
-    Core.run
-      ~order:(Core.Priority snd)
-      ~store:(Store.best_cost ~key:(fun (n, _) -> ikey n) ~cost:snd ())
+    run_seq ~order:(Core.Priority snd)
+      ~store:(fun () -> Store.best_cost_keyed ~cost:snd ())
+      ~key:(fun (n, _) -> ikey n)
       ~successors
       ~on_state:(fun (n, c) -> if n = 3 then Some c else None)
-      ~init:(0, 0) ()
+      (0, 0)
   in
   (match out.Core.found with
    | Some (cost, steps) ->
@@ -248,23 +227,21 @@ let test_core_dijkstra () =
 let test_core_truncation () =
   (* An infinite chain: the engine must stop and report, not raise. *)
   let out =
-    Core.run ~max_states:10
-      ~store:(Store.discrete ~key:ikey ())
+    run_ints ~max_states:10
       ~successors:(fun n -> [ ("s", n + 1) ])
       ~on_state:(fun _ -> None)
-      ~init:0 ()
+      0
   in
   check "truncated reported" true out.Core.stats.Stats.truncated;
+  check "cause reported" true (out.Core.stopped = Some Core.Max_states);
   check "nothing found" true (out.Core.found = None);
   check "visited bounded" true (out.Core.stats.Stats.visited <= 11)
 
 let test_core_record_edges () =
   let out =
-    Core.run ~record_edges:true
-      ~store:(Store.discrete ~key:ikey ())
-      ~successors:diamond
+    run_ints ~record_edges:true ~successors:diamond
       ~on_state:(fun _ -> None)
-      ~init:0 ()
+      0
   in
   check_int "edge rows per state" 5 (Array.length out.Core.edges);
   (* Both edges into 3 survive, including the duplicate via 2. *)
@@ -281,18 +258,61 @@ let test_core_record_edges () =
     (List.map fst out.Core.edges.(0))
 
 let test_core_rejecting_init () =
-  let store = Store.discrete ~key:ikey () in
-  (match store.Store.insert 0 ~id:0 with
-   | Store.Added _ -> ()
-   | _ -> Alcotest.fail "setup insert");
+  let store () =
+    let s = Store.discrete_keyed () in
+    (match s.Store.kinsert 0 ~key:(ikey 0) ~id:0 with
+     | Store.Added _ -> ()
+     | _ -> Alcotest.fail "setup insert");
+    s
+  in
   try
     ignore
-      (Core.run ~store
+      (run_seq ~store ~key:ikey
          ~successors:(fun _ -> [])
          ~on_state:(fun _ -> None)
-         ~init:0 ());
+         0);
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
+
+(* [Core.run] over a hand-built [Store.t] that derives its own keys —
+   the way an external harness drives the engine — must reproduce the
+   checker's sequential run of fischer-4 mutex. *)
+let test_core_run_adapter () =
+  let net = Ta.Fischer.make ~n:4 () in
+  let bad =
+    match Ta.Fischer.mutex net with
+    | Ta.Prop.Invariant f -> Ta.Prop.Not f
+    | _ -> Alcotest.fail "mutex is a safety query"
+  in
+  let lower, upper = Ta.Prop.merge_lu net bad in
+  let extra = Dbm.Extra_lu { lower; upper } in
+  let key = Ta.Zone_graph.pack (Ta.Zone_graph.codec net) in
+  let k = Store.subsume_keyed ~zone:(fun st -> st.Ta.Zone_graph.zone) () in
+  let store =
+    {
+      Store.name = k.Store.kname;
+      insert = (fun s ~id -> k.Store.kinsert s ~key:(key s) ~id);
+      stale = (fun s -> k.Store.kstale s ~key:(key s));
+      size = k.Store.ksize;
+      words = k.Store.kwords;
+    }
+  in
+  let out =
+    Core.run ~store
+      ~successors:(Ta.Zone_graph.successors net ~extra)
+      ~on_state:(fun st ->
+        if Ta.Prop.holds_somewhere net st bad then Some () else None)
+      ~init:(Ta.Zone_graph.initial net ~extra)
+      ()
+  in
+  let r = Ta.Checker.check net (Ta.Fischer.mutex net) in
+  check "no violation found" true (out.Core.found = None);
+  check "one shard reports no par info" true (out.Core.par = None);
+  check "wall time measured" true (out.Core.stats.Stats.time_s > 0.0);
+  Alcotest.(check string)
+    "stats match the checker (time aside)"
+    (Stats.to_json { r.Ta.Checker.stats with Stats.time_s = 0.0 })
+    (Stats.to_json { out.Core.stats with Stats.time_s = 0.0 })
 
 (* ------------------------------------------------------------------ *)
 (* Arena                                                                *)
@@ -525,9 +545,10 @@ let test_sharded_checker_identity () =
         [ ("mutex", Ta.Fischer.mutex net); ("deadlock-free", Ta.Fischer.no_deadlock) ])
     [ 4; 5 ]
 
-(* The memory budget is summed over shard stores and polled at round
-   barriers: the truncation point — and therefore the whole reported
-   prefix — must not depend on the pool size. *)
+(* The memory budget is summed over shard stores, each shard polling
+   the totals at the last barrier plus its own growth: the truncation
+   point — and therefore the whole reported prefix — must not depend on
+   the pool size. *)
 let test_sharded_mem_budget_identity () =
   let net = Ta.Fischer.make ~n:4 () in
   let q = Ta.Fischer.mutex net in
@@ -545,6 +566,95 @@ let test_sharded_mem_budget_identity () =
     "truncated stats identical across pool sizes" (Stats.to_json s1)
     (Stats.to_json s4)
 
+(* ------------------------------------------------------------------ *)
+(* Golden values of the sequential engine                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Counters of jobs-less runs, pinned so that any change to the
+   exploration loop shows up as a diff here. [store_words] and [time_s]
+   are left out: they depend on the heap layout and the host. *)
+let check_counts name (s : Stats.t) ~visited ~stored ~subsumed ~dropped ~peak =
+  check_int (name ^ " visited") visited s.Stats.visited;
+  check_int (name ^ " stored") stored s.Stats.stored;
+  check_int (name ^ " subsumed") subsumed s.Stats.subsumed;
+  check_int (name ^ " dropped") dropped s.Stats.dropped;
+  check_int (name ^ " peak frontier") peak s.Stats.peak_frontier
+
+let test_golden_fischer4 () =
+  let net = Ta.Fischer.make ~n:4 () in
+  List.iter
+    (fun (name, q) ->
+      let r = Ta.Checker.check net q in
+      check (name ^ " holds") true r.Ta.Checker.holds;
+      check (name ^ " sequential") true (r.Ta.Checker.par = None);
+      check_counts name r.Ta.Checker.stats ~visited:3077 ~stored:3077
+        ~subsumed:4252 ~dropped:0 ~peak:297)
+    [ ("mutex", Ta.Fischer.mutex net); ("no-deadlock", Ta.Fischer.no_deadlock) ]
+
+let test_golden_broken_fischer3 () =
+  let net = Ta.Fischer.make ~strict_wait:false ~n:3 () in
+  let r = Ta.Checker.check net (Ta.Fischer.mutex net) in
+  check "mutex violated" false r.Ta.Checker.holds;
+  check_counts "broken fischer-3" r.Ta.Checker.stats ~visited:86 ~stored:128
+    ~subsumed:61 ~dropped:3 ~peak:46;
+  Alcotest.(check (option (list string)))
+    "witness"
+    (Some
+       [
+         "P1.idle->req"; "P2.idle->req"; "P1.req->wait"; "P1.wait->cs";
+         "P2.req->wait"; "P2.wait->cs";
+       ])
+    r.Ta.Checker.trace
+
+let truncated_stats ?stop ?mem_budget_words () =
+  let net = Ta.Fischer.make ~n:4 () in
+  match Ta.Checker.check ?stop ?mem_budget_words net (Ta.Fischer.mutex net) with
+  | (_ : Ta.Checker.result) -> Alcotest.fail "the run must be truncated"
+  | exception Ta.Checker.Truncated { stats; _ } -> stats
+
+let test_golden_stop () =
+  let polls = ref 0 in
+  let s =
+    truncated_stats
+      ~stop:(fun () ->
+        incr polls;
+        !polls >= 100)
+      ()
+  in
+  check_int "stop polled once per visited state" 100 !polls;
+  check_int "visited" 100 s.Stats.visited;
+  check_int "stored" 181 s.Stats.stored
+
+let test_golden_mem_budget () =
+  let s = truncated_stats ~mem_budget_words:20_000 () in
+  check_int "visited" 1769 s.Stats.visited;
+  check_int "stored" 2049 s.Stats.stored
+
+let test_golden_digital () =
+  let g, s = Discrete.Digital.explore_stats (Ta.Train_gate.make ~n_trains:2) in
+  check_int "states" 2058 (Array.length g.Discrete.Digital.states);
+  check_int "visited" 2058 s.Stats.visited;
+  check_int "transitions" 3846
+    (Array.fold_left (fun a l -> a + List.length l) 0 g.Discrete.Digital.transitions)
+
+let test_golden_cora_wcet () =
+  let net = Ta.Train_gate.make ~n_trains:2 in
+  let cross = Ta.Model.loc_index net 0 "Cross" in
+  match
+    Priced.min_time_reach net ~target:(fun st ->
+        st.Discrete.Digital.dlocs.(0) = cross)
+  with
+  | None -> Alcotest.fail "Cross must be reachable"
+  | Some o ->
+    check_int "cost" 10 o.Priced.cost;
+    check_int "explored" 293 o.Priced.explored;
+    Alcotest.(check (list string))
+      "steps"
+      ([ "Train0.Safe->Appr[appr0!] Gate.Free->Occ[appr0?]" ]
+       @ List.init 10 (fun _ -> "delay")
+       @ [ "Train0.Appr->Cross" ])
+      o.Priced.steps
+
 let () =
   Alcotest.run "engine"
     [
@@ -554,23 +664,18 @@ let () =
           Alcotest.test_case "exact" `Quick test_exact_store;
           Alcotest.test_case "subsume" `Quick test_subsume_store;
           Alcotest.test_case "best-cost" `Quick test_best_cost_store;
-          Alcotest.test_case "discrete (poly)" `Quick test_discrete_store_poly;
-          Alcotest.test_case "exact (poly)" `Quick test_exact_store_poly;
-          Alcotest.test_case "subsume (poly)" `Quick test_subsume_store_poly;
-          Alcotest.test_case "best-cost (poly)" `Quick
-            test_best_cost_store_poly;
           Alcotest.test_case "size hint" `Quick test_store_size_hint;
         ] );
       ( "core",
         [
           Alcotest.test_case "bfs trace" `Quick test_core_bfs_trace;
           Alcotest.test_case "exhaustive" `Quick test_core_exhaustive;
-          Alcotest.test_case "dfs order" `Quick test_core_dfs;
           Alcotest.test_case "priority order" `Quick test_core_priority;
           Alcotest.test_case "dijkstra" `Quick test_core_dijkstra;
           Alcotest.test_case "truncation" `Quick test_core_truncation;
           Alcotest.test_case "record edges" `Quick test_core_record_edges;
           Alcotest.test_case "rejecting init" `Quick test_core_rejecting_init;
+          Alcotest.test_case "run adapter" `Quick test_core_run_adapter;
         ] );
       ( "arena",
         [
@@ -581,6 +686,18 @@ let () =
         [
           Alcotest.test_case "sealing" `Quick test_seal_physical_equality;
           Alcotest.test_case "stats json" `Quick test_stats_json;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "fischer-4 mutex and no-deadlock" `Quick
+            test_golden_fischer4;
+          Alcotest.test_case "broken fischer-3 witness" `Quick
+            test_golden_broken_fischer3;
+          Alcotest.test_case "stop hook truncation" `Quick test_golden_stop;
+          Alcotest.test_case "mem budget truncation" `Quick
+            test_golden_mem_budget;
+          Alcotest.test_case "digital train-gate-2" `Quick test_golden_digital;
+          Alcotest.test_case "cora wcet" `Quick test_golden_cora_wcet;
         ] );
       ( "sharded",
         [
