@@ -110,24 +110,32 @@ let explore ?(subsumption = true) ?(max_states = 1_000_000) ?stop
 (* Deadlock                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A valuation of [st.zone] deadlocks when no move can fire from it now
+   or, where time may pass, after some delay: the state is deadlock-free
+   iff [z ⊆ ⋃ dᵢ], [dᵢ] being move [i]'s enabling zone, down-closed when
+   delay is allowed. The walk stops at the first [dᵢ] that covers [z] on
+   its own (an uncounted pointwise check, so [dbm_lattice_cmp] does not
+   move); only when none does is the exact federation test run, on the
+   escape zones as they are: [z ⊆ ⋃ dᵢ ⇔ z ⊆ ⋃ (z ∩ dᵢ)], so nothing is
+   intersected or re-closed first. *)
 let deadlocked net (st : Zone_graph.state) =
+  let z = (st.zone :> Dbm.t) in
   let delay = Zone_graph.delay_allowed net st.locs st.store in
-  let escapes =
-    List.filter_map
-      (fun mv ->
-        let g = Zone_graph.move_enabling_zone net st.locs st.store mv in
-        if Dbm.is_empty g then None
-        else begin
-          let g = if delay then Dbm.down g else g in
-          let e = Dbm.intersect (st.zone :> Dbm.t) g in
-          if Dbm.is_empty e then None else Some e
-        end)
-      (Zone_graph.moves net st.locs st.store)
+  let rec walk escapes = function
+    | [] ->
+      let fed =
+        List.fold_left Fed.add (Fed.empty ~clocks:net.Model.n_clocks) escapes
+      in
+      not (Fed.dbm_subset z fed)
+    | mv :: rest ->
+      let g = Zone_graph.move_enabling_zone net st.locs st.store mv in
+      if Dbm.is_empty g then walk escapes rest
+      else begin
+        let g = if delay then Dbm.down g else g in
+        if Dbm.subset_quiet z g then false else walk (g :: escapes) rest
+      end
   in
-  let fed =
-    List.fold_left Fed.add (Fed.empty ~clocks:net.Model.n_clocks) escapes
-  in
-  not (Fed.dbm_subset (st.zone :> Dbm.t) fed)
+  walk [] (Zone_graph.moves net st.locs st.store)
 
 (* ------------------------------------------------------------------ *)
 (* Exact graph for liveness                                             *)

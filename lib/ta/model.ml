@@ -33,6 +33,23 @@ type automaton = {
   initial : int;
 }
 
+type move = { mv_label : string; participants : (int * edge) list }
+
+type synced_edge = { part : int * edge; frag : string; alone : move }
+
+type loc_syncs = {
+  taus : synced_edge list;
+  emits : synced_edge list array;
+  recvs : synced_edge list array;
+}
+
+type sync_index = {
+  by_loc : loc_syncs array array;
+  emitters : int array array;
+  receivers : int array array;
+  urgent_chans : int list;
+}
+
 type network = {
   automata : automaton array;
   n_clocks : int;
@@ -40,7 +57,86 @@ type network = {
   channels : chan array;
   layout : Store.layout;
   max_consts : int array;
+  syncs : sync_index;
 }
+
+(* ------------------------------------------------------------------ *)
+(* Sync index                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Label fragment of one participating edge, e.g.
+   [Train0.Safe->Appr[appr0!]]; a move's label joins its participants'
+   fragments with single spaces. Plain concatenation: [Format] here
+   measurably slowed model set-up. *)
+let fragment (a : automaton) (e : edge) =
+  let sync =
+    match e.sync with
+    | Tau -> ""
+    | Emit c -> "[" ^ c.chan_name ^ "!]"
+    | Receive c -> "[" ^ c.chan_name ^ "?]"
+  in
+  String.concat ""
+    [
+      a.auto_name; "."; a.locations.(e.src).loc_name; "->";
+      a.locations.(e.dst).loc_name; sync;
+    ]
+
+(* Groups every location's out-edges by sync once per network, in
+   out-list order, and records which components emit and receive on each
+   channel (ascending). Built eagerly, never lazily: explorations read it
+   from several domains at once. *)
+let index_syncs automata (channels : chan array) =
+  let n_chans = Array.length channels in
+  let emitters = Array.make n_chans [] and receivers = Array.make n_chans [] in
+  let note tbl ch i =
+    match tbl.(ch) with
+    | j :: _ when j = i -> ()
+    | l -> tbl.(ch) <- i :: l
+  in
+  let by_loc =
+    Array.mapi
+      (fun i a ->
+        Array.map
+          (fun edges ->
+            let emits = Array.make n_chans [] and recvs = Array.make n_chans [] in
+            let taus =
+              List.filter_map
+                (fun e ->
+                  let frag = fragment a e in
+                  let part = (i, e) in
+                  let se =
+                    { part; frag; alone = { mv_label = frag; participants = [ part ] } }
+                  in
+                  match e.sync with
+                  | Tau -> Some se
+                  | Emit c ->
+                    emits.(c.chan_id) <- se :: emits.(c.chan_id);
+                    note emitters c.chan_id i;
+                    None
+                  | Receive c ->
+                    recvs.(c.chan_id) <- se :: recvs.(c.chan_id);
+                    note receivers c.chan_id i;
+                    None)
+                edges
+            in
+            {
+              taus;
+              emits = Array.map List.rev emits;
+              recvs = Array.map List.rev recvs;
+            })
+          a.out)
+      automata
+  in
+  let ascending l = Array.of_list (List.rev l) in
+  {
+    by_loc;
+    emitters = Array.map ascending emitters;
+    receivers = Array.map ascending receivers;
+    urgent_chans =
+      List.filter_map
+        (fun c -> if c.urgent then Some c.chan_id else None)
+        (Array.to_list channels);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Constraint helpers                                                  *)
@@ -154,6 +250,11 @@ let build b =
           record_constr c)
         e.clock_guard;
       (match e.sync with
+       | (Emit ch | Receive ch)
+         when ch.chan_id < 0 || ch.chan_id >= Array.length channels ->
+         invalid_arg
+           (Printf.sprintf "Model.build: channel %s in %s was not declared"
+              ch.chan_name pa.pa_name)
        | Receive ch when ch.kind = Broadcast && e.clock_guard <> [] ->
          invalid_arg
            (Printf.sprintf
@@ -198,6 +299,7 @@ let build b =
     channels;
     layout = Store.freeze b.b_store;
     max_consts;
+    syncs = index_syncs automata channels;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -347,15 +449,18 @@ let union a b =
         invalid_arg
           (Printf.sprintf "Model.union: duplicate component %s" au.auto_name))
     b.automata;
+  let automata = Array.append a.automata (Array.map shift_auto b.automata) in
+  let channels = Array.of_list !merged_chans in
   {
-    automata = Array.append a.automata (Array.map shift_auto b.automata);
+    automata;
     n_clocks = a.n_clocks + b.n_clocks;
     clock_names =
       Array.append a.clock_names (Array.sub b.clock_names 1 b.n_clocks);
-    channels = Array.of_list !merged_chans;
+    channels;
     layout;
     max_consts =
       Array.append a.max_consts (Array.sub b.max_consts 1 b.n_clocks);
+    syncs = index_syncs automata channels;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -52,13 +52,46 @@ type automaton = {
   initial : int;
 }
 
+(** A move: the (component, edge) pairs that fire together — a
+    singleton for internal edges, emitter then receiver(s) for channels —
+    and its label, the participants' label fragments joined by single
+    spaces (re-exported as {!Zone_graph.move}). *)
+type move = { mv_label : string; participants : (int * edge) list }
+
+(** An edge as the sync index files it: its participant pair [part],
+    its label fragment [frag] ([Comp.src->dst], plus [[c!]] or [[c?]]
+    for a synchronising edge), and [alone], the move of the edge firing
+    by itself (label [frag], participants [[part]]). *)
+type synced_edge = { part : int * edge; frag : string; alone : move }
+
+(** One location's out-edges by sync, each list in out-list order:
+    internal edges, and emitting / receiving edges by [chan_id]. *)
+type loc_syncs = {
+  taus : synced_edge list;
+  emits : synced_edge list array;
+  recvs : synced_edge list array;
+}
+
+(** Per-network successor index, built once by {!build} and {!union}:
+    [by_loc.(a).(l)] groups the out-edges of location [l] of component
+    [a]; [emitters.(c)] / [receivers.(c)] list, ascending, the components
+    with an edge emitting / receiving on channel [c] anywhere;
+    [urgent_chans] holds the urgent channels' ids, ascending. *)
+type sync_index = {
+  by_loc : loc_syncs array array;
+  emitters : int array array;
+  receivers : int array array;
+  urgent_chans : int list;
+}
+
 type network = {
   automata : automaton array;
   n_clocks : int;
   clock_names : string array; (* length n_clocks + 1; entry 0 unused *)
-  channels : chan array;
+  channels : chan array; (* entry [i] has [chan_id = i] *)
   layout : Store.layout;
   max_consts : int array; (* per clock, for extrapolation *)
+  syncs : sync_index; (* derived from [automata] and [channels] *)
 }
 
 (** {1 Constraint helpers} *)
@@ -116,9 +149,10 @@ val edge :
   unit
 
 (** [build b] freezes and validates the network.
-    @raise Invalid_argument on malformed models (bad clock indices,
-    broadcast receivers or urgent-channel edges with clock guards, no
-    locations in a component). *)
+    @raise Invalid_argument on malformed models (bad clock indices, a
+    channel id outside the declared channels, broadcast receivers or
+    urgent-channel edges with clock guards, no locations in a
+    component). *)
 val build : builder -> network
 
 (** [union a b] — parallel composition of two independently built

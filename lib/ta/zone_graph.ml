@@ -6,7 +6,10 @@ module Bound = Zones.Bound
    [Dbm.seal ~extra] (which extrapolates, memoizes the hash and interns)
    before it can reach a state — stores only ever see canon. *)
 type state = { locs : int array; store : int array; zone : Dbm.canon }
-type move = { mv_label : string; participants : (int * Model.edge) list }
+type move = Model.move = {
+  mv_label : string;
+  participants : (int * Model.edge) list;
+}
 
 let discrete_key st = (st.locs, st.store)
 
@@ -59,121 +62,135 @@ let loc_kind (net : Model.network) locs i =
   net.automata.(i).locations.(locs.(i)).Model.kind
 
 let committed_present net locs =
-  let found = ref false in
-  Array.iteri
-    (fun i _ -> if loc_kind net locs i = Model.Committed then found := true)
-    net.automata;
-  !found
+  let rec from i =
+    i < Array.length locs && (loc_kind net locs i = Model.Committed || from (i + 1))
+  in
+  from 0
 
 let urgent_present net locs =
-  let found = ref false in
-  Array.iteri
-    (fun i _ ->
-      match loc_kind net locs i with
-      | Model.Urgent | Model.Committed -> found := true
-      | Model.Normal -> ())
-    net.automata;
-  !found
-
-(* Enabled edges of component [i] from its current location with the given
-   sync shape, data guards evaluated. *)
-let enabled_edges net locs store i pred =
-  let a = net.Model.automata.(i) in
-  List.filter
-    (fun e -> pred e.Model.sync && data_enabled store e)
-    a.Model.out.(locs.(i))
-
-let label_of net participants =
-  let part (i, (e : Model.edge)) =
-    let a = net.Model.automata.(i) in
-    Format.asprintf "%s.%s->%s%s" a.Model.auto_name
-      a.Model.locations.(e.src).loc_name a.Model.locations.(e.dst).loc_name
-      (match e.sync with
-       | Model.Tau -> ""
-       | s -> Format.asprintf "[%a]" Model.pp_sync s)
+  let rec from i =
+    i < Array.length locs && (loc_kind net locs i <> Model.Normal || from (i + 1))
   in
-  String.concat " " (List.map part participants)
+  from 0
 
-let moves net locs store =
+(* The data-enabled edges of a sync-index list, guards evaluated in list
+   order; shares the list itself when every edge is enabled. *)
+let rec enabled store = function
+  | [] -> []
+  | (se : Model.synced_edge) :: rest as l ->
+    if data_enabled store (snd se.part) then begin
+      let rest' = enabled store rest in
+      if rest' == rest then l else se :: rest'
+    end
+    else enabled store rest
+
+(* Move order: internal moves by component, then channels by id; per
+   channel, emitters ascending, each enabled emitting edge in out-list
+   order, combined with the receivers ascending (binary: one enabled
+   receiving edge of one other component; broadcast: one of every other
+   component that has an enabled receiving edge, choices branching in
+   component order). With a committed location in the vector, only
+   moves with a committed participant are kept. Receivers' data guards
+   are evaluated only once an emitter's edge is enabled. *)
+let moves (net : Model.network) locs store =
+  let syncs = net.syncs in
   let committed = committed_present net locs in
-  let allowed participants =
-    (not committed)
-    || List.exists (fun (i, _) -> loc_kind net locs i = Model.Committed)
-         participants
-  in
+  let committed_at i = loc_kind net locs i = Model.Committed in
   let out = ref [] in
-  let push participants =
-    if allowed participants then
-      out :=
-        { mv_label = label_of net participants; participants } :: !out
-  in
-  let n = Array.length net.Model.automata in
-  (* Internal moves. *)
-  for i = 0 to n - 1 do
+  let push mv = out := mv :: !out in
+  for i = 0 to Array.length locs - 1 do
+    let keep = (not committed) || committed_at i in
     List.iter
-      (fun e -> push [ (i, e) ])
-      (enabled_edges net locs store i (fun s -> s = Model.Tau))
+      (fun (se : Model.synced_edge) ->
+        if data_enabled store (snd se.part) && keep then push se.alone)
+      syncs.by_loc.(i).(locs.(i)).taus
   done;
-  (* Channel moves. *)
-  Array.iter
-    (fun (ch : Model.chan) ->
-      let emits s = match s with Model.Emit c -> c.Model.chan_id = ch.chan_id | _ -> false in
-      let recvs s = match s with Model.Receive c -> c.Model.chan_id = ch.chan_id | _ -> false in
-      match ch.kind with
-      | Model.Binary ->
-        for i = 0 to n - 1 do
-          List.iter
-            (fun e1 ->
-              for j = 0 to n - 1 do
-                if j <> i then
-                  List.iter
-                    (fun e2 -> push [ (i, e1); (j, e2) ])
-                    (enabled_edges net locs store j recvs)
-              done)
-            (enabled_edges net locs store i emits)
-        done
-      | Model.Broadcast ->
-        for i = 0 to n - 1 do
-          List.iter
-            (fun e1 ->
-              (* Every other component with an enabled receiving edge must
-                 participate; choices within a component branch. *)
-              let rec expand j acc =
-                if j = n then push (List.rev acc)
-                else if j = i then expand (j + 1) acc
-                else begin
-                  match enabled_edges net locs store j recvs with
-                  | [] -> expand (j + 1) acc
-                  | choices ->
-                    List.iter (fun e2 -> expand (j + 1) ((j, e2) :: acc)) choices
-                end
-              in
-              expand 0 [ (i, e1) ])
-            (enabled_edges net locs store i emits)
-        done)
-    net.Model.channels;
+  let channel (ch : Model.chan) =
+    let c = ch.chan_id in
+    let rcv = syncs.receivers.(c) in
+    let recv j = enabled store syncs.by_loc.(j).(locs.(j)).recvs.(c) in
+    let emitter i =
+      match enabled store syncs.by_loc.(i).(locs.(i)).emits.(c) with
+      | [] -> ()
+      | emits ->
+        let binary (e1 : Model.synced_edge) =
+          Array.iter
+            (fun j ->
+              if j <> i then
+                List.iter
+                  (fun (e2 : Model.synced_edge) ->
+                    if (not committed) || committed_at i || committed_at j then
+                      push
+                        {
+                          mv_label = String.concat " " [ e1.frag; e2.frag ];
+                          participants = [ e1.part; e2.part ];
+                        })
+                  (recv j))
+            rcv
+        in
+        (* [acc] holds the participants so far, reversed. *)
+        let rec broadcast k acc keep =
+          if k = Array.length rcv then begin
+            if keep then begin
+              let parts = List.rev acc in
+              push
+                {
+                  mv_label =
+                    String.concat " "
+                      (List.map (fun (se : Model.synced_edge) -> se.frag) parts);
+                  participants =
+                    List.map (fun (se : Model.synced_edge) -> se.part) parts;
+                }
+            end
+          end
+          else begin
+            let j = rcv.(k) in
+            if j = i then broadcast (k + 1) acc keep
+            else
+              match recv j with
+              | [] -> broadcast (k + 1) acc keep
+              | choices ->
+                let keep = keep || committed_at j in
+                List.iter (fun e2 -> broadcast (k + 1) (e2 :: acc) keep) choices
+          end
+        in
+        List.iter
+          (fun e1 ->
+            match ch.kind with
+            | Model.Binary -> binary e1
+            | Model.Broadcast ->
+              broadcast 0 [ e1 ] ((not committed) || committed_at i))
+          emits
+    in
+    Array.iter emitter syncs.emitters.(c)
+  in
+  Array.iter channel net.channels;
   List.rev !out
 
-let urgent_sync_enabled net locs store =
-  let n = Array.length net.Model.automata in
-  let exists_chan (ch : Model.chan) =
-    let emits s = match s with Model.Emit c -> c.Model.chan_id = ch.chan_id | _ -> false in
-    let recvs s = match s with Model.Receive c -> c.Model.chan_id = ch.chan_id | _ -> false in
-    let has i pred = enabled_edges net locs store i pred <> [] in
-    let some_emitter = ref false and emitter_recv_pair = ref false in
-    for i = 0 to n - 1 do
-      if has i emits then begin
-        some_emitter := true;
-        for j = 0 to n - 1 do
-          if j <> i && has j recvs then emitter_recv_pair := true
-        done
-      end
-    done;
-    match ch.kind with
+(* Per urgent channel in id order, until one synchronisation is enabled:
+   every emitting edge's data guard, then, for each enabled emitter, the
+   receiving guards of the other components. *)
+let urgent_sync_enabled (net : Model.network) locs store =
+  let syncs = net.syncs in
+  let chan_enabled c =
+    let edges j = syncs.by_loc.(j).(locs.(j)) in
+    let some_emitter = ref false and pair = ref false in
+    Array.iter
+      (fun i ->
+        if enabled store (edges i).emits.(c) <> [] then begin
+          some_emitter := true;
+          Array.iter
+            (fun j ->
+              if j <> i && enabled store (edges j).recvs.(c) <> [] then
+                pair := true)
+            syncs.receivers.(c)
+        end)
+      syncs.emitters.(c);
+    match net.channels.(c).kind with
     | Model.Broadcast -> !some_emitter
-    | Model.Binary -> !emitter_recv_pair
+    | Model.Binary -> !pair
   in
-  Array.exists (fun ch -> ch.Model.urgent && exists_chan ch) net.Model.channels
+  List.exists chan_enabled syncs.urgent_chans
 
 let delay_allowed net locs store =
   (not (urgent_present net locs)) && not (urgent_sync_enabled net locs store)

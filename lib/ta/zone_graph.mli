@@ -13,8 +13,13 @@ type state = {
 }
 
 (** A move: the set of (component, edge) pairs that fire together — a
-    singleton for internal edges, emitter then receiver(s) for channels. *)
-type move = { mv_label : string; participants : (int * Model.edge) list }
+    singleton for internal edges, emitter then receiver(s) for channels —
+    labelled with the participants' fragments joined by single spaces,
+    e.g. [Train0.Safe->Appr[appr0!] Gate.Free->Occ[appr0?]]. *)
+type move = Model.move = {
+  mv_label : string;
+  participants : (int * Model.edge) list;
+}
 
 (** [discrete_key st] is the discrete part of a state as plain arrays,
     for diagnostics and tests (stores key on {!pack}). *)
@@ -38,7 +43,13 @@ val pack : Engine.Codec.spec -> state -> Engine.Codec.packed
 val initial : Model.network -> extra:Zones.Dbm.extrapolation -> state
 
 (** [moves net locs store] enumerates data-enabled moves, respecting
-    committed-location priority. Clock guards are {e not} checked here. *)
+    committed-location priority. Clock guards are {e not} checked here.
+    It reads the network's {!Model.sync_index}. The order is part of the
+    contract (it fixes exploration order, hence witnesses): internal
+    moves by component, then channels by id, emitters ascending,
+    receivers ascending, each component's edges in out-list order. A
+    receiver's data guard is evaluated only once some emitter on its
+    channel is enabled. Internal moves are shared, prebuilt values. *)
 val moves : Model.network -> int array -> int array -> move list
 
 (** [delay_allowed net locs store] is false in committed/urgent locations

@@ -19,6 +19,17 @@ let le_zero = Bound.to_int Bound.le_zero
 let lt_zero = Bound.to_int Bound.lt_zero
 let inf = Bound.to_int Bound.inf
 
+(* {!Bound}'s arithmetic on the raw encoding ([2m + 1] for [<= m], [2m]
+   for [< m]), written out for the inner loops below: without
+   cross-module inlining each [Bound] call there would be an out-of-line
+   call. [add_fin] is [Bound.add] on two finite bounds, [add_raw] also
+   takes [inf]. *)
+let[@inline] add_fin a b = (((a asr 1) + (b asr 1)) lsl 1) lor (a land b land 1)
+let[@inline] add_raw a b = if a = inf || b = inf then inf else add_fin a b
+let[@inline] lt_raw m = m lsl 1
+let[@inline] le_raw m = (m lsl 1) lor 1
+let[@inline] nonneg k = if k > 0 then k else 0
+
 let empty ~clocks =
   let dim = clocks + 1 in
   { dim; m = Array.make (dim * dim) lt_zero; h = -1; w = 0 }
@@ -48,17 +59,18 @@ let normalize_empty t =
    (possibly emptied) argument, mutated in place. *)
 let close_inplace t =
   let d = t.dim and m = t.m in
-  let badd a b = Bound.to_int (Bound.add (Bound.of_int a) (Bound.of_int b)) in
   (try
      for k = 0 to d - 1 do
+       let kd = k * d in
        for i = 0 to d - 1 do
-         let ik = m.((i * d) + k) in
+         let id = i * d in
+         let ik = m.(id + k) in
          if ik <> inf then
            for j = 0 to d - 1 do
-             let kj = m.((k * d) + j) in
+             let kj = m.(kd + j) in
              if kj <> inf then begin
-               let via = badd ik kj in
-               if via < m.((i * d) + j) then m.((i * d) + j) <- via
+               let via = add_fin ik kj in
+               if via < m.(id + j) then m.(id + j) <- via
              end
            done
        done;
@@ -71,38 +83,38 @@ let close_inplace t =
   t
 
 let constrain t i j b =
-  let b = Bound.to_int b in
+  let b = (b : Bound.t :> int) in
   if is_empty t then t
   else if b >= raw t i j then t
+  else if add_raw (raw t j i) b < le_zero then
+    (* The new bound on (i,j) closes a negative i-j cycle. *)
+    empty ~clocks:(clocks t)
   else begin
-    (* New bound on (i,j) would make the i-j cycle negative? *)
-    let cycle = Bound.add (get t j i) (Bound.of_int b) in
-    if Bound.to_int cycle < le_zero then empty ~clocks:(clocks t)
-    else begin
-      let t = copy t in
-      let d = t.dim and m = t.m in
-      m.((i * d) + j) <- b;
-      (* Incremental closure: every new shortest path uses edge (i,j)
-         exactly once, so relax all pairs through it. *)
-      for k = 0 to d - 1 do
-        let ki = m.((k * d) + i) in
-        if ki <> inf then begin
-          let kj = Bound.to_int (Bound.add (Bound.of_int ki) (Bound.of_int b)) in
-          for l = 0 to d - 1 do
-            let jl = m.((j * d) + l) in
-            if jl <> inf then begin
-              let v = Bound.to_int (Bound.add (Bound.of_int kj) (Bound.of_int jl)) in
-              if v < m.((k * d) + l) then m.((k * d) + l) <- v
-            end
-          done
-        end
-      done;
-      let ok = ref true in
-      for k = 0 to d - 1 do
-        if m.((k * d) + k) < le_zero then ok := false
-      done;
-      if !ok then t else normalize_empty t
-    end
+    let t = copy t in
+    let d = t.dim and m = t.m in
+    let jd = j * d in
+    m.((i * d) + j) <- b;
+    (* Incremental closure: every new shortest path uses edge (i,j)
+       exactly once, so relax all pairs through it. [b] is finite: it is
+       below the entry it replaces. *)
+    for k = 0 to d - 1 do
+      let ki = m.((k * d) + i) in
+      if ki <> inf then begin
+        let kj = add_fin ki b and kd = k * d in
+        for l = 0 to d - 1 do
+          let jl = m.(jd + l) in
+          if jl <> inf then begin
+            let v = add_fin kj jl in
+            if v < m.(kd + l) then m.(kd + l) <- v
+          end
+        done
+      end
+    done;
+    let ok = ref true in
+    for k = 0 to d - 1 do
+      if m.((k * d) + k) < le_zero then ok := false
+    done;
+    if !ok then t else normalize_empty t
   end
 
 (* Fault injection for the differential oracle harness: a deliberately
@@ -147,11 +159,11 @@ let reset t x v =
     assert (v >= 0);
     let t = copy t in
     let d = t.dim and m = t.m in
-    let le_v = Bound.to_int (Bound.le v) and le_neg_v = Bound.to_int (Bound.le (-v)) in
+    let le_v = le_raw v and le_neg_v = le_raw (-v) in
     for j = 0 to d - 1 do
       if j <> x then begin
-        m.((x * d) + j) <- Bound.to_int (Bound.add (Bound.of_int le_v) (get t 0 j));
-        m.((j * d) + x) <- Bound.to_int (Bound.add (get t j 0) (Bound.of_int le_neg_v))
+        m.((x * d) + j) <- add_raw le_v (raw t 0 j);
+        m.((j * d) + x) <- add_raw (raw t j 0) le_neg_v
       end
     done;
     t
@@ -410,26 +422,34 @@ let relation t1 t2 =
   | false, true -> `Superset
   | false, false -> `Incomparable
 
-let extrapolate t k =
+(* Shared body of Extra-M and Extra-LU: an entry [x_i - x_j ≺ c] is
+   dropped when [c > lo.(i)] and raised to [< -up.(j)] when [c < -up.(j)]
+   (both bounds clamped at 0, index 0 bounded by 0). *)
+let extrapolate_with t ~lo ~up =
   if is_empty t then t
   else begin
     let t' = copy t in
     let d = t'.dim and m = t'.m in
-    let bound_of i = if i = 0 then 0 else max 0 k.(i) in
+    let lo_of i = if i = 0 then 0 else nonneg lo.(i) in
+    let up_of j = if j = 0 then 0 else nonneg up.(j) in
     let changed = ref false in
     for i = 0 to d - 1 do
+      let li = lo_of i and id = i * d in
       for j = 0 to d - 1 do
         if i <> j then begin
-          let b = m.((i * d) + j) in
+          let b = m.(id + j) in
           if b <> inf then begin
-            let c = Bound.constant (Bound.of_int b) in
-            if c > bound_of i then begin
-              m.((i * d) + j) <- inf;
+            let c = b asr 1 in
+            if c > li then begin
+              m.(id + j) <- inf;
               changed := true
             end
-            else if c < -bound_of j then begin
-              m.((i * d) + j) <- Bound.to_int (Bound.lt (-bound_of j));
-              changed := true
+            else begin
+              let uj = up_of j in
+              if c < -uj then begin
+                m.(id + j) <- lt_raw (-uj);
+                changed := true
+              end
             end
           end
         end
@@ -438,40 +458,15 @@ let extrapolate t k =
     if !changed then close_inplace t' else t'
   end
 
+let extrapolate t k = extrapolate_with t ~lo:k ~up:k
+
 (* Extra-LU (Behrmann, Bouyer, Larsen, Pelánek): an entry [x_i - x_j ≺ c]
    only matters below the largest lower-guard constant of [x_i] (above it,
    every lower guard on [x_i] is satisfied anyway) and above the negated
    largest upper-guard constant of [x_j]. With [lower = upper = k] this
    coincides with Extra-M. Widening only — a non-empty zone stays
    non-empty. *)
-let extrapolate_lu t ~lower ~upper =
-  if is_empty t then t
-  else begin
-    let t' = copy t in
-    let d = t'.dim and m = t'.m in
-    let l_of i = if i = 0 then 0 else max 0 lower.(i) in
-    let u_of j = if j = 0 then 0 else max 0 upper.(j) in
-    let changed = ref false in
-    for i = 0 to d - 1 do
-      for j = 0 to d - 1 do
-        if i <> j then begin
-          let b = m.((i * d) + j) in
-          if b <> inf then begin
-            let c = Bound.constant (Bound.of_int b) in
-            if c > l_of i then begin
-              m.((i * d) + j) <- inf;
-              changed := true
-            end
-            else if c < -u_of j then begin
-              m.((i * d) + j) <- Bound.to_int (Bound.lt (-u_of j));
-              changed := true
-            end
-          end
-        end
-      done
-    done;
-    if !changed then close_inplace t' else t'
-  end
+let extrapolate_lu t ~lower ~upper = extrapolate_with t ~lo:lower ~up:upper
 
 let apply_extrapolation extra t =
   match extra with

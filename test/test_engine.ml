@@ -606,6 +606,37 @@ let test_golden_broken_fischer3 () =
        ])
     r.Ta.Checker.trace
 
+(* Fischer's moves are all tau; train-gate adds binary channels, a
+   committed gate location and urgent [go] channels. *)
+let test_golden_train_gate4 () =
+  let net = Ta.Train_gate.make ~n_trains:4 in
+  let run name q ~visited ~stored ~subsumed ~dropped ~peak =
+    let r = Ta.Checker.check net q in
+    check (name ^ " holds") true r.Ta.Checker.holds;
+    check_counts name r.Ta.Checker.stats ~visited ~stored ~subsumed ~dropped
+      ~peak
+  in
+  run "safety (LU)" (Ta.Train_gate.safety net) ~visited:2593 ~stored:2209
+    ~subsumed:2320 ~dropped:384 ~peak:410;
+  run "no-deadlock (Extra-M)" Ta.Train_gate.no_deadlock ~visited:3745
+    ~stored:3697 ~subsumed:2584 ~dropped:48 ~peak:438
+
+let test_golden_train_gate2_witness () =
+  let net = Ta.Train_gate.make ~n_trains:2 in
+  let r =
+    Ta.Checker.check net (Ta.Prop.Possibly (Ta.Prop.loc net "Train1" "Stop"))
+  in
+  check "Train1.Stop reachable" true r.Ta.Checker.holds;
+  Alcotest.(check (option (list string)))
+    "witness"
+    (Some
+       [
+         "Train0.Safe->Appr[appr0!] Gate.Free->Occ[appr0?]";
+         "Train1.Safe->Appr[appr1!] Gate.Occ->Stopping[appr1?]";
+         "Gate.Stopping->Occ[stop1!] Train1.Appr->Stop[stop1?]";
+       ])
+    r.Ta.Checker.trace
+
 let truncated_stats ?stop ?mem_budget_words () =
   let net = Ta.Fischer.make ~n:4 () in
   match Ta.Checker.check ?stop ?mem_budget_words net (Ta.Fischer.mutex net) with
@@ -693,6 +724,10 @@ let () =
             test_golden_fischer4;
           Alcotest.test_case "broken fischer-3 witness" `Quick
             test_golden_broken_fischer3;
+          Alcotest.test_case "train-gate-4 safety and no-deadlock" `Quick
+            test_golden_train_gate4;
+          Alcotest.test_case "train-gate-2 channel witness" `Quick
+            test_golden_train_gate2_witness;
           Alcotest.test_case "stop hook truncation" `Quick test_golden_stop;
           Alcotest.test_case "mem budget truncation" `Quick
             test_golden_mem_budget;

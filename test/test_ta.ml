@@ -128,7 +128,7 @@ let test_binary_sync () =
     (Checker.check net (Prop.Possibly (Prop.And (s1f, r0f)))).holds
 
 (* Broadcast: one emitter, two receivers, one with a false data guard. *)
-let test_broadcast () =
+let broadcast_net () =
   let b = Model.builder () in
   let c = Model.channel b ~kind:Model.Broadcast "c" in
   let sb = Model.store b in
@@ -145,7 +145,10 @@ let test_broadcast () =
   in
   mk_receiver "R1" None;
   mk_receiver "R2" (Some (Expr.Eq (Expr.var flag, Expr.Int 1)));
-  let net = Model.build b in
+  Model.build b
+
+let test_broadcast () =
+  let net = broadcast_net () in
   (* flag=0: R2's guard is false, so only R1 receives. *)
   let f =
     Prop.And
@@ -625,6 +628,292 @@ let test_union_validation () =
     Alcotest.fail "expected Prim rejection"
   with Invalid_argument _ -> ()
 
+(* The sync index files edges by channel id, so an id outside the
+   network's channels is refused at build time. *)
+let test_undeclared_channel () =
+  let foreign = Model.builder () in
+  ignore (Model.channel foreign "a");
+  let c = Model.channel foreign "c" in
+  let b = Model.builder () in
+  let p = Model.automaton b "P" in
+  let l0 = Model.location p "L0" in
+  Model.edge p ~src:l0 ~dst:l0 ~sync:(Model.Emit c) ();
+  match Model.build b with
+  | (_ : Model.network) -> Alcotest.fail "expected an undeclared-channel error"
+  | exception Invalid_argument _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Reference successor enumeration and deadlock test                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The enumeration, delay rule and deadlock formula as they stood
+   before the per-location sync index: a filter over each automaton's
+   out-edges once per channel, a [Format] label per move, and every
+   escape zone intersected with the state's zone before the federation
+   inclusion test. [Zone_graph] and [Checker] must agree with them
+   exactly. *)
+module Reference = struct
+  let data_enabled store (e : Model.edge) =
+    match e.data_guard with None -> true | Some g -> Expr.eval_bool store g
+
+  let loc_kind (net : Model.network) locs i =
+    net.automata.(i).locations.(locs.(i)).Model.kind
+
+  let committed_present net locs =
+    let found = ref false in
+    Array.iteri
+      (fun i _ -> if loc_kind net locs i = Model.Committed then found := true)
+      net.Model.automata;
+    !found
+
+  let urgent_present net locs =
+    let found = ref false in
+    Array.iteri
+      (fun i _ ->
+        match loc_kind net locs i with
+        | Model.Urgent | Model.Committed -> found := true
+        | Model.Normal -> ())
+      net.Model.automata;
+    !found
+
+  let enabled_edges net locs store i pred =
+    let a = net.Model.automata.(i) in
+    List.filter
+      (fun e -> pred e.Model.sync && data_enabled store e)
+      a.Model.out.(locs.(i))
+
+  let label_of net participants =
+    let part (i, (e : Model.edge)) =
+      let a = net.Model.automata.(i) in
+      Format.asprintf "%s.%s->%s%s" a.Model.auto_name
+        a.Model.locations.(e.src).loc_name a.Model.locations.(e.dst).loc_name
+        (match e.sync with
+         | Model.Tau -> ""
+         | s -> Format.asprintf "[%a]" Model.pp_sync s)
+    in
+    String.concat " " (List.map part participants)
+
+  let emits (ch : Model.chan) = function
+    | Model.Emit c -> c.Model.chan_id = ch.chan_id
+    | _ -> false
+
+  let recvs (ch : Model.chan) = function
+    | Model.Receive c -> c.Model.chan_id = ch.chan_id
+    | _ -> false
+
+  let moves net locs store : Zone_graph.move list =
+    let committed = committed_present net locs in
+    let allowed participants =
+      (not committed)
+      || List.exists
+           (fun (i, _) -> loc_kind net locs i = Model.Committed)
+           participants
+    in
+    let out = ref [] in
+    let push participants =
+      if allowed participants then
+        out :=
+          { Zone_graph.mv_label = label_of net participants; participants }
+          :: !out
+    in
+    let n = Array.length net.Model.automata in
+    for i = 0 to n - 1 do
+      List.iter
+        (fun e -> push [ (i, e) ])
+        (enabled_edges net locs store i (fun s -> s = Model.Tau))
+    done;
+    Array.iter
+      (fun (ch : Model.chan) ->
+        match ch.kind with
+        | Model.Binary ->
+          for i = 0 to n - 1 do
+            List.iter
+              (fun e1 ->
+                for j = 0 to n - 1 do
+                  if j <> i then
+                    List.iter
+                      (fun e2 -> push [ (i, e1); (j, e2) ])
+                      (enabled_edges net locs store j (recvs ch))
+                done)
+              (enabled_edges net locs store i (emits ch))
+          done
+        | Model.Broadcast ->
+          for i = 0 to n - 1 do
+            List.iter
+              (fun e1 ->
+                let rec expand j acc =
+                  if j = n then push (List.rev acc)
+                  else if j = i then expand (j + 1) acc
+                  else
+                    match enabled_edges net locs store j (recvs ch) with
+                    | [] -> expand (j + 1) acc
+                    | choices ->
+                      List.iter
+                        (fun e2 -> expand (j + 1) ((j, e2) :: acc))
+                        choices
+                in
+                expand 0 [ (i, e1) ])
+              (enabled_edges net locs store i (emits ch))
+          done)
+      net.Model.channels;
+    List.rev !out
+
+  let urgent_sync_enabled net locs store =
+    let n = Array.length net.Model.automata in
+    let exists_chan (ch : Model.chan) =
+      let has i pred = enabled_edges net locs store i pred <> [] in
+      let some_emitter = ref false and emitter_recv_pair = ref false in
+      for i = 0 to n - 1 do
+        if has i (emits ch) then begin
+          some_emitter := true;
+          for j = 0 to n - 1 do
+            if j <> i && has j (recvs ch) then emitter_recv_pair := true
+          done
+        end
+      done;
+      match ch.kind with
+      | Model.Broadcast -> !some_emitter
+      | Model.Binary -> !emitter_recv_pair
+    in
+    Array.exists
+      (fun ch -> ch.Model.urgent && exists_chan ch)
+      net.Model.channels
+
+  let delay_allowed net locs store =
+    (not (urgent_present net locs)) && not (urgent_sync_enabled net locs store)
+
+  let deadlocked net (st : Zone_graph.state) =
+    let delay = delay_allowed net st.locs st.store in
+    let escapes =
+      List.filter_map
+        (fun mv ->
+          let g = Zone_graph.move_enabling_zone net st.locs st.store mv in
+          if Dbm.is_empty g then None
+          else begin
+            let g = if delay then Dbm.down g else g in
+            let e = Dbm.intersect (st.zone :> Dbm.t) g in
+            if Dbm.is_empty e then None else Some e
+          end)
+        (moves net st.locs st.store)
+    in
+    let fed =
+      List.fold_left Zones.Fed.add
+        (Zones.Fed.empty ~clocks:net.Model.n_clocks)
+        escapes
+    in
+    not (Zones.Fed.dbm_subset (st.zone :> Dbm.t) fed)
+end
+
+(* Two broadcast emitters that also receive, a receiver with two
+   choices, a committed location and an urgent binary channel. *)
+let broadcast_choice_net () =
+  let b = Model.builder () in
+  let bc = Model.channel b ~kind:Model.Broadcast "b" in
+  let c = Model.channel b ~urgent:true "c" in
+  let x = Model.fresh_clock b "x" in
+  let flag = Store.int_var (Model.store b) "flag" in
+  let e1 = Model.automaton b "E1" in
+  let a0 = Model.location e1 "A0" and a1 = Model.location e1 "A1" in
+  Model.edge e1 ~src:a0 ~dst:a1 ~sync:(Model.Emit bc)
+    ~updates:[ Model.Reset (x, 0) ] ();
+  Model.edge e1 ~src:a1 ~dst:a0
+    ~guard:(Expr.Eq (Expr.var flag, Expr.Int 1))
+    ~sync:(Model.Emit bc) ();
+  Model.edge e1 ~src:a0 ~dst:a0 ~sync:(Model.Receive bc) ();
+  Model.edge e1 ~src:a1 ~dst:a0 ~sync:(Model.Receive c) ();
+  let e2 = Model.automaton b "E2" in
+  let b0 = Model.location e2 "B0" in
+  let b1 = Model.location e2 "B1" ~invariant:[ Model.clock_le x 3 ] in
+  Model.edge e2 ~src:b0 ~dst:b1 ~sync:(Model.Emit bc) ();
+  Model.edge e2 ~src:b0 ~dst:b0 ~sync:(Model.Receive bc) ();
+  Model.edge e2 ~src:b1 ~dst:b0 ~clock_guard:[ Model.clock_ge x 1 ]
+    ~updates:
+      [ Model.Assign (Expr.Cell flag, Expr.Sub (Expr.Int 1, Expr.var flag)) ]
+    ();
+  let r = Model.automaton b "R" in
+  let r0 = Model.location r "R0" and r1 = Model.location r "R1" in
+  let rc = Model.location r "RC" ~kind:Model.Committed in
+  Model.edge r ~src:r0 ~dst:r1 ~sync:(Model.Receive bc) ();
+  Model.edge r ~src:r0 ~dst:r0 ~sync:(Model.Receive bc) ();
+  Model.edge r ~src:r1 ~dst:rc ~sync:(Model.Emit c) ();
+  Model.edge r ~src:rc ~dst:r0 ();
+  Model.edge r ~src:rc ~dst:r1
+    ~guard:(Expr.Eq (Expr.var flag, Expr.Int 0))
+    ~sync:(Model.Receive bc) ();
+  Model.build b
+
+let reference_nets () =
+  [
+    ("train-gate-3", Train_gate.make ~n_trains:3);
+    ("fischer-3", Fischer.make ~n:3 ());
+    ("broadcast", broadcast_net ());
+    ("broadcast choices", broadcast_choice_net ());
+    ("union", Model.union (half_sender ()) (half_receiver "R"));
+  ]
+  @ List.init 50 (fun i ->
+        ( Printf.sprintf "ta-gen %d" i,
+          Gen.Ta_gen.build (Gen.Ta_gen.generate Gen.Rng.(child (make 14) i)) ))
+
+(* Distinct discrete parts of the reachable zone graph. *)
+let reachable_discrete net =
+  let seen = Hashtbl.create 64 in
+  List.filter_map
+    (fun (st : Zone_graph.state) ->
+      let k = Zone_graph.discrete_key st in
+      if Hashtbl.mem seen k then None
+      else begin
+        Hashtbl.add seen k ();
+        Some k
+      end)
+    (Checker.reachable_states net)
+
+let same_participants (a : Zone_graph.move) (b : Zone_graph.move) =
+  List.length a.participants = List.length b.participants
+  && List.for_all2
+       (fun (i, e) (j, e') -> i = j && e == e')
+       a.participants b.participants
+
+let test_moves_match_reference () =
+  List.iter
+    (fun (name, net) ->
+      List.iter
+        (fun (locs, store) ->
+          let got = Zone_graph.moves net locs store in
+          let want = Reference.moves net locs store in
+          Alcotest.(check (list string))
+            (name ^ " labels")
+            (List.map (fun (m : Zone_graph.move) -> m.mv_label) want)
+            (List.map (fun (m : Zone_graph.move) -> m.mv_label) got);
+          check (name ^ " participants") true
+            (List.for_all2 same_participants got want);
+          check (name ^ " delay rule")
+            (Reference.delay_allowed net locs store)
+            (Zone_graph.delay_allowed net locs store))
+        (reachable_discrete net))
+    (reference_nets ())
+
+let test_deadlocked_matches_reference () =
+  let nets =
+    [
+      ("fischer-4", Fischer.make ~n:4 ());
+      ("train-gate-3", Train_gate.make ~n_trains:3);
+      ("broadcast choices", broadcast_choice_net ());
+    ]
+    @ List.init 30 (fun i ->
+          ( Printf.sprintf "ta-gen %d" i,
+            Gen.Ta_gen.build (Gen.Ta_gen.generate Gen.Rng.(child (make 15) i))
+          ))
+  in
+  List.iter
+    (fun (name, net) ->
+      List.iter
+        (fun st ->
+          check (name ^ " deadlocked")
+            (Reference.deadlocked net st)
+            (Checker.deadlocked net st))
+        (Checker.reachable_states ~extrapolation:`K net))
+    nets
+
 (* ------------------------------------------------------------------ *)
 (* Observer-clock time-bounded queries                                 *)
 (* ------------------------------------------------------------------ *)
@@ -750,11 +1039,16 @@ let () =
           Alcotest.test_case "impossible move" `Quick
             test_move_enabling_zone_impossible;
           Alcotest.test_case "deadlocked direct" `Quick test_deadlocked_direct;
+          Alcotest.test_case "moves match the reference enumeration" `Quick
+            test_moves_match_reference;
+          Alcotest.test_case "deadlocked matches the reference formula" `Quick
+            test_deadlocked_matches_reference;
         ] );
       ( "union",
         [
           Alcotest.test_case "synchronises" `Quick test_union_synchronises;
           Alcotest.test_case "validation" `Quick test_union_validation;
+          Alcotest.test_case "undeclared channel" `Quick test_undeclared_channel;
         ] );
       ( "dot",
         [ Alcotest.test_case "export" `Quick test_dot_export ] );

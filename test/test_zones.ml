@@ -317,9 +317,24 @@ let prop_lu_widens =
 let prop_ops_preserve_canonical =
   QCheck.Test.make ~name:"up/reset/intersect preserve canonical form"
     ~count:500 dbm_pair_arb (fun (n, a, b) ->
+      (* [constrain] each finite bound of [b] onto [a] in turn, and
+         Extra-M with constants below and above the generator's range. *)
+      let constrained = ref true and z = ref a in
+      for i = 0 to n do
+        for j = 0 to n do
+          let bd = Dbm.get b i j in
+          if i <> j && not (Bound.is_inf bd) then begin
+            z := Dbm.constrain !z i j bd;
+            constrained := !constrained && is_canonical n !z
+          end
+        done
+      done;
       is_canonical n (Dbm.up a)
       && is_canonical n (Dbm.reset a 1 3)
-      && is_canonical n (Dbm.intersect a b))
+      && is_canonical n (Dbm.intersect a b)
+      && !constrained
+      && is_canonical n (Dbm.extrapolate a (Array.init (n + 1) (fun i -> i)))
+      && is_canonical n (Dbm.extrapolate a (Array.make (n + 1) 12)))
 
 (* The sealing boundary: successor pipelines produce plain un-sealed
    DBMs; only [seal] yields a canon handle, and stores take canon at the
