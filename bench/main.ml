@@ -504,7 +504,7 @@ let engine () =
     {
       Engine.Stats.visited = 0; stored = 0; subsumed = 0; dropped = 0;
       reopened = 0; peak_frontier = 0; store_words = 0; truncated = true;
-      time_s = 0.0; dbm_phys_eq = 0; dbm_full_cmp = 0; dbm_lattice_cmp = 0;
+      time_s = 0.0; dbm_phys_eq = 0; dbm_lattice_cmp = 0;
       phases = [];
     }
   in
@@ -517,21 +517,29 @@ let engine () =
            back-to-back, so a slow minute on a shared box degrades every
            variant's samples alike instead of inverting a close ablation
            pair. Fresh telemetry per attempt, so the embedded snapshot
-           holds exactly the kept exploration's metrics and spans. *)
+           holds exactly the kept exploration's metrics and spans. The
+           DBM equality counts (pointer hits, full scans) are the
+           comparison counters' deltas around the attempt. *)
         let attempt (_, extrapolation) =
           Obs.reset ();
           Gc.compact ();
+          let cmp0 = Zones.Dbm.cmp_stats () in
           let r =
             match Ta.Checker.check ~extrapolation net (query net) with
             | r -> Some r
             | exception Failure _ -> None
           in
+          let cmp1 = Zones.Dbm.cmp_stats () in
           let g = Gc.stat () in
           let metrics = Obs.Metrics.snapshot () in
           let spans = Obs.Span.timings_json () in
-          (r, g, metrics, spans)
+          let eq =
+            ( cmp1.Zones.Dbm.phys_hits - cmp0.Zones.Dbm.phys_hits,
+              cmp1.Zones.Dbm.full_scans - cmp0.Zones.Dbm.full_scans )
+          in
+          (r, g, metrics, spans, eq)
         in
-        let time_of (r, _, _, _) =
+        let time_of (r, _, _, _, _) =
           match r with
           | Some r -> r.Ta.Checker.stats.Ta.Checker.time_s
           | None -> infinity
@@ -579,7 +587,7 @@ let engine () =
         end;
         List.mapi
           (fun vi (vname, _) ->
-            let r, g, metrics, spans = best.(vi) in
+            let r, g, metrics, spans, (phys, full) = best.(vi) in
             let tag = Printf.sprintf "%s/%s" name vname in
             let holds, stats =
               match r with
@@ -601,10 +609,9 @@ let engine () =
             (* Equality comparisons only: the subset lattice scans are
                inherent slow-path work (inclusion has no pointer
                shortcut) and are reported as their own column. *)
-            let cmp = stats.Ta.Checker.dbm_phys_eq + stats.Ta.Checker.dbm_full_cmp in
             let hit_rate =
-              if cmp > 0 then
-                float_of_int stats.Ta.Checker.dbm_phys_eq /. float_of_int cmp
+              if phys + full > 0 then
+                float_of_int phys /. float_of_int (phys + full)
               else 0.0
             in
             Printf.printf
@@ -618,14 +625,14 @@ let engine () =
               (stats.Ta.Checker.store_words / 1000)
               (g.Gc.top_heap_words / 1000)
               stats.Ta.Checker.time_s;
-            (tag, holds, stats, nodes_per_s, hit_rate, g, metrics, spans))
+            (tag, holds, stats, nodes_per_s, (hit_rate, full), g, metrics, spans))
           variants)
       runs
   in
   List.iter
     (fun (name, _, _) ->
       let find tag =
-        let _, _, s, _, hr, _, _, _ =
+        let _, _, s, _, (hr, _), _, _, _ =
           List.find (fun (t, _, _, _, _, _, _, _) -> t = tag) rows
         in
         (s, hr)
@@ -714,13 +721,14 @@ let engine () =
   let entries =
     Obs.Json.Arr
       (List.map
-         (fun (tag, holds, stats, nodes_per_s, hit_rate, g, metrics, spans) ->
+         (fun (tag, holds, stats, nodes_per_s, (hit_rate, full), g, metrics, spans) ->
            Obs.Json.Obj
              [
                ("run", Obs.Json.Str tag);
                ("holds", Obs.Json.Bool holds);
                ("nodes_per_s", Obs.Json.Float nodes_per_s);
                ("phys_eq_hit_rate", Obs.Json.Float hit_rate);
+               ("dbm_full_cmp", Obs.Json.Int full);
                ("top_heap_words", Obs.Json.Int g.Gc.top_heap_words);
                ("live_words", Obs.Json.Int g.Gc.live_words);
                ("stats", Engine.Stats.to_json_value stats);

@@ -141,8 +141,8 @@ type reach_result = {
 (* Packed codec of a system state: one location field per component
    (bit-packed) plus one word per local variable. A BIP system state is
    often dozens of words across nested arrays — exactly the shape the
-   polymorphic hash truncates — so exhaustive reachability keys its seen
-   set on the interned encoding instead. *)
+   polymorphic hash truncates — so exhaustive reachability keys its
+   store on the packed encoding instead. *)
 let codec (sys : System.t) =
   let locs =
     Array.to_list
@@ -173,86 +173,80 @@ let codec (sys : System.t) =
     (* Field order: all locations, then each component's store cells in
        component order. *)
     let cell = ref (0, 0) in
-    Engine.Codec.intern spec
-      (Engine.Codec.encode spec (fun i ->
-           if i < n then st.locs.(i)
-           else begin
-             (* Fields are read in order, so a single cursor walks the
-                nested stores without building a flat copy. *)
-             let ci, vi = !cell in
-             let ci, vi =
-               if vi < Array.length st.stores.(ci) then (ci, vi)
-               else begin
-                 let rec next ci =
-                   if Array.length st.stores.(ci + 1) = 0 then next (ci + 1)
-                   else (ci + 1, 0)
-                 in
-                 next ci
-               end
-             in
-             cell := (ci, vi + 1);
-             st.stores.(ci).(vi)
-           end))
+    Engine.Codec.encode spec (fun i ->
+        if i < n then st.locs.(i)
+        else begin
+          (* Fields are read in order, so a single cursor walks the
+             nested stores without building a flat copy. *)
+          let ci, vi = !cell in
+          let ci, vi =
+            if vi < Array.length st.stores.(ci) then (ci, vi)
+            else begin
+              let rec next ci =
+                if Array.length st.stores.(ci + 1) = 0 then next (ci + 1)
+                else (ci + 1, 0)
+              in
+              next ci
+            end
+          in
+          cell := (ci, vi + 1);
+          st.stores.(ci).(vi)
+        end)
   in
   (spec, pack)
+
+(* Every successor of [st] under every scheduler choice, including every
+   internal transition alternative within a component, labelled by the
+   interaction that fired. *)
+let successors (sys : System.t) st choices =
+  List.concat_map
+    (fun (i : System.interaction) ->
+      (* Enumerate participant transition combinations. *)
+      let rec combos acc = function
+        | [] -> [ List.rev acc ]
+        | (ci, (p : Component.port)) :: rest ->
+          let c = sys.components.(ci) in
+          let ts =
+            Component.transitions_on c ~loc:st.locs.(ci) ~store:st.stores.(ci)
+              p.Component.port_id
+          in
+          List.concat_map (fun t -> combos ((ci, t) :: acc) rest) ts
+      in
+      List.map
+        (fun combo ->
+          let st' = copy_state st in
+          (match i.System.i_action with None -> () | Some act -> act st'.stores);
+          List.iter
+            (fun (ci, (t : Component.transition)) ->
+              t.Component.t_update st'.stores.(ci);
+              st'.locs.(ci) <- t.Component.t_dst)
+            combo;
+          (i, st'))
+        (combos [] i.System.i_ports))
+    choices
 
 let reachable ?(max_states = 1_000_000) sys =
   Obs.Span.with_ ~name:"bip.reachable" @@ fun () ->
   let _spec, pack = codec sys in
-  let seen : unit Engine.Codec.Tbl.t = Engine.Codec.Tbl.create 4096 in
-  let queue = Queue.create () in
-  let states = ref [] and deadlocks = ref [] in
-  let truncated = ref false in
-  let push st =
-    let key = pack st in
-    if not (Engine.Codec.Tbl.mem seen key) then begin
-      if Engine.Codec.Tbl.length seen >= max_states then truncated := true
-      else begin
-        Engine.Codec.Tbl.replace seen key ();
-        states := st :: !states;
-        Queue.push st queue
-      end
-    end
+  let deadlocks = ref [] in
+  let out =
+    Engine.Core.run_sharded ~max_states ~shards:1
+      ~store:(fun () -> Engine.Store.discrete_keyed ())
+      ~key:pack
+      ~successors:(fun st ->
+        match filtered sys st with
+        | [] ->
+          deadlocks := st :: !deadlocks;
+          []
+        | choices -> successors sys st choices)
+      ~on_state:(fun _ -> None)
+      ~init:(initial sys) ()
   in
-  push (initial sys);
-  while not (Queue.is_empty queue) do
-    let st = Queue.pop queue in
-    match filtered sys st with
-    | [] -> deadlocks := st :: !deadlocks
-    | choices ->
-      (* Explore every scheduler choice, including every internal
-         transition alternative within a component. *)
-      List.iter
-        (fun (i : System.interaction) ->
-          (* Enumerate participant transition combinations. *)
-          let rec combos acc = function
-            | [] -> [ List.rev acc ]
-            | (ci, (p : Component.port)) :: rest ->
-              let c = sys.components.(ci) in
-              let ts =
-                Component.transitions_on c ~loc:st.locs.(ci)
-                  ~store:st.stores.(ci) p.Component.port_id
-              in
-              List.concat_map
-                (fun t -> combos ((ci, t) :: acc) rest)
-                ts
-          in
-          List.iter
-            (fun combo ->
-              let st' = copy_state st in
-              (match i.System.i_action with
-               | None -> ()
-               | Some act -> act st'.stores);
-              List.iter
-                (fun (ci, (t : Component.transition)) ->
-                  t.Component.t_update st'.stores.(ci);
-                  st'.locs.(ci) <- t.Component.t_dst)
-                combo;
-              push st')
-            (combos [] i.System.i_ports))
-        choices
-  done;
-  { states = List.rev !states; deadlocks = List.rev !deadlocks; truncated = !truncated }
+  {
+    states = Array.to_list out.Engine.Core.states;
+    deadlocks = List.rev !deadlocks;
+    truncated = out.Engine.Core.stats.Engine.Stats.truncated;
+  }
 
 let invariant_holds ?max_states sys pred =
   let r = reachable ?max_states sys in

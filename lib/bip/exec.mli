@@ -39,13 +39,23 @@ type reach_result = {
 }
 
 (** [codec sys] is the packed codec of [sys]'s states — one location
-    field per component, one word per local variable — and its interning
-    packer. One spec per system. *)
+    field per component, one word per local variable — and its packer.
+    One spec per system. *)
 val codec :
   System.t -> Engine.Codec.spec * (state -> Engine.Codec.packed)
 
-(** [reachable sys] — exhaustive exploration (default cap 1_000_000),
-    seen set keyed on the interned packed encoding. *)
+(** [reachable sys] — exhaustive breadth-first exploration on the shared
+    engine ({!Engine.Core.run_sharded}, one shard), keyed on the packed
+    encoding. [states] are in discovery order (the initial state
+    first); [deadlocks] are the expanded states with no enabled
+    interaction, in expansion order.
+
+    Truncation: with [max_states = k] (default 1_000_000) the run stops
+    once more than [k] states have been admitted, so a truncated result
+    holds [k < |states| <= k + f] states, where [f] is the successor
+    count of the last state expanded. The states admitted but not
+    expanded are in [states], but [deadlocks] covers only the expanded
+    ones. *)
 val reachable : ?max_states:int -> System.t -> reach_result
 
 (** [invariant_holds sys pred] — exact check over the reachable graph;

@@ -158,11 +158,10 @@ let codec (net : Model.network) =
   let n_autos = Array.length net.automata in
   let n_cells = Ta.Store.size net.Model.layout in
   let pack st =
-    Engine.Codec.intern spec
-      (Engine.Codec.encode spec (fun i ->
-           if i < n_autos then st.dlocs.(i)
-           else if i < n_autos + n_cells then st.dstore.(i - n_autos)
-           else st.dclocks.(i - n_autos - n_cells)))
+    Engine.Codec.encode spec (fun i ->
+        if i < n_autos then st.dlocs.(i)
+        else if i < n_autos + n_cells then st.dstore.(i - n_autos)
+        else st.dclocks.(i - n_autos - n_cells))
   in
   (spec, pack)
 

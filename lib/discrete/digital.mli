@@ -43,8 +43,8 @@ val successors : Ta.Model.network -> dstate -> dtrans list
 val sat_constr : int array -> int array -> Ta.Model.constr -> bool
 
 (** Explicit finite graph over reachable digital states. States are
-    indexed by their interned {!Engine.Codec} encoding; use {!id_of}
-    for lookups. *)
+    indexed by their packed {!Engine.Codec} encoding; use {!id_of} for
+    lookups. *)
 type graph = {
   states : dstate array;
   index : int Engine.Codec.Tbl.t;
@@ -54,7 +54,7 @@ type graph = {
 
 (** [codec net] is the packed codec of [net]'s digital states (locations
     and saturated clocks bit-packed, store cells one word each) and its
-    interning packer. One spec per network. *)
+    packer. One spec per network. *)
 val codec :
   Ta.Model.network ->
   Engine.Codec.spec * (dstate -> Engine.Codec.packed)

@@ -18,34 +18,7 @@ let get t i =
   if i < 0 || i >= t.size then invalid_arg "Arena.get: index out of range";
   t.slots.(i)
 
-let to_array t = Array.sub t.slots 0 t.size
-
 let iteri f t =
   for i = 0 to t.size - 1 do
     f i t.slots.(i)
   done
-
-(* A keyed arena pairs the append-only slots with a packed-key index:
-   ids are dense in insertion order and lookups pay the memoized codec
-   hash, never a structural rescan of the payload. *)
-module Keyed = struct
-  type nonrec 'a t = { arena : 'a t; index : int Codec.Tbl.t }
-
-  let create ?(size_hint = 4096) () =
-    { arena = create (); index = Codec.Tbl.create size_hint }
-
-  let size t = size t.arena
-  let get t i = get t.arena i
-  let find t k = Codec.Tbl.find_opt t.index k
-
-  let intern t k x =
-    match Codec.Tbl.find_opt t.index k with
-    | Some id -> (id, false)
-    | None ->
-      let id = add t.arena x in
-      Codec.Tbl.replace t.index k id;
-      (id, true)
-
-  let to_array t = to_array t.arena
-  let words t = Obj.reachable_words (Obj.repr t)
-end

@@ -15,35 +15,4 @@ val add : 'a t -> 'a -> int
 (** @raise Invalid_argument on an out-of-range id. *)
 val get : 'a t -> int -> 'a
 
-(** Snapshot of the current contents, indexed by id. *)
-val to_array : 'a t -> 'a array
-
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
-
-(** Arena plus a {!Codec.packed} index: dense ids in insertion order,
-    O(1) id lookup on the memoized codec hash. This is the substrate for
-    backends that build explicit graphs keyed on discrete states (the
-    digital MDP expansion, value-iteration state maps). *)
-module Keyed : sig
-  type 'a t
-
-  (** [size_hint] (default 4096) seeds the index table; see
-      {!Store} for the growth contract. *)
-  val create : ?size_hint:int -> unit -> 'a t
-
-  val size : 'a t -> int
-
-  (** @raise Invalid_argument on an out-of-range id. *)
-  val get : 'a t -> int -> 'a
-
-  val find : 'a t -> Codec.packed -> int option
-
-  (** [intern t k x] is [(id, fresh)]: the id already bound to [k], or a
-      fresh id now holding [x] ([fresh] tells which). *)
-  val intern : 'a t -> Codec.packed -> 'a -> int * bool
-
-  val to_array : 'a t -> 'a array
-
-  (** Retained-heap estimate (words) of slots + index; O(size). *)
-  val words : 'a t -> int
-end

@@ -36,8 +36,6 @@ module PackedKey = struct
   let hash (p : packed) = p.(0)
 end
 
-module Weak_tbl = Weak.Make (PackedKey)
-
 type spec = {
   fields : field array;
   slots : slot array;
@@ -46,8 +44,6 @@ type spec = {
          lets [encode] range-check without re-deriving the domain (and
          its allocations) on every call *)
   nw : int;
-  pool : Weak_tbl.t;
-  mu : Mutex.t;
 }
 
 let field_name_of = function
@@ -114,14 +110,7 @@ let spec fields =
       (fun f -> match range f with None -> -1 | Some (lo, hi) -> hi - lo)
       fields
   in
-  {
-    fields;
-    slots;
-    hi_off;
-    nw = max nw 1;
-    pool = Weak_tbl.create 1024;
-    mu = Mutex.create ();
-  }
+  { fields; slots; hi_off; nw = max nw 1 }
 
 let n_fields s = Array.length s.fields
 let n_words s = s.nw
@@ -204,18 +193,6 @@ let decode s (p : packed) =
 let equal = PackedKey.equal
 let hash = PackedKey.hash
 let mix_hash a b = mix a b land max_int
-
-let intern s p =
-  Mutex.lock s.mu;
-  let q = Weak_tbl.merge s.pool p in
-  Mutex.unlock s.mu;
-  q
-
-let intern_size s =
-  Mutex.lock s.mu;
-  let n = Weak_tbl.count s.pool in
-  Mutex.unlock s.mu;
-  n
 
 (* One block: header, hash slot, and the packed words. *)
 let heap_words s = 2 + s.nw

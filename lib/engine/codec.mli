@@ -1,5 +1,5 @@
-(** Packed state codecs: one compact, interned representation of a
-    discrete state for every backend.
+(** Packed state codecs: one compact representation of a discrete state
+    for every backend.
 
     A backend describes its discrete state as a vector of typed {e fields}
     (booleans, bounded integers, location indices, enum symbols, raw
@@ -12,11 +12,12 @@
       words of a value, so large discrete vectors degenerate into
       collision chains; the codec hash has no such truncation and is
       computed once, at encode time;
-    - O(words) equality with a pointer fast path;
-    - a per-spec interning table so equal packed states are physically
-      shared — the discrete analogue of the {!Zones.Dbm.seal} boundary,
-      and composing with it: a symbolic state is an interned packed
-      discrete part next to a sealed zone.
+    - O(words) equality with a pointer fast path.
+
+    Packed states are not interned: the exploration stores keep one
+    copy of each key, so a pool would only probe a second table per
+    successor. A symbolic state is a packed discrete part next to a
+    sealed zone ({!Zones.Dbm.seal}).
 
     Narrow fields are bit-packed: consecutive fields share a word until
     its 62 usable bits run out, and a field whose domain is a single
@@ -32,8 +33,8 @@ type field =
       (** symbol index in [0, length symbols) *)
   | Word of string  (** arbitrary [int], stored unpacked *)
 
-(** A compiled layout plus its private interning table. Compiling is
-    cheap but not free — build one spec per model, not per state.
+(** A compiled layout. Compiling is cheap but not free — build one spec
+    per model, not per state.
     @raise Invalid_argument on an empty range or a non-positive count. *)
 type spec
 
@@ -80,20 +81,8 @@ val hash : packed -> int  (** memoized; O(1) *)
     store-key hash. *)
 val mix_hash : int -> int -> int
 
-(** [intern spec p] returns the canonical physical representative of
-    [p], inserting it on first sight. The table holds its entries
-    weakly (dead states are collected) and is guarded by a mutex, so —
-    like {!Zones.Dbm.seal} — it is safe to share a spec across
-    domains. *)
-val intern : spec -> packed -> packed
-
-(** Live entries in [spec]'s weak intern pool — the observable for
-    intern-lifecycle tests and warm-cache monitoring (see
-    {!Zones.Dbm.intern_size} for the zone-side counterpart). *)
-val intern_size : spec -> int
-
 (** Approximate heap footprint of one packed state, in words, including
-    headers (shared interned states are counted as if unshared). *)
+    headers. *)
 val heap_words : spec -> int
 
 (** [to_hex p] renders the words and hash compactly

@@ -474,7 +474,6 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
       truncated = !stopped <> None;
       time_s = (if solo then Unix.gettimeofday () -. t0 else 0.0);
       dbm_phys_eq = cmp1.Dbm.phys_hits - cmp0.Dbm.phys_hits;
-      dbm_full_cmp = cmp1.Dbm.full_scans - cmp0.Dbm.full_scans;
       dbm_lattice_cmp = cmp1.Dbm.lattice_scans - cmp0.Dbm.lattice_scans;
       phases =
         (if solo && Obs.Flight.is_enabled () then

@@ -9,7 +9,6 @@ type t = {
   truncated : bool;
   time_s : float;
   dbm_phys_eq : int;
-  dbm_full_cmp : int;
   dbm_lattice_cmp : int;
   phases : (string * (int * float)) list;
       (** flight-recorder phase totals attributable to this run —
@@ -29,7 +28,6 @@ let zero =
     truncated = false;
     time_s = 0.0;
     dbm_phys_eq = 0;
-    dbm_full_cmp = 0;
     dbm_lattice_cmp = 0;
     phases = [];
   }
@@ -83,7 +81,6 @@ let to_json_value t =
       ("truncated", Obs.Json.Bool t.truncated);
       ("time_s", Obs.Json.Float t.time_s);
       ("dbm_phys_eq", Obs.Json.Int t.dbm_phys_eq);
-      ("dbm_full_cmp", Obs.Json.Int t.dbm_full_cmp);
       ("dbm_lattice_cmp", Obs.Json.Int t.dbm_lattice_cmp);
     ]
     @ if t.phases = [] then [] else [ ("phases", phases_json t) ])

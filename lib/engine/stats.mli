@@ -28,9 +28,6 @@ type t = {
   dbm_phys_eq : int;
       (** DBM comparisons settled by pointer identity during the run —
           with sealed zones this covers every equality decision *)
-  dbm_full_cmp : int;
-      (** DBM equality checks that scanned matrix entries (un-sealed
-          operands only) *)
   dbm_lattice_cmp : int;
       (** subset checks between distinct zones — the one comparison the
           sealing discipline cannot settle by pointer *)

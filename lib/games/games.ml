@@ -208,7 +208,7 @@ let closed_loop_safe s ~safe =
   let succs = closed_loop_succs s in
   let n = Array.length s.graph.Digital.states in
   let seen = Array.make n false in
-  (* The initial state is always id 0 (first state interned by explore). *)
+  (* The initial state is always id 0 (first state admitted by explore). *)
   let init_id = 0 in
   let queue = Queue.create () in
   seen.(init_id) <- true;

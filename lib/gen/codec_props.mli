@@ -2,8 +2,8 @@
 
     For every reachable state of a random model, the packed encoding is
     checked for a lossless decode/encode round-trip, a hash that depends
-    only on the field values (not the allocation), and idempotent
-    interning. These are the {!Engine.Codec} laws every backend's
+    only on the field values (not the allocation), and a deterministic
+    packer. These are the {!Engine.Codec} laws every backend's
     [codec]/[pack] pair relies on. *)
 
 type outcome = {

@@ -175,15 +175,28 @@ let codec ?time_cap (sta : Sta.t) =
   let n_cells = Ta.Store.size sta.Sta.layout in
   let n_clocks = sta.Sta.n_clocks + 1 in
   let pack st =
-    Engine.Codec.intern spec
-      (Engine.Codec.encode spec (fun i ->
-           if i < n_procs then st.slocs.(i)
-           else if i < n_procs + n_cells then st.sstore.(i - n_procs)
-           else if i < n_procs + n_cells + n_clocks then
-             st.sclocks.(i - n_procs - n_cells)
-           else st.stime))
+    Engine.Codec.encode spec (fun i ->
+        if i < n_procs then st.slocs.(i)
+        else if i < n_procs + n_cells then st.sstore.(i - n_procs)
+        else if i < n_procs + n_cells + n_clocks then
+          st.sclocks.(i - n_procs - n_cells)
+        else st.stime)
   in
   (spec, pack)
+
+(* Regroup one state's recorded edges into its MDP actions: consecutive
+   edges with the same action index form one action, in generation
+   order. Action 0 is the unit delay, the only action with a reward. *)
+let rec actions_of = function
+  | [] -> []
+  | ((ai, a_label, _), _) :: _ as edges ->
+    let rec take acc = function
+      | ((aj, _, p), dst) :: rest when aj = ai -> take ((p, dst) :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let probs, rest = take [] edges in
+    { Mdp.a_label; probs; reward = (if ai = 0 then 1.0 else 0.0) }
+    :: actions_of rest
 
 let expand ?time_cap ?(max_states = 5_000_000) (sta : Sta.t) =
   (match Sta.classify sta with
@@ -203,73 +216,56 @@ let expand ?time_cap ?(max_states = 5_000_000) (sta : Sta.t) =
   if not (invariants_ok sta init.slocs init.sclocks) then
     invalid_arg "Digital_sta.expand: initial state violates invariants";
   let _spec, pack = codec ?time_cap sta in
-  let arena = Engine.Arena.Keyed.create ~size_hint:65536 () in
-  let actions_tbl = Hashtbl.create 65536 in
-  let id_of st =
-    let id, fresh = Engine.Arena.Keyed.intern arena (pack st) st in
-    if fresh && Engine.Arena.Keyed.size arena > max_states then
-      failwith "Digital_sta.expand: state limit";
-    (id, fresh)
-  in
-  let queue = Queue.create () in
-  let init_id, _ = id_of init in
-  Queue.push (init_id, init) queue;
-  while not (Queue.is_empty queue) do
-    let id, st = Queue.pop queue in
-    let acts = ref [] in
-    (* Unit delay. *)
-    if not (urgent_present sta st.slocs) then begin
-      let clocks' =
-        Array.mapi
-          (fun i x -> if i = 0 then 0 else min (x + 1) (ks.(i) + 1))
-          st.sclocks
-      in
-      if invariants_ok sta st.slocs clocks' then begin
-        let time' =
-          match time_cap with
-          | None -> -1
-          | Some cap -> min (st.stime + 1) (cap + 1)
+  (* Every edge is labelled (action index, action label, branch
+     probability): the unit delay is action 0, the [k]-th move action
+     [k + 1]. *)
+  let successors st =
+    let delay =
+      if urgent_present sta st.slocs then []
+      else begin
+        let clocks' =
+          Array.mapi
+            (fun i x -> if i = 0 then 0 else min (x + 1) (ks.(i) + 1))
+            st.sclocks
         in
-        let st' = { st with sclocks = clocks'; stime = time' } in
-        let id', fresh = id_of st' in
-        if fresh then Queue.push (id', st') queue;
-        acts :=
-          { Mdp.a_label = "delay"; probs = [ (1.0, id') ]; reward = 1.0 }
-          :: !acts
+        if not (invariants_ok sta st.slocs clocks') then []
+        else
+          let time' =
+            match time_cap with
+            | None -> -1
+            | Some cap -> min (st.stime + 1) (cap + 1)
+          in
+          [ ((0, "delay", 1.0), { st with sclocks = clocks'; stime = time' }) ]
       end
-    end;
-    (* Action moves. *)
-    List.iter
-      (fun (label, participants) ->
-        match fire sta st participants with
-        | [] -> ()
-        | outcomes ->
+    in
+    let acts =
+      List.mapi
+        (fun k (label, participants) ->
+          let outcomes = fire sta st participants in
           let total = List.fold_left (fun acc (p, _) -> acc +. p) 0.0 outcomes in
           (* Branches whose target violates an invariant were dropped;
-             renormalise only when everything survived — otherwise the
-             edge is considered blocked (well-formed models are
-             unaffected). *)
-          if abs_float (total -. 1.0) <= 1e-9 then begin
-            let probs =
-              List.map
-                (fun (p, st') ->
-                  let id', fresh = id_of st' in
-                  if fresh then Queue.push (id', st') queue;
-                  (p, id'))
-                outcomes
-            in
-            acts := { Mdp.a_label = label; probs; reward = 0.0 } :: !acts
-          end)
-      (moves sta st);
-    Hashtbl.replace actions_tbl id (List.rev !acts)
-  done;
-  let states = Engine.Arena.Keyed.to_array arena in
-  let mdp =
-    Mdp.make
-      (Array.init (Array.length states) (fun i ->
-           try Hashtbl.find actions_tbl i with Not_found -> []))
+             the edge counts only when everything survived — otherwise
+             it is considered blocked (well-formed models are
+             unaffected). No outcomes at all sums to 0. *)
+          if abs_float (total -. 1.0) > 1e-9 then []
+          else List.map (fun (p, st') -> ((k + 1, label, p), st')) outcomes)
+        (moves sta st)
+    in
+    delay @ List.concat acts
   in
-  { sta; mdp; states; initial = 0 }
+  let out =
+    Engine.Core.run_sharded ~max_states ~record_edges:true ~shards:1
+      ~store:(fun () -> Engine.Store.discrete_keyed ~size_hint:65536 ())
+      ~key:pack ~successors
+      ~on_state:(fun _ -> None)
+      ~init ()
+  in
+  if out.Engine.Core.stats.Engine.Stats.truncated then
+    failwith "Digital_sta.expand: state limit";
+  (* A discrete store answers every successor [Added] or [Dup], so the
+     recorded edges are exactly the generated ones. *)
+  let mdp = Mdp.make (Array.map actions_of out.Engine.Core.edges) in
+  { sta; mdp; states = out.Engine.Core.states; initial = 0 }
 
 let target_of exp pred = Array.map pred exp.states
 

@@ -7,11 +7,11 @@
     prefixed with the owning subsystem ([engine.visited],
     [smc.run_wall_s], [bip.interactions_fired]); durations are in
     seconds. Instruments resolve their handles once at module
-    initialisation and update them with single atomic writes, so the
-    null sink (the default) keeps hot loops at full speed. The whole
-    layer is domain-safe: the [Par] worker pool updates metrics and
-    records spans concurrently, and run reports break span time out per
-    domain. *)
+    initialisation and update them with plain stores into the calling
+    domain's own {!Shard} slot, summed on read, so the null sink (the
+    default) keeps hot loops at full speed. The whole layer is
+    domain-safe: the [Par] worker pool updates metrics and records spans
+    concurrently, and run reports break span time out per domain. *)
 
 module Json = Json
 module Clock = Clock

@@ -37,7 +37,7 @@ let trans_label (t : Digital.dtrans) =
    their accumulated cost; re-improved states are re-enqueued and stale
    entries skipped at pop time, so a popped state's cost is optimal. *)
 let min_cost_reach ?jobs ?pool net cm ~target =
-  (* Keyed on the interned packed digital state: Dijkstra re-probes the
+  (* Keyed on the packed digital state: Dijkstra re-probes the
      best-cost table on every insert and every pop (staleness), so the
      memoized full-width hash pays off twice per state. *)
   let _spec, pack = Digital.codec net in

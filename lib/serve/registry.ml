@@ -1,10 +1,10 @@
 (* The daemon's warm state: compiled models, a reply cache, and (after a
    model proves hot) a "warm anchor" — a retained symbolic state space
-   whose sealed zones and packed states keep the weak intern tables
-   ({!Zones.Dbm.seal}, {!Engine.Codec.intern}) populated between
-   requests, so later queries on the same model intern into existing
-   representatives instead of rebuilding them. Everything here is
-   droppable: eviction degrades latency, never correctness. *)
+   whose sealed zones keep the weak DBM intern table ({!Zones.Dbm.seal})
+   populated between requests, so later queries on the same model
+   intern into existing representatives instead of rebuilding them.
+   Everything here is droppable: eviction degrades latency, never
+   correctness. *)
 
 let m_model_hits = Obs.counter "serve.model_hits"
 let m_model_misses = Obs.counter "serve.model_misses"

@@ -10,10 +10,10 @@
       the identical bytes (every serve method is deterministic in its
       params, so replaying is sound);
     - {e warm anchors}: a retained symbolic state space per hot model.
-      Sealed zones and packed discrete states held by the anchor keep
-      the weak intern tables ({!Zones.Dbm.seal}, {!Engine.Codec.intern})
-      populated between requests, so the next query's store probes
-      settle on pointer equality against existing representatives —
+      Sealed zones held by the anchor keep the weak DBM intern table
+      ({!Zones.Dbm.seal}) populated between requests, so the next
+      query's store probes settle on pointer equality against existing
+      representatives —
       this is how "the subsumption store stays warm across queries"
       without sharing a mutable store between requests.
 

@@ -13,7 +13,6 @@ type stats = Engine.Stats.t = {
   truncated : bool;
   time_s : float;
   dbm_phys_eq : int;
-  dbm_full_cmp : int;
   dbm_lattice_cmp : int;
   phases : (string * (int * float)) list;
 }

@@ -26,7 +26,6 @@ type stats = Engine.Stats.t = {
   truncated : bool;  (** [max_states] hit (reported as [Failure] here) *)
   time_s : float;  (** wall-clock exploration time *)
   dbm_phys_eq : int;  (** DBM comparisons settled by pointer identity *)
-  dbm_full_cmp : int;  (** DBM equality checks needing a full scan *)
   dbm_lattice_cmp : int;  (** subset checks between distinct zones *)
   phases : (string * (int * float)) list;
       (** flight-recorder phase totals for this run (empty unless

@@ -31,8 +31,7 @@ val discrete_key : state -> int array * int array
 val codec : Model.network -> Engine.Codec.spec
 
 (** [pack spec st] encodes the discrete part of [st] with its memoized
-    full-width hash. It does not intern: each call allocates a fresh
-    packed value. *)
+    full-width hash. Each call allocates a fresh packed value. *)
 val pack : Engine.Codec.spec -> state -> Engine.Codec.packed
 
 (** [initial net ~extra] is the initial symbolic state. [extra] is the

@@ -392,8 +392,8 @@ let width t = if t.w <> 0 then t.w else width_m t
    pointer-equality fast path and deduplicating passed-list storage. The
    set is weak: representatives no longer referenced by any store are
    collected. Safe because every exported operation copies before
-   mutating. Access is mutex-guarded (same pattern as [Codec]'s packed
-   pool) so [seal] may be called from parallel domains. *)
+   mutating. Access is mutex-guarded so [seal] may be called from
+   parallel domains. *)
 module Hc = Weak.Make (struct
   type nonrec t = t
 

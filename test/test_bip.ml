@@ -70,26 +70,28 @@ let test_rendezvous () =
       check "lockstep" true (st.Engine.locs.(0) = st.Engine.locs.(1)))
     trace
 
-let test_rendezvous_blocks () =
-  (* One side guarded off: the interaction is disabled for both. *)
+(* The same pair with Q guarded: after two full toggles Q's guard
+   (count < 2) blocks the rendezvous for both -> deadlock. *)
+let guarded_rendezvous () =
   let c1, p1 = toggler "P" in
   let c2, p2 = toggler ~guarded:true "Q" in
-  let sys =
-    System.make
-      ~components:[| c1; c2 |]
-      ~connectors:
-        [
-          System.Rendezvous
-            {
-              c_name = "sync";
-              members = [ (0, p1); (1, p2) ];
-              guard = None;
-              action = None;
-            };
-        ]
-      ()
-  in
-  (* After two full toggles Q's guard (count < 2) blocks -> deadlock. *)
+  System.make
+    ~components:[| c1; c2 |]
+    ~connectors:
+      [
+        System.Rendezvous
+          {
+            c_name = "sync";
+            members = [ (0, p1); (1, p2) ];
+            guard = None;
+            action = None;
+          };
+      ]
+    ()
+
+let test_rendezvous_blocks () =
+  (* One side guarded off: the interaction is disabled for both. *)
+  let sys = guarded_rendezvous () in
   let free, witness = Engine.deadlock_free sys in
   check "guarded rendezvous deadlocks" false free;
   check "witness produced" true (witness <> None)
@@ -202,18 +204,7 @@ let test_dfinder_proves_ring () =
 let test_dfinder_fallback () =
   (* The guarded rendezvous system really deadlocks: compositional is
      inconclusive (guards ignored), the combined check lands on false. *)
-  let c1, p1 = toggler "P" in
-  let c2, p2 = toggler ~guarded:true "Q" in
-  let sys =
-    System.make
-      ~components:[| c1; c2 |]
-      ~connectors:
-        [
-          System.Rendezvous
-            { c_name = "sync"; members = [ (0, p1); (1, p2) ]; guard = None; action = None };
-        ]
-      ()
-  in
+  let sys = guarded_rendezvous () in
   let free, used_fallback = Dfinder.check sys in
   check "deadlock found" false free;
   check "needed the exact fallback" true used_fallback
@@ -313,6 +304,89 @@ let test_dala_full_run () =
   let trace = Engine.run d.Dala.sys (Engine.Random (Random.State.make [| 3 |])) ~steps:500 in
   check_int "engine sustains 500 steps" 500 (List.length trace);
   List.iter (fun (_, st) -> check "safe along run" true (Dala.safety_ok d st)) trace
+
+(* ------------------------------------------------------------------ *)
+(* Golden exact reachability                                           *)
+(* ------------------------------------------------------------------ *)
+
+let state_string sys st = Format.asprintf "%a" (Engine.pp_state sys) st
+
+(* Order-sensitive fingerprint of a state list (locations and stores). *)
+let states_digest sys states =
+  Digest.to_hex
+    (Digest.string (String.concat "\n" (List.map (state_string sys) states)))
+
+let test_golden_dala5 () =
+  let d = Dala.make ~modules:small_modules ~controlled:true () in
+  let r = Engine.reachable d.Dala.sys in
+  check "complete" false r.Engine.truncated;
+  check_int "states" 771 (List.length r.Engine.states);
+  check_int "deadlocks" 0 (List.length r.Engine.deadlocks);
+  Alcotest.(check string) "state order" "4fae773fb6e1a7c021286f7b1e480b77"
+    (states_digest d.Dala.sys r.Engine.states)
+
+let test_golden_deadlocks () =
+  let sys = guarded_rendezvous () in
+  let r = Engine.reachable sys in
+  check "complete" false r.Engine.truncated;
+  Alcotest.(check (list string)) "states in order"
+    [
+      "P.A{count=0} Q.A{count=0}"; "P.B{count=1} Q.B{count=1}";
+      "P.A{count=1} Q.A{count=1}"; "P.B{count=2} Q.B{count=2}";
+      "P.A{count=2} Q.A{count=2}";
+    ]
+    (List.map (state_string sys) r.Engine.states);
+  Alcotest.(check (list string)) "deadlocks in order"
+    [ "P.A{count=2} Q.A{count=2}" ]
+    (List.map (state_string sys) r.Engine.deadlocks)
+
+(* Successor count of [st]: one per enabled interaction and combination
+   of its participants' transitions. *)
+let fanout (sys : System.t) (st : Engine.state) =
+  List.fold_left
+    (fun acc (i : System.interaction) ->
+      acc
+      + List.fold_left
+          (fun n (ci, (p : Component.port)) ->
+            n
+            * List.length
+                (Component.transitions_on sys.System.components.(ci)
+                   ~loc:st.Engine.locs.(ci) ~store:st.Engine.stores.(ci)
+                   p.Component.port_id))
+          1 i.System.i_ports)
+    0 (Engine.filtered sys st)
+
+(* The truncation contract: a run capped at [k] states stops once more
+   than [k] are admitted, so it overshoots by at most one state's
+   fanout, keeps the untruncated discovery order, and reports deadlocks
+   only from the states it expanded. *)
+let test_truncation_contract () =
+  let d = Dala.make ~modules:small_modules ~controlled:true () in
+  let sys = d.Dala.sys in
+  let full = Engine.reachable sys in
+  let max_fanout =
+    List.fold_left (fun m st -> max m (fanout sys st)) 0 full.Engine.states
+  in
+  let k = 100 in
+  let r = Engine.reachable ~max_states:k sys in
+  let n = List.length r.Engine.states in
+  check "truncated" true r.Engine.truncated;
+  check "more than k states" true (n > k);
+  check "at most one fanout past k" true (n <= k + max_fanout);
+  check "untruncated discovery order" true
+    (r.Engine.states = List.filteri (fun i _ -> i < n) full.Engine.states);
+  (* The guarded pair is a five-state chain ending in its deadlock. At
+     k = 4 the deadlock is admitted but never expanded; at k = 5 the run
+     completes. *)
+  let sys = guarded_rendezvous () in
+  let r4 = Engine.reachable ~max_states:4 sys in
+  check "k = 4 truncated" true r4.Engine.truncated;
+  check_int "k = 4 admits the whole chain" 5 (List.length r4.Engine.states);
+  check_int "unexpanded deadlock not reported" 0
+    (List.length r4.Engine.deadlocks);
+  let r5 = Engine.reachable ~max_states:5 sys in
+  check "k = 5 complete" false r5.Engine.truncated;
+  check_int "k = 5 deadlock reported" 1 (List.length r5.Engine.deadlocks)
 
 
 (* ------------------------------------------------------------------ *)
@@ -443,5 +517,13 @@ let () =
           Alcotest.test_case "deadlock-free" `Quick test_dala_deadlock_free;
           Alcotest.test_case "fault injection" `Slow test_dala_fault_injection;
           Alcotest.test_case "long run" `Slow test_dala_full_run;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "dala-5 reachable" `Quick test_golden_dala5;
+          Alcotest.test_case "guarded rendezvous deadlocks" `Quick
+            test_golden_deadlocks;
+          Alcotest.test_case "truncation contract" `Quick
+            test_truncation_contract;
         ] );
     ]

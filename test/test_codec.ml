@@ -119,16 +119,8 @@ let test_hash_memoized_and_stable () =
   check "equal" true (Codec.equal p q)
 
 (* ------------------------------------------------------------------ *)
-(* Interning and the packed hashtable                                  *)
+(* The packed hashtable and fingerprints                               *)
 (* ------------------------------------------------------------------ *)
-
-let test_intern_shares () =
-  let s = Codec.spec [ Codec.Word "v" ] in
-  let a = Codec.intern s (Codec.encode s (fun _ -> 5)) in
-  let b = Codec.intern s (Codec.encode s (fun _ -> 5)) in
-  let c = Codec.intern s (Codec.encode s (fun _ -> 6)) in
-  check "equal states share one representative" true (a == b);
-  check "distinct states do not" false (a == c)
 
 let test_tbl () =
   let s = Codec.spec [ Codec.Word "v" ] in
@@ -186,7 +178,6 @@ let () =
         ] );
       ( "intern",
         [
-          Alcotest.test_case "physical sharing" `Quick test_intern_shares;
           Alcotest.test_case "packed hashtable" `Quick test_tbl;
           Alcotest.test_case "hex fingerprint" `Quick test_to_hex;
         ] );

@@ -325,7 +325,6 @@ let test_arena_growth () =
   done;
   check_int "size" 1000 (Arena.size a);
   check_int "random access" 123 (Arena.get a 123);
-  check_int "to_array keeps order" 999 (Arena.to_array a).(999);
   (try
      ignore (Arena.get a 1000);
      Alcotest.fail "expected out-of-range failure"
@@ -333,27 +332,6 @@ let test_arena_growth () =
   let seen = ref 0 in
   Arena.iteri (fun i v -> if i = v then incr seen) a;
   check_int "iteri covers everything" 1000 !seen
-
-let test_arena_keyed () =
-  let a = Arena.Keyed.create ~size_hint:4 () in
-  let k n = ikey n in
-  (match Arena.Keyed.intern a (k 7) 70 with
-   | 0, true -> ()
-   | _ -> Alcotest.fail "first intern must be fresh id 0");
-  (match Arena.Keyed.intern a (k 8) 80 with
-   | 1, true -> ()
-   | _ -> Alcotest.fail "second intern must be fresh id 1");
-  (* Same key again (a distinct packed value, equal words): known id,
-     original payload kept. *)
-  (match Arena.Keyed.intern a (k 7) 999 with
-   | 0, false -> ()
-   | _ -> Alcotest.fail "re-intern must answer the existing id");
-  check_int "payload survives re-intern" 70 (Arena.Keyed.get a 0);
-  check_int "size counts unique keys" 2 (Arena.Keyed.size a);
-  check "find known" true (Arena.Keyed.find a (k 8) = Some 1);
-  check "find unknown" true (Arena.Keyed.find a (k 9) = None);
-  check_int "to_array in id order" 80 (Arena.Keyed.to_array a).(1);
-  check "words estimate positive" true (Arena.Keyed.words a > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consed DBMs                                                     *)
@@ -383,7 +361,7 @@ let test_stats_json () =
     {
       Stats.visited = 3; stored = 2; subsumed = 1; dropped = 0;
       reopened = 0; peak_frontier = 2; store_words = 7; truncated = false;
-      time_s = 0.5; dbm_phys_eq = 4; dbm_full_cmp = 6; dbm_lattice_cmp = 9;
+      time_s = 0.5; dbm_phys_eq = 4; dbm_lattice_cmp = 9;
       phases = [];
     }
   in
@@ -394,7 +372,7 @@ let test_stats_json () =
       "\"visited\":3"; "\"stored\":2"; "\"subsumed\":1"; "\"dropped\":0";
       "\"reopened\":0"; "\"peak_frontier\":2"; "\"store_words\":7";
       "\"truncated\":false";
-      "\"dbm_phys_eq\":4"; "\"dbm_full_cmp\":6"; "\"dbm_lattice_cmp\":9";
+      "\"dbm_phys_eq\":4"; "\"dbm_lattice_cmp\":9";
       "\"store_hit_rate\":";
     ]
 
@@ -711,7 +689,6 @@ let () =
       ( "arena",
         [
           Alcotest.test_case "growth" `Quick test_arena_growth;
-          Alcotest.test_case "keyed" `Quick test_arena_keyed;
         ] );
       ( "hashcons",
         [

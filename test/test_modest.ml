@@ -315,6 +315,62 @@ let test_brp_scaling () =
   let p1_1 = p1_of 1 and p1_3 = p1_of 3 in
   check "more retries, fewer failures" true (p1_3 < p1_1 /. 100.0)
 
+(* ------------------------------------------------------------------ *)
+(* Golden digital-clock expansions                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Order-sensitive fingerprint of an expansion: per state id, its
+   fields, then its actions in order (label, (probability, successor)
+   pairs, reward). Floats print in hex, so equal digests mean
+   bit-identical MDPs under identical state numbering. *)
+let expansion_digest (exp : Modest.Digital_sta.expansion) =
+  let b = Buffer.create 65536 in
+  let ints a = Array.iter (fun x -> Printf.bprintf b "%d," x) a in
+  Array.iteri
+    (fun i (st : Modest.Digital_sta.dstate) ->
+      Printf.bprintf b "#%d:" i;
+      ints st.Modest.Digital_sta.slocs;
+      ints st.Modest.Digital_sta.sstore;
+      ints st.Modest.Digital_sta.sclocks;
+      Printf.bprintf b "t%d|" st.Modest.Digital_sta.stime;
+      List.iter
+        (fun (a : Mdp.action) ->
+          Printf.bprintf b "%s:" a.Mdp.a_label;
+          List.iter (fun (p, s) -> Printf.bprintf b "%h>%d;" p s) a.Mdp.probs;
+          Printf.bprintf b "r%h/" a.Mdp.reward)
+        (Mdp.actions exp.Modest.Digital_sta.mdp i))
+    exp.Modest.Digital_sta.states;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_expansion ~states ~digest exp =
+  Alcotest.(check int) "states" states
+    (Array.length exp.Modest.Digital_sta.states);
+  Alcotest.(check int) "mdp states" states
+    (Mdp.n_states exp.Modest.Digital_sta.mdp);
+  Alcotest.(check int) "initial" 0 exp.Modest.Digital_sta.initial;
+  Alcotest.(check string) "actions digest" digest (expansion_digest exp)
+
+let test_golden_brp () =
+  let t = Brp.make () in
+  check_expansion ~states:906 ~digest:"ec9fa58574f0d111e14438f416d92008"
+    (Modest.Digital_sta.expand t.Brp.sta)
+
+let test_golden_brp_time_capped () =
+  let t = Brp.make ~n:4 () in
+  check_expansion ~states:1490 ~digest:"cac565efe39fc831a14596d37208c707"
+    (Modest.Digital_sta.expand ~time_cap:64 t.Brp.sta)
+
+(* [max_states] bounds the reachable count: BRP's 906 states fit a cap
+   of 906 and overflow a cap of 905. *)
+let test_golden_state_limit () =
+  let t = Brp.make () in
+  Alcotest.check_raises "one state over"
+    (Failure "Digital_sta.expand: state limit") (fun () ->
+      ignore (Modest.Digital_sta.expand ~max_states:905 t.Brp.sta));
+  let exp = Modest.Digital_sta.expand ~max_states:906 t.Brp.sta in
+  Alcotest.(check int) "exactly at the cap" 906
+    (Array.length exp.Modest.Digital_sta.states)
+
 
 
 
@@ -535,5 +591,13 @@ let () =
           Alcotest.test_case "table1 mctau" `Slow test_brp_table1_mctau;
           Alcotest.test_case "table1 modes" `Slow test_brp_table1_modes;
           Alcotest.test_case "scaling" `Slow test_brp_scaling;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "digital brp" `Quick test_golden_brp;
+          Alcotest.test_case "digital brp n=4 time-capped" `Quick
+            test_golden_brp_time_capped;
+          Alcotest.test_case "digital state limit" `Quick
+            test_golden_state_limit;
         ] );
     ]

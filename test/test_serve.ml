@@ -189,38 +189,6 @@ let test_dbm_intern_drains_after_churn () =
   check "no unbounded growth after GC" true
     (Zones.Dbm.intern_size () <= baseline + 64)
 
-let test_codec_intern_lifecycle_multi_domain () =
-  let spec =
-    Engine.Codec.spec
-      [ Engine.Codec.Bounded { name = "a"; lo = 0; hi = 4095 };
-        Engine.Codec.Word "w" ]
-  in
-  let encode v = Engine.Codec.encode spec (fun _ -> v) in
-  (* Four domains intern the same 200 values concurrently; the pool must
-     end up with exactly one representative per value. Each domain
-     leaves its array in a slot owned here and returns (): arrays handed
-     back as [Domain.join] results stayed reachable in a share of runs,
-     even across extra full majors, and failed the drain check below. *)
-  let reps = Array.make 4 [||] in
-  let domains =
-    Array.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            reps.(d) <-
-              Array.init 200 (fun v -> Engine.Codec.intern spec (encode v))))
-  in
-  Array.iter Domain.join domains;
-  settle ();
-  check_int "one representative per value" 200 (Engine.Codec.intern_size spec);
-  for v = 0 to 199 do
-    for d = 1 to 3 do
-      check "cross-domain physical equality" true (reps.(0).(v) == reps.(d).(v))
-    done
-  done;
-  (* Dropping every root drains the weak pool. *)
-  Array.iteri (fun i _ -> reps.(i) <- [||]) reps;
-  settle ();
-  check_int "pool drains once unreferenced" 0 (Engine.Codec.intern_size spec)
-
 (* ------------------------------------------------------------------ *)
 (* Daemon end to end (forked child)                                    *)
 (* ------------------------------------------------------------------ *)
@@ -475,7 +443,5 @@ let () =
             test_dbm_intern_shared_across_queries;
           Alcotest.test_case "no residue after churn + GC" `Quick
             test_dbm_intern_drains_after_churn;
-          Alcotest.test_case "codec pool across 4 domains" `Quick
-            test_codec_intern_lifecycle_multi_domain;
         ] );
     ]
