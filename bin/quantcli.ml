@@ -579,8 +579,9 @@ let fuzz_cmd =
             "Inject a known fault before sweeping — the harness's own \
              mutation smoke test. dbm-up breaks the zone engine's delay \
              operation and must make a ta-reach sweep exit 1; dbm-intersect \
-             leaks non-canonical DBMs on the deadlock-check path (caught by \
-             the DBM property tests rather than this sweep).")
+             leaves DBM intersections unclosed, which only the clock-atom \
+             conjunctions of properties compute, so the DBM property tests \
+             catch it rather than this sweep.")
   in
   let out_arg =
     Arg.(

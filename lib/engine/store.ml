@@ -166,19 +166,89 @@ let exact_keyed ?(size_hint = default_size_hint) ~zone () =
     kwords = reachable_words tbl;
   }
 
+(* The zones one subsume bucket holds under one packed key: pairwise
+   incomparable, with each zone's {!Dbm.width} and row-0 signature
+   ({!Dbm.signature}) in parallel arrays, so a walk reads a zone record
+   only after both pre-filters pass. Entries sit in increasing width
+   order and walks run from the top, widest first. A candidate lands
+   between the narrower entries and the wider ones, so an insert moves
+   the wider side up a slot: it is the shorter side on fischer-5 (24
+   entries on average, against 64 narrower ones), and every move of a
+   zone slot pays OCaml's write barrier, while the int arrays move with
+   plain stores. Zone slots at and past [len] hold [vacant], so an
+   evicted zone is not kept alive by the array it left. *)
+type bucket = {
+  mutable len : int;
+  ws : int array;
+  sigs : int array;
+  zs : Dbm.canon array;
+}
+
+let vacant = Dbm.seal (Dbm.empty ~clocks:0)
+
+(* What every key not stored yet finds: empty and full at once, so the
+   first insert under a key allocates the key's own bucket. *)
+let no_bucket = { len = 0; ws = [||]; sigs = [||]; zs = [||] }
+
+(* Moves [len] entries of [src] from [p] to [dst] at [q]; overlap-safe
+   within one bucket. *)
+let move_entries src p dst q len =
+  let step j =
+    dst.ws.(q + j) <- src.ws.(p + j);
+    dst.sigs.(q + j) <- src.sigs.(p + j);
+    dst.zs.(q + j) <- src.zs.(p + j)
+  in
+  if q > p then for j = len - 1 downto 0 do step j done
+  else if q < p || src != dst then for j = 0 to len - 1 do step j done
+
+(* [z] joins bucket [b] of key [k] above the [t] narrower entries it
+   kept, below the [wide] wider ones, which now sit at [from]; zone
+   slots below the old length [n] that fall free are cleared. Only a
+   full bucket that drops nothing lacks room: it grows by half (less
+   slack than doubling, for a few more copies), and the copy replaces
+   it in [tbl]. *)
+let place tbl k b ~n ~t ~from ~wide z ~wz ~sz =
+  let len = t + 1 + wide in
+  let b =
+    if len <= Array.length b.zs then begin
+      move_entries b from b (t + 1) wide;
+      if len < n then Array.fill b.zs len (n - len) vacant;
+      b
+    end
+    else begin
+      let cap = max 2 (Array.length b.zs * 3 / 2) in
+      let g =
+        {
+          len;
+          ws = Array.make cap 0;
+          sigs = Array.make cap 0;
+          zs = Array.make cap vacant;
+        }
+      in
+      move_entries b 0 g 0 t;
+      move_entries b from g (t + 1) wide;
+      Ptbl.set tbl k g;
+      g
+    end
+  in
+  b.ws.(t) <- wz;
+  b.sigs.(t) <- sz;
+  b.zs.(t) <- z;
+  b.len <- len
+
 let subsume_keyed ?(size_hint = default_size_hint) ~zone () =
-  let tbl : Dbm.canon list Ptbl.t = Ptbl.create size_hint in
-  (* packed key -> zone list; stored zones are pairwise incomparable and
-     kept sorted by decreasing {!Dbm.width}. The width score is monotone
-     for inclusion, so only the prefix at least as wide as a candidate
-     can cover it (and the widest zones — the likeliest coverers — are
-     probed first), and only the suffix at most as wide can be evicted
-     by it: each insert pays one inclusion direction per entry instead
-     of two full walks. No exact-match front cache: a re-proposed
-     candidate carries the same sealed handle and settles on a pointer
-     comparison during the prefix walk. Scans are tallied in local
-     accumulators and flushed to {!Dbm.cmp_stats} once per insert, so
-     the per-scan cost matches the quiet comparisons. *)
+  let tbl : bucket Ptbl.t = Ptbl.create size_hint in
+  (* The width score is monotone for inclusion, so only the entries at
+     least as wide as a candidate can cover it (and the widest zones —
+     the likeliest coverers — are probed first), and only those at most
+     as wide can be evicted by it: each insert pays one inclusion
+     direction per entry instead of two full walks. The signature test,
+     monotone too, settles most remaining non-inclusions without a
+     scan. No exact-match front cache: a re-proposed candidate carries
+     the same sealed handle and settles on a pointer comparison during
+     the cover walk. Every inclusion decision counts as one lattice
+     scan, pre-filter rejections included, tallied in locals and flushed
+     to {!Dbm.cmp_stats} once per insert. *)
   let count = ref 0 in
   {
     kname = "subsume";
@@ -186,54 +256,73 @@ let subsume_keyed ?(size_hint = default_size_hint) ~zone () =
       (fun s ~key:k ~id:_ ->
         let z : Dbm.canon = zone s in
         let fl = Obs.Flight.start () in
-        let entries = Ptbl.find_default tbl k [] in
+        let b = Ptbl.find_default tbl k no_bucket in
         let fl_scan = Obs.Flight.stop_start ph_probe fl in
-        let wz = Dbm.width (z :> Dbm.t) in
-        (* Eviction suffix: every entry here has width <= wz, so [z]
-           cannot be covered; filter out what it swallows. *)
-        let evict tail rev_head dropped lat =
-          let kept =
-            List.filter
-              (fun (z' : Dbm.canon) ->
-                not (Dbm.subset_quiet (z' :> Dbm.t) (z :> Dbm.t)))
-              tail
-          in
-          let dropped = dropped + List.length tail - List.length kept in
-          Dbm.note_scans ~phys:0 ~lattice:(lat + List.length tail);
+        let zt = (z :> Dbm.t) in
+        let wz = Dbm.width zt and sz = Dbm.signature zt in
+        let guards = Dbm.sig_guards ~clocks:(Dbm.clocks zt) in
+        let n = b.len and ws = b.ws and sigs = b.sigs and zs = b.zs in
+        (* Eviction walk over the entries below [q], all narrower than
+           [z], so none covers it; the kept ones close up in place, and
+           [z] goes above them, below the [n - 1 - h] wider ones kept
+           at [h + 1]. *)
+        let evict q h lat =
+          let t = ref 0 in
+          for j = 0 to q - 1 do
+            if
+              not
+                (Dbm.sig_le ~guards sigs.(j) sz
+                && Dbm.subset_quiet (zs.(j) :> Dbm.t) zt)
+            then begin
+              if !t < j then move_entries b j b !t 1;
+              incr t
+            end
+          done;
+          let t = !t and wide = n - 1 - h in
+          let dropped = n - t - wide in
+          Dbm.note_scans ~phys:0 ~lattice:(lat + q);
           let fl = Obs.Flight.start () in
-          Ptbl.set tbl k (List.rev_append rev_head (z :: kept));
+          place tbl k b ~n ~t ~from:(h + 1) ~wide z ~wz ~sz;
           Obs.Flight.stop ph_insert fl;
           count := !count + 1 - dropped;
           Added { dropped; reopened = false }
         in
-        (* Cover prefix: entries at least as wide as [z], in decreasing
-           width order. Equal-width entries can also be evicted (only
+        (* Cover walk, from the top down over the entries at least as
+           wide as [z]. Equal-width entries can also be evicted (only
            when clamping hides the strict inclusion), so they get the
-           second check before surviving into the head. *)
-        let rec cover entries rev_head dropped lat =
-          match entries with
-          | [] -> evict [] rev_head dropped lat
-          | (z' : Dbm.canon) :: rest ->
-            if z == z' then begin
-              Dbm.note_scans ~phys:1 ~lattice:lat;
-              Covered
-            end
-            else begin
-              let w' = Dbm.width (z' :> Dbm.t) in
-              if w' < wz then evict entries rev_head dropped lat
-              else if Dbm.subset_quiet (z :> Dbm.t) (z' :> Dbm.t) then begin
-                Dbm.note_scans ~phys:0 ~lattice:(lat + 1);
-                Covered
-              end
-              else if
-                w' = wz && Dbm.subset_quiet (z' :> Dbm.t) (z :> Dbm.t)
-              then cover rest rev_head (dropped + 1) (lat + 2)
-              else
-                cover rest (z' :: rev_head) dropped
-                  (lat + if w' = wz then 2 else 1)
-            end
+           second check, and the kept ones close up in place: [i] reads,
+           [h] writes. [h > i] only after such a drop, and then nothing
+           covers [z], since its coverer would contain the dropped entry
+           too. *)
+        let covered h i ~phys ~lattice =
+          assert (h = i);
+          Dbm.note_scans ~phys ~lattice;
+          Covered
         in
-        let verdict = cover entries [] 0 0 in
+        let rec cover i h lat =
+          if i < 0 then evict 0 h lat
+          else begin
+            let z' = zs.(i) in
+            if z == z' then covered h i ~phys:1 ~lattice:lat
+            else begin
+              let w' = ws.(i) and s' = sigs.(i) in
+              if w' < wz then evict (i + 1) h lat
+              else if
+                Dbm.sig_le ~guards sz s' && Dbm.subset_quiet zt (z' :> Dbm.t)
+              then covered h i ~phys:0 ~lattice:(lat + 1)
+              else if
+                w' = wz
+                && Dbm.sig_le ~guards s' sz
+                && Dbm.subset_quiet (z' :> Dbm.t) zt
+              then cover (i - 1) h (lat + 2)
+              else begin
+                if h > i then move_entries b i b h 1;
+                cover (i - 1) (h - 1) (lat + if w' = wz then 2 else 1)
+              end
+            end
+          end
+        in
+        let verdict = cover (n - 1) (n - 1) 0 in
         Obs.Flight.stop ph_subsume fl_scan;
         verdict);
     kstale = k_no_stale;

@@ -112,29 +112,54 @@ let explore ?(subsumption = true) ?(max_states = 1_000_000) ?stop
 (* A valuation of [st.zone] deadlocks when no move can fire from it now
    or, where time may pass, after some delay: the state is deadlock-free
    iff [z ⊆ ⋃ dᵢ], [dᵢ] being move [i]'s enabling zone, down-closed when
-   delay is allowed. The walk stops at the first [dᵢ] that covers [z] on
-   its own (an uncounted pointwise check, so [dbm_lattice_cmp] does not
-   move); only when none does is the exact federation test run, on the
-   escape zones as they are: [z ⊆ ⋃ dᵢ ⇔ z ⊆ ⋃ (z ∩ dᵢ)], so nothing is
-   intersected or re-closed first. *)
-let deadlocked net (st : Zone_graph.state) =
-  let z = (st.zone :> Dbm.t) in
-  let delay = Zone_graph.delay_allowed net st.locs st.store in
-  let rec walk escapes = function
-    | [] ->
-      let fed =
-        List.fold_left Fed.add (Fed.empty ~clocks:net.Model.n_clocks) escapes
-      in
-      not (Fed.dbm_subset z fed)
-    | mv :: rest ->
-      let g = Zone_graph.move_enabling_zone net st.locs st.store mv in
-      if Dbm.is_empty g then walk escapes rest
-      else begin
-        let g = if delay then Dbm.down g else g in
-        if Dbm.subset_quiet z g then false else walk (g :: escapes) rest
-      end
+   delay is allowed. Those escape zones depend on the discrete part
+   alone: [escapes] generates them lazily in move order, skipping the
+   empty ones, so a walk that stops early builds no more than it reads. *)
+let escapes net locs store =
+  let delay = Zone_graph.delay_allowed net locs store in
+  Seq.filter_map
+    (fun mv ->
+      let g = Zone_graph.move_enabling_zone net locs store mv in
+      if Dbm.is_empty g then None else Some (if delay then Dbm.down g else g))
+    (List.to_seq (Zone_graph.moves net locs store))
+
+(* The walk stops at the first escape that covers [z] on its own (an
+   uncounted pointwise check, so [dbm_lattice_cmp] does not move); only
+   when none does is the exact federation test run, on the escape zones
+   as they are: [z ⊆ ⋃ dᵢ ⇔ z ⊆ ⋃ (z ∩ dᵢ)], so nothing is intersected or
+   re-closed first. *)
+let escapes_cover ~clocks z seq =
+  let rec walk seen seq =
+    match seq () with
+    | Seq.Nil ->
+      Fed.dbm_subset z (List.fold_left Fed.add (Fed.empty ~clocks) seen)
+    | Seq.Cons (g, rest) -> Dbm.subset_quiet z g || walk (g :: seen) rest
   in
-  walk [] (Zone_graph.moves net st.locs st.store)
+  walk [] seq
+
+let deadlocked net (st : Zone_graph.state) =
+  not
+    (escapes_cover ~clocks:net.Model.n_clocks (st.zone :> Dbm.t)
+       (escapes net st.locs st.store))
+
+(* A run visits many zones per discrete state, so [check ... NoDeadlock]
+   forces each discrete state's escapes once and keeps the list under
+   the packed key for the rest of the run. [on_state] runs on the
+   engine's shards, possibly on several domains, and one key can reach
+   two shards, so the table is mutex-guarded; a lost race only computes
+   an equal list twice. *)
+let memo_escapes net =
+  let spec = Zone_graph.codec net in
+  let tbl : Dbm.t list Engine.Codec.Tbl.t = Engine.Codec.Tbl.create 1024 in
+  let mu = Mutex.create () in
+  fun (st : Zone_graph.state) ->
+    let k = Zone_graph.pack spec st in
+    match Mutex.protect mu (fun () -> Engine.Codec.Tbl.find_opt tbl k) with
+    | Some l -> List.to_seq l
+    | None ->
+      let l = List.of_seq (escapes net st.locs st.store) in
+      Mutex.protect mu (fun () -> Engine.Codec.Tbl.replace tbl k l);
+      List.to_seq l
 
 (* ------------------------------------------------------------------ *)
 (* Exact graph for liveness                                             *)
@@ -288,7 +313,12 @@ let check ?subsumption ?max_states ?stop ?mem_budget_words
     (* The deadlock predicate inspects exact zones, for which LU is too
        coarse: always explore under Extra-M on the network constants. *)
     let extra = Dbm.Extra_m (Array.copy net.Model.max_consts) in
-    let on_state st = if deadlocked net st then Some () else None in
+    let escapes_of = memo_escapes net in
+    let on_state (st : Zone_graph.state) =
+      if escapes_cover ~clocks:net.Model.n_clocks (st.zone :> Dbm.t) (escapes_of st)
+      then None
+      else Some ()
+    in
     let outcome, stats, par =
       explore ?subsumption ?max_states ?stop ?mem_budget_words
         ?rich_trace ?jobs ?pool net ~extra ~on_state

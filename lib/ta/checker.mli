@@ -110,7 +110,10 @@ val check :
   result
 
 (** [deadlocked net st] — does some valuation of [st] admit no future
-    action, ever? Exposed for tests. *)
+    action, ever? Builds the escape zones of [st]'s discrete part as
+    it walks them, stopping at the first that covers the zone; a
+    [NoDeadlock] check walks the same zones, built once per discrete
+    state and kept for the run. Exposed for tests. *)
 val deadlocked : Model.network -> Zone_graph.state -> bool
 
 (** [reachable_states net] enumerates the full symbolic state space (with

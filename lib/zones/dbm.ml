@@ -122,7 +122,11 @@ let constrain t i j b =
    --inject`, so the harness can prove it detects real backend bugs.
    [Broken_up] makes [up] forget to open the upper bound of the highest
    clock (time stops for it); [Unclosed_intersect] skips re-closing
-   after [intersect], leaking non-canonical DBMs into subsumption. *)
+   after [intersect]. Neither the successor pipeline, nor subsumption,
+   nor the deadlock check intersects zones: only [Fed.inter] does, for
+   the clock-atom conjunctions of [Prop], so that fault is caught by the
+   DBM property tests (test_zones "fault injection observable"), not by
+   a fuzz sweep. *)
 type fault = Broken_up | Unclosed_intersect
 
 let injected_fault = ref None
@@ -387,6 +391,44 @@ let width_m t =
 
 let width t = if t.w <> 0 then t.w else width_m t
 
+(* Row-0 dominance signature: the clocks' lower bounds [m.(1..n)], one
+   saturating field of [f = 62/n - 1] bits each, with a zero guard bit
+   above every field. A field maps the raw entry [v] to
+   [clamp (v + cap - 1) 0 cap] with [cap = 2^f - 1], so [<= 0] (no lower
+   bound) is [cap], [< 0] is [cap - 1], and every tighter lower bound
+   steps down until it saturates at 0. The map is monotone, and
+   [subset t1 t2] needs [t1.m.(j) <= t2.m.(j)] for every [j] (or [t1]
+   empty, which signs as 0), so it implies a fieldwise [<=] between the
+   signatures. Row 0 is where most failing inclusion scans stop. *)
+let sig_bits n = if n <= 0 then 0 else (62 / n) - 1
+
+let signature t =
+  let n = t.dim - 1 in
+  let f = sig_bits n in
+  if f <= 0 || is_empty t then 0
+  else begin
+    let cap = (1 lsl f) - 1 and s = ref 0 in
+    for j = 1 to n do
+      let v = t.m.(j) in
+      let field = if v >= 1 then cap else if v <= 1 - cap then 0 else v + cap - 1 in
+      s := !s lor (field lsl ((j - 1) * (f + 1)))
+    done;
+    !s
+  end
+
+let sig_guards ~clocks =
+  let f = sig_bits clocks in
+  let g = ref 0 in
+  if f > 0 then
+    for j = 0 to clocks - 1 do
+      g := !g lor (1 lsl ((j * (f + 1)) + f))
+    done;
+  !g
+
+(* SWAR: per field, [b + 2^f - a] stays within its [f + 1] bits and keeps
+   the guard bit exactly when [a <= b], so no borrow crosses fields. *)
+let sig_le ~guards a b = ((b lor guards) - a) land guards = guards
+
 (* Hash-consing: canonical DBMs are interned in a weak set so that equal
    zones share one representative, giving [equal]/[subset] their
    pointer-equality fast path and deduplicating passed-list storage. The
@@ -474,11 +516,11 @@ let apply_extrapolation extra t =
   | Extra_m k -> extrapolate t k
   | Extra_lu { lower; upper } -> extrapolate_lu t ~lower ~upper
 
-(* The sealing boundary. Deliberately does NOT re-close: closure happens
-   inside the pipeline operations, and re-closing here would mask the
-   [Unclosed_intersect] fault the oracle harness must detect. Sealing an
-   already-sealed representative is the identity (a run applies one
-   extrapolation consistently, so re-extrapolating would be a no-op).
+(* The sealing boundary. Does not re-close: every pipeline operation
+   leaves its result closed, so a closure here would only repeat O(n³)
+   work on every successor. Sealing an already-sealed representative
+   is the identity (a run applies one extrapolation consistently, so
+   re-extrapolating would be a no-op).
    On a miss the hash is memoized before the weak-table probe so the
    probe reuses it; if an older representative wins, the loser's [h] is
    reset so [is_sealed] stays an intern-membership test. *)

@@ -146,6 +146,37 @@ val hash : t -> int
     the contrapositive to skip inclusion scans that cannot succeed. *)
 val width : t -> int
 
+(** {1 Row-0 dominance signature}
+
+    [signature z] packs row 0 of the matrix — the bounds [0 - x_j ≺ c],
+    i.e. the clocks' lower bounds — into one int: [n = clocks z] fields
+    of [f = ⌊62/n⌋ − 1] bits, each with a zero guard bit above it. A
+    field maps its raw entry [v] (the {!Bound} encoding, where integer
+    order is weakness order) to [clamp (v + 2^f − 2) 0 (2^f − 1)]: no
+    lower bound is the top value, each tighter bound one step lower,
+    saturating at 0.
+
+    Monotonicity: for canonical zones, [subset a b] holds only if every
+    entry of [a] is [<=] the same entry of [b], row 0 included, or if
+    [a] is empty. The field map is monotone and an empty zone signs as
+    0, so [subset a b] implies [sig_le ~guards a' b'] for [a' =
+    signature a], [b' = signature b]. The converse fails: the test is a
+    necessary condition only, a pre-filter that rejects most failing
+    inclusion scans (they usually stop on row 0) in constant time. When
+    [n] leaves no room for 1-bit fields ([n = 0] or [n > 31]) every
+    signature is 0 and the test always passes. O(n); not memoized. *)
+val signature : t -> int
+
+(** [sig_guards ~clocks] is the guard-bit mask {!sig_le} needs for zones
+    over [clocks] clocks (0 when there is no room for fields). *)
+val sig_guards : clocks:int -> int
+
+(** [sig_le ~guards a b] decides [a <= b] in every field at once (SWAR,
+    constant time): subtracting [a] from [b] with every guard bit set
+    leaves a field's guard bit set exactly when that field of [a] is at
+    most [b]'s. *)
+val sig_le : guards:int -> int -> int -> bool
+
 (** Counters for {!equal}/{!subset}/{!seal} since the last
     {!reset_cmp_stats}; exploration engines report per-run deltas.
     Tallies are kept in per-domain {!Obs.Shard} slots and summed on
@@ -183,9 +214,11 @@ val intern_size : unit -> int
     library) flips one on and must then observe a cross-backend
     divergence. [Broken_up] stops time for the highest clock in {!up};
     [Unclosed_intersect] skips the re-closure after {!intersect},
-    leaking non-canonical DBMs ({!seal} deliberately does not re-close,
-    so the fault stays observable downstream). Never enabled outside
-    tests. *)
+    returning a non-canonical DBM. Zone-graph successors, subsumption
+    and the deadlock check never intersect zones; only {!Fed.inter}
+    does (for [Prop]'s clock-atom conjunctions), so the DBM property
+    tests catch that fault (test_zones "fault injection observable")
+    and a fuzz sweep does not. Never enabled outside tests. *)
 type fault = Broken_up | Unclosed_intersect
 
 (** [inject_fault (Some f)] switches the fault on, [inject_fault None]

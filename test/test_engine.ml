@@ -131,6 +131,123 @@ let test_store_size_hint () =
   done;
   check_int "all stored past the hint" 1000 (s.Store.ksize ())
 
+(* The subsume store as it stood before array buckets and the row-0
+   signature: zone lists sorted by decreasing width, walked in full and
+   rebuilt on every insert. The bucket store must agree with it after
+   every insert, on the verdict, the size and the phys/lattice counts
+   it reports. *)
+let reference_subsume ~zone () =
+  let tbl : Dbm.canon list Codec.Tbl.t = Codec.Tbl.create 16 in
+  let count = ref 0 in
+  let kinsert s ~key:k ~id:_ =
+    let z : Dbm.canon = zone s in
+    let entries = Option.value ~default:[] (Codec.Tbl.find_opt tbl k) in
+    let wz = Dbm.width (z :> Dbm.t) in
+    let evict tail rev_head dropped lat =
+      let kept =
+        List.filter
+          (fun (z' : Dbm.canon) ->
+            not (Dbm.subset_quiet (z' :> Dbm.t) (z :> Dbm.t)))
+          tail
+      in
+      let dropped = dropped + List.length tail - List.length kept in
+      Dbm.note_scans ~phys:0 ~lattice:(lat + List.length tail);
+      Codec.Tbl.replace tbl k (List.rev_append rev_head (z :: kept));
+      count := !count + 1 - dropped;
+      Store.Added { dropped; reopened = false }
+    in
+    let rec cover entries rev_head dropped lat =
+      match entries with
+      | [] -> evict [] rev_head dropped lat
+      | (z' : Dbm.canon) :: rest ->
+        if z == z' then begin
+          Dbm.note_scans ~phys:1 ~lattice:lat;
+          Store.Covered
+        end
+        else begin
+          let w' = Dbm.width (z' :> Dbm.t) in
+          if w' < wz then evict entries rev_head dropped lat
+          else if Dbm.subset_quiet (z :> Dbm.t) (z' :> Dbm.t) then begin
+            Dbm.note_scans ~phys:0 ~lattice:(lat + 1);
+            Store.Covered
+          end
+          else if w' = wz && Dbm.subset_quiet (z' :> Dbm.t) (z :> Dbm.t) then
+            cover rest rev_head (dropped + 1) (lat + 2)
+          else
+            cover rest (z' :: rev_head) dropped
+              (lat + if w' = wz then 2 else 1)
+        end
+    in
+    cover entries [] 0 0
+  in
+  {
+    Store.kname = "subsume-reference";
+    kinsert;
+    kstale = (fun _ ~key:_ -> false);
+    ksize = (fun () -> !count);
+    kwords = (fun () -> 0);
+  }
+
+(* A pool of sealed zones over [clocks] clocks with the shapes a bucket
+   walk must tell apart: random zones (some unbounded above, some with
+   tight lower bounds), a tightening of each (nested pairs), each with
+   clocks 1 and 2 swapped (equal width, usually incomparable), and the
+   empty zone. Drawing from the pool repeats zones. *)
+let zone_pool rng ~clocks =
+  let pick n = Random.State.int rng n in
+  let random () =
+    let z = ref (Dbm.universal ~clocks) in
+    for _ = 0 to pick 5 do
+      let i = pick (clocks + 1) and j = pick (clocks + 1) in
+      let c = pick 9 - 4 in
+      if pick 4 = 0 then z := Dbm.up !z
+      else if i <> j then
+        z := Dbm.constrain !z i j (if pick 2 = 0 then Bound.le c else Bound.lt c)
+    done;
+    !z
+  in
+  let tighten z = Dbm.constrain z (1 + pick clocks) 0 (Bound.le (pick 4)) in
+  let swap z =
+    let d = clocks + 1 and a = Dbm.to_array z in
+    let sw i = if i = 1 then 2 else if i = 2 then 1 else i in
+    Dbm.of_array ~clocks
+      (Array.init (d * d) (fun k -> a.((sw (k / d) * d) + sw (k mod d))))
+  in
+  let base = List.init 4 (fun _ -> random ()) in
+  Array.of_list
+    (List.map Dbm.seal
+       (base @ List.map tighten base @ List.map swap base
+        @ [ Dbm.empty ~clocks ]))
+
+let prop_subsume_matches_reference =
+  QCheck.Test.make ~name:"subsume agrees with the list-walk reference"
+    ~count:300
+    QCheck.(
+      triple (int_bound 1_000_000) bool
+        (list_of_size Gen.(int_range 1 40) (pair (int_bound 2) (int_bound 12))))
+    (fun (seed, three, inserts) ->
+      let clocks = if three then 3 else 2 in
+      let pool = zone_pool (Random.State.make [| seed |]) ~clocks in
+      let stores =
+        [ Store.subsume_keyed ~zone:snd (); reference_subsume ~zone:snd () ]
+      in
+      List.for_all
+        (fun (k, zi) ->
+          let st = (k, pool.(zi)) in
+          let probe (s : _ Store.keyed) =
+            let c0 = Dbm.cmp_stats () in
+            let v = s.Store.kinsert st ~key:(ikey k) ~id:0 in
+            let c1 = Dbm.cmp_stats () in
+            ( v,
+              s.Store.ksize (),
+              c1.Dbm.phys_hits - c0.Dbm.phys_hits,
+              c1.Dbm.lattice_scans - c0.Dbm.lattice_scans )
+          in
+          match List.map probe stores with
+          | [ got; want ] -> got = want
+          | _ -> false)
+        inserts)
+
 (* ------------------------------------------------------------------ *)
 (* The core loop                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -503,25 +620,35 @@ let test_sharded_best_cost () =
 (* jobs=1 vs jobs=4 byte-identity on real models, through the full
    checker: verdict, witness trace and rendered stats JSON. *)
 let test_sharded_checker_identity () =
+  let same name net q =
+    let r1 = Ta.Checker.check ~jobs:1 net q in
+    let r4 = Ta.Checker.check ~jobs:4 net q in
+    check (name ^ " verdict") r1.Ta.Checker.holds r4.Ta.Checker.holds;
+    check (name ^ " trace") true (r1.Ta.Checker.trace = r4.Ta.Checker.trace);
+    Alcotest.(check string)
+      (name ^ " stats bytes")
+      (Stats.to_json r1.Ta.Checker.stats)
+      (Stats.to_json r4.Ta.Checker.stats);
+    r1
+  in
   List.iter
     (fun n ->
       let net = Ta.Fischer.make ~n () in
       List.iter
         (fun (qname, q) ->
-          let r1 = Ta.Checker.check ~jobs:1 net q in
-          let r4 = Ta.Checker.check ~jobs:4 net q in
-          check (Printf.sprintf "fischer-%d %s verdict" n qname) r1.Ta.Checker.holds
-            r4.Ta.Checker.holds;
-          check
-            (Printf.sprintf "fischer-%d %s trace" n qname)
-            true
-            (r1.Ta.Checker.trace = r4.Ta.Checker.trace);
-          Alcotest.(check string)
-            (Printf.sprintf "fischer-%d %s stats bytes" n qname)
-            (Stats.to_json r1.Ta.Checker.stats)
-            (Stats.to_json r4.Ta.Checker.stats))
+          ignore (same (Printf.sprintf "fischer-%d %s" n qname) net q))
         [ ("mutex", Ta.Fischer.mutex net); ("deadlock-free", Ta.Fischer.no_deadlock) ])
-    [ 4; 5 ]
+    [ 4; 5 ];
+  (* The deadlock predicate's per-discrete-state memo is shared by every
+     shard: a network without deadlock and one with. *)
+  ignore
+    (same "train-gate-4 no-deadlock" (Ta.Train_gate.make ~n_trains:4)
+       Ta.Train_gate.no_deadlock);
+  let gen =
+    Gen.Ta_gen.build (Gen.Ta_gen.generate Gen.Rng.(child (make 15) 22))
+  in
+  let r = same "ta-gen 15/22 no-deadlock" gen Ta.Prop.NoDeadlock in
+  check "ta-gen 15/22 deadlocks" false r.Ta.Checker.holds
 
 (* The memory budget is summed over shard stores, each shard polling
    the totals at the last barrier plus its own growth: the truncation
@@ -549,14 +676,20 @@ let test_sharded_mem_budget_identity () =
 (* ------------------------------------------------------------------ *)
 
 (* Counters of jobs-less runs, pinned so that any change to the
-   exploration loop shows up as a diff here. [store_words] and [time_s]
-   are left out: they depend on the heap layout and the host. *)
-let check_counts name (s : Stats.t) ~visited ~stored ~subsumed ~dropped ~peak =
+   exploration loop or the store's walk shows up as a diff here: the
+   subsume store counts one lattice scan per inclusion decision, so a
+   pre-filter that skips scans must leave [lattice] as it is.
+   [store_words] and [time_s] are left out: they depend on the heap
+   layout and the host. *)
+let check_counts name (s : Stats.t) ~visited ~stored ~subsumed ~dropped ~peak
+    ~lattice ~phys =
   check_int (name ^ " visited") visited s.Stats.visited;
   check_int (name ^ " stored") stored s.Stats.stored;
   check_int (name ^ " subsumed") subsumed s.Stats.subsumed;
   check_int (name ^ " dropped") dropped s.Stats.dropped;
-  check_int (name ^ " peak frontier") peak s.Stats.peak_frontier
+  check_int (name ^ " peak frontier") peak s.Stats.peak_frontier;
+  check_int (name ^ " lattice scans") lattice s.Stats.dbm_lattice_cmp;
+  check_int (name ^ " phys hits") phys s.Stats.dbm_phys_eq
 
 let test_golden_fischer4 () =
   let net = Ta.Fischer.make ~n:4 () in
@@ -566,7 +699,7 @@ let test_golden_fischer4 () =
       check (name ^ " holds") true r.Ta.Checker.holds;
       check (name ^ " sequential") true (r.Ta.Checker.par = None);
       check_counts name r.Ta.Checker.stats ~visited:3077 ~stored:3077
-        ~subsumed:4252 ~dropped:0 ~peak:297)
+        ~subsumed:4252 ~dropped:0 ~peak:297 ~lattice:62655 ~phys:3480)
     [ ("mutex", Ta.Fischer.mutex net); ("no-deadlock", Ta.Fischer.no_deadlock) ]
 
 let test_golden_broken_fischer3 () =
@@ -574,7 +707,7 @@ let test_golden_broken_fischer3 () =
   let r = Ta.Checker.check net (Ta.Fischer.mutex net) in
   check "mutex violated" false r.Ta.Checker.holds;
   check_counts "broken fischer-3" r.Ta.Checker.stats ~visited:86 ~stored:128
-    ~subsumed:61 ~dropped:3 ~peak:46;
+    ~subsumed:61 ~dropped:3 ~peak:46 ~lattice:199 ~phys:28;
   Alcotest.(check (option (list string)))
     "witness"
     (Some
@@ -588,16 +721,41 @@ let test_golden_broken_fischer3 () =
    committed gate location and urgent [go] channels. *)
 let test_golden_train_gate4 () =
   let net = Ta.Train_gate.make ~n_trains:4 in
-  let run name q ~visited ~stored ~subsumed ~dropped ~peak =
+  let run name q ~visited ~stored ~subsumed ~dropped ~peak ~lattice ~phys =
     let r = Ta.Checker.check net q in
     check (name ^ " holds") true r.Ta.Checker.holds;
     check_counts name r.Ta.Checker.stats ~visited ~stored ~subsumed ~dropped
-      ~peak
+      ~peak ~lattice ~phys
   in
   run "safety (LU)" (Ta.Train_gate.safety net) ~visited:2593 ~stored:2209
-    ~subsumed:2320 ~dropped:384 ~peak:410;
+    ~subsumed:2320 ~dropped:384 ~peak:410 ~lattice:25752 ~phys:468;
   run "no-deadlock (Extra-M)" Ta.Train_gate.no_deadlock ~visited:3745
-    ~stored:3697 ~subsumed:2584 ~dropped:48 ~peak:438
+    ~stored:3697 ~subsumed:2584 ~dropped:48 ~peak:438 ~lattice:47646 ~phys:396
+
+(* The four queries of perfbench's zone-seq workload, sequential: the
+   counts a store or deadlock-predicate speed-up must keep. *)
+let test_golden_zone_seq () =
+  let f5 = Ta.Fischer.make ~n:5 () and tg5 = Ta.Train_gate.make ~n_trains:5 in
+  let run name net q ~visited ~stored ~subsumed ~dropped ~peak ~lattice ~phys =
+    let r = Ta.Checker.check net q in
+    check (name ^ " holds") true r.Ta.Checker.holds;
+    check_counts name r.Ta.Checker.stats ~visited ~stored ~subsumed ~dropped
+      ~peak ~lattice ~phys
+  in
+  List.iter
+    (fun (name, q) ->
+      run name f5 q ~visited:46361 ~stored:46361 ~subsumed:84825 ~dropped:0
+        ~peak:4165 ~lattice:6218493 ~phys:73220)
+    [
+      ("fischer-5 mutex", Ta.Fischer.mutex f5);
+      ("fischer-5 deadlock-free", Ta.Fischer.no_deadlock);
+    ];
+  run "train-gate-5 safety" tg5 (Ta.Train_gate.safety tg5) ~visited:36076
+    ~stored:27336 ~subsumed:42905 ~dropped:8740 ~peak:5430 ~lattice:1772950
+    ~phys:6500;
+  run "train-gate-5 no-deadlock" tg5 Ta.Train_gate.no_deadlock ~visited:77656
+    ~stored:76576 ~subsumed:60785 ~dropped:1080 ~peak:7080 ~lattice:5564190
+    ~phys:9140
 
 let test_golden_train_gate2_witness () =
   let net = Ta.Train_gate.make ~n_trains:2 in
@@ -674,6 +832,7 @@ let () =
           Alcotest.test_case "subsume" `Quick test_subsume_store;
           Alcotest.test_case "best-cost" `Quick test_best_cost_store;
           Alcotest.test_case "size hint" `Quick test_store_size_hint;
+          QCheck_alcotest.to_alcotest prop_subsume_matches_reference;
         ] );
       ( "core",
         [
@@ -703,6 +862,7 @@ let () =
             test_golden_broken_fischer3;
           Alcotest.test_case "train-gate-4 safety and no-deadlock" `Quick
             test_golden_train_gate4;
+          Alcotest.test_case "zone-seq queries" `Slow test_golden_zone_seq;
           Alcotest.test_case "train-gate-2 channel witness" `Quick
             test_golden_train_gate2_witness;
           Alcotest.test_case "stop hook truncation" `Quick test_golden_stop;

@@ -909,12 +909,24 @@ let test_deadlocked_matches_reference () =
   in
   List.iter
     (fun (name, net) ->
-      List.iter
-        (fun st ->
-          check (name ^ " deadlocked")
-            (Reference.deadlocked net st)
-            (Checker.deadlocked net st))
-        (Checker.reachable_states ~extrapolation:`K net))
+      (* [reachable_states ~extrapolation:`K] explores under the Extra-M
+         bounds and in the BFS order of a no-deadlock check. *)
+      let states = Checker.reachable_states ~extrapolation:`K net in
+      let want = List.map (Reference.deadlocked net) states in
+      List.iter2
+        (fun st want ->
+          check (name ^ " deadlocked") want (Checker.deadlocked net st))
+        states want;
+      (* The check walks escapes memoised per discrete state: it must
+         stop exactly at the first state the reference finds
+         deadlocked. *)
+      let r = Checker.check net Prop.NoDeadlock in
+      match List.find_index Fun.id want with
+      | None -> check (name ^ " no-deadlock holds") true r.Checker.holds
+      | Some i ->
+        check (name ^ " no-deadlock fails") false r.Checker.holds;
+        check_int (name ^ " visited up to the first deadlock") (i + 1)
+          r.Checker.stats.Checker.visited)
     nets
 
 (* ------------------------------------------------------------------ *)

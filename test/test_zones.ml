@@ -175,10 +175,18 @@ let prop_intersect_sound =
            (fun v -> if in_both v then Dbm.satisfies inter v else true)
            (samples_of rng a 10 @ samples_of rng b 10))
 
+let sig_le ~clocks a b =
+  Dbm.sig_le ~guards:(Dbm.sig_guards ~clocks) (Dbm.signature a)
+    (Dbm.signature b)
+
+(* The row-0 signature is a necessary condition for inclusion: a subset
+   pair (the empty zone included) always passes its test. *)
 let prop_subset_vs_subtract =
   QCheck.Test.make ~name:"subset agrees with empty subtraction" ~count:300
-    dbm_pair_arb (fun (_, a, b) ->
-      Dbm.subset a b = Fed.is_empty (Fed.subtract_dbm a b))
+    dbm_pair_arb (fun (n, a, b) ->
+      Dbm.subset a b = Fed.is_empty (Fed.subtract_dbm a b)
+      && ((not (Dbm.subset a b)) || sig_le ~clocks:n a b)
+      && sig_le ~clocks:n (Dbm.empty ~clocks:n) b)
 
 let prop_subtract_exact =
   QCheck.Test.make ~name:"subtraction exact on samples" ~count:300 dbm_pair_arb
@@ -376,6 +384,48 @@ let prop_lu_simulates_k_verdict =
       | (Gen.Oracle.Agree | Gen.Oracle.Skip _),
         (Gen.Oracle.Agree | Gen.Oracle.Skip _) -> true)
 
+(* [x1 ≻ c] over [clocks] clocks, every other clock unconstrained. *)
+let lower_bound ~clocks b = Dbm.constrain (Dbm.universal ~clocks) 0 1 b
+
+let test_signature () =
+  (* 20 clocks leave 2-bit fields: x1 >= 0, > 0, >= 1 sign 3, 2, 1, and
+     x1 > 1 is the saturation point, 0 like every tighter bound. *)
+  let clocks = 20 in
+  let field z = Dbm.signature z land 0b11 in
+  let ge c = lower_bound ~clocks (Bound.le (-c)) in
+  let gt c = lower_bound ~clocks (Bound.lt (-c)) in
+  check_int "no lower bound is the top" 3 (field (Dbm.universal ~clocks));
+  check_int "x1 > 0" 2 (field (gt 0));
+  check_int "x1 >= 1" 1 (field (ge 1));
+  check_int "x1 > 1 saturates" 0 (field (gt 1));
+  check_int "x1 >= 2 stays saturated" 0 (field (ge 2));
+  check "beyond saturation still passes the inclusion it needs" true
+    (Dbm.subset (ge 2) (gt 1) && sig_le ~clocks (ge 2) (gt 1));
+  check "saturated bounds no longer tell apart" true
+    (sig_le ~clocks (gt 1) (ge 2) && not (Dbm.subset (gt 1) (ge 2)));
+  check "below saturation rejects" false (sig_le ~clocks (ge 1) (gt 1));
+  check_int "the empty zone signs as 0" 0 (Dbm.signature (Dbm.empty ~clocks));
+  (* 31 clocks is the most with 1-bit fields; from 32 on there is no
+     field left and the test always passes. *)
+  let a = Dbm.universal ~clocks:31 and b = lower_bound ~clocks:31 (Bound.lt 0) in
+  check "31 clocks: 1-bit fields reject" false (sig_le ~clocks:31 a b);
+  check "31 clocks: and accept" true (sig_le ~clocks:31 b a);
+  let a = Dbm.universal ~clocks:32 and b = lower_bound ~clocks:32 (Bound.lt 0) in
+  check_int "32 clocks: no fields" 0 (Dbm.signature a);
+  check_int "32 clocks: no guards" 0 (Dbm.sig_guards ~clocks:32);
+  check "32 clocks: the test always passes" true
+    (sig_le ~clocks:32 a b && not (Dbm.subset a b));
+  (* A pair that differs only in row 0: x1 in [1, 5] against [2, 5]. *)
+  let upto5 = Dbm.constrain (Dbm.universal ~clocks:2) 1 0 (Bound.le 5) in
+  let from1 = Dbm.constrain upto5 0 1 (Bound.le (-1)) in
+  let from2 = Dbm.constrain upto5 0 1 (Bound.le (-2)) in
+  let a1 = Dbm.to_array from1 and a2 = Dbm.to_array from2 in
+  let differ = List.filter (fun k -> a1.(k) <> a2.(k)) (List.init 9 Fun.id) in
+  Alcotest.(check (list int)) "only x1's lower bound differs" [ 1 ] differ;
+  check "row-0 difference rejected" false (sig_le ~clocks:2 from1 from2);
+  check "the inclusion it mirrors passes" true
+    (Dbm.subset from2 from1 && sig_le ~clocks:2 from2 from1)
+
 (* Mutation coverage: the injectable DBM faults must be visible to the
    invariants this suite checks, otherwise the properties are too weak
    to defend them. *)
@@ -501,6 +551,7 @@ let () =
           Alcotest.test_case "extrapolate" `Quick test_extrapolate_widen;
           Alcotest.test_case "seal boundary" `Quick test_seal_boundary;
           Alcotest.test_case "pretty-print" `Quick test_pp;
+          Alcotest.test_case "row-0 signature" `Quick test_signature;
           Alcotest.test_case "fault injection observable" `Quick
             test_fault_injection_observable;
         ] );
