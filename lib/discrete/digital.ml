@@ -5,11 +5,9 @@ module Bound = Zones.Bound
 
 type dstate = { dlocs : int array; dstore : int array; dclocks : int array }
 
-type dtrans = {
-  kind : [ `Delay | `Act of Zone_graph.move ];
-  target : dstate;
-  tr_ctrl : bool;
-}
+type kind = [ `Delay | `Act of Zone_graph.move ]
+
+type dtrans = { kind : kind; target : dstate; tr_ctrl : bool }
 
 (* Digital clocks are exact only for closed (non-strict), diagonal-free
    constraints: saturation keeps single-clock comparisons truthful but
@@ -35,8 +33,7 @@ let is_closed (net : Model.network) =
     net.automata;
   !ok
 
-let sat_constr ks v (c : Model.constr) =
-  ignore ks;
+let sat v (c : Model.constr) =
   if Bound.is_inf c.cb then true
   else begin
     let d = v.(c.ci) - v.(c.cj) in
@@ -44,86 +41,130 @@ let sat_constr ks v (c : Model.constr) =
     if Bound.is_strict c.cb then d < m else d <= m
   end
 
-let sat_all ks v cs = List.for_all (sat_constr ks v) cs
+let sat_constr _ks v c = sat v c
+
+(* Direct recursions, not [List.for_all] over a partial application:
+   these checks run for every generated edge and allocate nothing. *)
+let rec sat_all v = function
+  | [] -> true
+  | c :: cs -> sat v c && sat_all v cs
+
+(* Every current location's invariant holds on [v], clause by clause,
+   from automaton [i] on. *)
+let rec invariant_ok (net : Model.network) locs v i =
+  i = Array.length locs
+  || sat_all v net.automata.(i).locations.(locs.(i)).invariant
+     && invariant_ok net locs v (i + 1)
+
+let rec guards_ok v = function
+  | [] -> true
+  | (_, (e : Model.edge)) :: ps -> sat_all v e.clock_guard && guards_ok v ps
 
 let initial (net : Model.network) =
   if not (is_closed net) then
     invalid_arg
       "Digital: model must be closed and diagonal-free for digital-clock \
        analysis";
-  {
-    dlocs = Array.map (fun (a : Model.automaton) -> a.initial) net.automata;
-    dstore = Ta.Store.initial net.layout;
-    dclocks = Array.make (net.n_clocks + 1) 0;
-  }
+  let st =
+    {
+      dlocs = Array.map (fun (a : Model.automaton) -> a.initial) net.automata;
+      dstore = Ta.Store.initial net.layout;
+      dclocks = Array.make (net.n_clocks + 1) 0;
+    }
+  in
+  if not (invariant_ok net st.dlocs st.dclocks 0) then
+    invalid_arg "Digital.initial: initial state violates invariants";
+  st
 
-let invariant_ok net st =
-  sat_all net.Model.max_consts st.dclocks
-    (Zone_graph.invariant_constrs net st.dlocs)
-
+(* One time unit: every unsaturated clock advances. With every clock
+   saturated the delay is a self-loop and the target is [st] itself. *)
 let delay_successor net st =
   if not (Zone_graph.delay_allowed net st.dlocs st.dstore) then None
   else begin
     let ks = net.Model.max_consts in
-    let v' =
-      Array.mapi
-        (fun i x -> if i = 0 then 0 else min (x + 1) (ks.(i) + 1))
-        st.dclocks
+    let v = st.dclocks in
+    let rec saturated i =
+      i = Array.length v || (v.(i) > ks.(i) && saturated (i + 1))
     in
-    let st' = { st with dclocks = v' } in
-    if invariant_ok net st' then Some st' else None
+    let st' =
+      if saturated 1 then st
+      else
+        let tick i x = if i = 0 then 0 else min (x + 1) (ks.(i) + 1) in
+        { st with dclocks = Array.mapi tick v }
+    in
+    if invariant_ok net st'.dlocs st'.dclocks 0 then Some st' else None
   end
 
+(* Copy on write: [cur], while still [orig], becomes a copy of it. *)
+let own cur orig = if !cur == orig then cur := Array.copy orig
+
+(* The move's target: locations always copied, store and clocks shared
+   with [st] until an update actually changes a cell. *)
 let act_successor net st (mv : Zone_graph.move) =
   let ks = net.Model.max_consts in
-  let guards_ok =
-    List.for_all
-      (fun (_, (e : Model.edge)) -> sat_all ks st.dclocks e.clock_guard)
-      mv.participants
-  in
-  if not guards_ok then None
+  if not (guards_ok st.dclocks mv.participants) then None
   else begin
     let locs' = Array.copy st.dlocs in
-    let store' = Array.copy st.dstore in
-    let clocks' = Array.copy st.dclocks in
+    let store' = ref st.dstore and clocks' = ref st.dclocks in
     List.iter
       (fun (i, (e : Model.edge)) ->
         locs'.(i) <- e.dst;
         List.iter
           (function
             | Model.Assign (lv, rhs) ->
-              let value = Expr.eval store' rhs in
-              store'.(Expr.lvalue_offset store' lv) <- value
-            | Model.Reset (x, value) -> clocks'.(x) <- min value (ks.(x) + 1)
-            | Model.Prim (_, f) -> f store')
+              let value = Expr.eval !store' rhs in
+              let off = Expr.lvalue_offset !store' lv in
+              if !store'.(off) <> value then begin
+                own store' st.dstore;
+                !store'.(off) <- value
+              end
+            | Model.Reset (x, value) ->
+              let value = min value (ks.(x) + 1) in
+              if !clocks'.(x) <> value then begin
+                own clocks' st.dclocks;
+                !clocks'.(x) <- value
+              end
+            | Model.Prim (_, f) ->
+              own store' st.dstore;
+              f !store')
           e.updates)
       mv.participants;
-    let st' = { dlocs = locs'; dstore = store'; dclocks = clocks' } in
-    if invariant_ok net st' then Some st' else None
+    if invariant_ok net locs' !clocks' 0 then
+      Some { dlocs = locs'; dstore = !store'; dclocks = !clocks' }
+    else None
   end
 
 let move_ctrl (mv : Zone_graph.move) =
   List.for_all (fun (_, (e : Model.edge)) -> e.Model.ctrl) mv.participants
 
-let successors net st =
+let kind_ctrl = function `Delay -> true | `Act mv -> move_ctrl mv
+
+(* The unit delay (when allowed), then the enabled moves in
+   [Zone_graph.moves] order, each with its target. *)
+let labelled net st : (kind * dstate) list =
   let acts =
     List.filter_map
       (fun mv ->
         match act_successor net st mv with
-        | Some st' ->
-          Some { kind = `Act mv; target = st'; tr_ctrl = move_ctrl mv }
+        | Some st' -> Some (`Act mv, st')
         | None -> None)
       (Zone_graph.moves net st.dlocs st.dstore)
   in
   match delay_successor net st with
-  | Some st' -> { kind = `Delay; target = st'; tr_ctrl = true } :: acts
+  | Some st' -> (`Delay, st') :: acts
   | None -> acts
+
+let successors net st =
+  List.map
+    (fun (kind, target) -> { kind; target; tr_ctrl = kind_ctrl kind })
+    (labelled net st)
 
 type graph = {
   states : dstate array;
-  index : int Engine.Codec.Tbl.t;
-  pack : dstate -> Engine.Codec.packed;
-  transitions : dtrans list array;
+  offsets : int array;
+  targets : int array;
+  kinds : kind array;
+  ctrls : bool array;
 }
 
 (* Packed-codec layout: locations bit-packed per automaton, one word
@@ -165,31 +206,44 @@ let codec (net : Model.network) =
   in
   (spec, pack)
 
-let id_of g st = Engine.Codec.Tbl.find g.index (g.pack st)
-
 let explore_stats ?(max_states = 2_000_000) ?jobs ?pool net =
   let _spec, pack = codec net in
-  let succ st = List.map (fun t -> (t, t.target)) (successors net st) in
   (* With [jobs] the graph is the same for every [j >= 1], numbered
      canonically over the shards; [jobs:None] numbers it in one-shard
-     BFS order. *)
+     BFS order. Either way the initial state is id 0. *)
   let out =
     Engine.Core.with_jobs jobs pool @@ fun ~shards ~size_hint pool ->
     Engine.Core.run_sharded ~max_states ~record_edges:true ~shards ?pool
       ~store:(fun () -> Engine.Store.discrete_keyed ~size_hint ())
-      ~key:pack ~successors:succ
+      ~key:pack ~successors:(labelled net)
       ~on_state:(fun _ -> None)
       ~init:(initial net) ()
   in
   if out.Engine.Core.stats.Engine.Stats.truncated then
     failwith "Digital.explore: state limit exceeded";
-  let states = out.Engine.Core.states in
-  let index = Engine.Codec.Tbl.create (2 * Array.length states) in
-  Array.iteri (fun id st -> Engine.Codec.Tbl.replace index (pack st) id) states;
   (* Every successor is either [Added] or a [Dup] under a discrete store,
-     so the recorded edges are exactly the generated transition lists. *)
-  let transitions = Array.map (List.map fst) out.Engine.Core.edges in
-  ({ states; index; pack; transitions }, out.Engine.Core.stats)
+     so the recorded edges are exactly the generated transition lists,
+     their targets already resolved to ids. *)
+  let edges = out.Engine.Core.edges in
+  let n = Array.length edges in
+  let offsets = Array.make (n + 1) 0 in
+  Array.iteri (fun i l -> offsets.(i + 1) <- offsets.(i) + List.length l) edges;
+  let m = offsets.(n) in
+  let targets = Array.make m 0 in
+  let kinds = Array.make m `Delay in
+  let ctrls = Array.make m true in
+  Array.iteri
+    (fun i l ->
+      List.iteri
+        (fun j (kind, tid) ->
+          let e = offsets.(i) + j in
+          targets.(e) <- tid;
+          kinds.(e) <- kind;
+          ctrls.(e) <- kind_ctrl kind)
+        l)
+    edges;
+  ( { states = out.Engine.Core.states; offsets; targets; kinds; ctrls },
+    out.Engine.Core.stats )
 
 let explore ?max_states ?jobs ?pool net =
   fst (explore_stats ?max_states ?jobs ?pool net)

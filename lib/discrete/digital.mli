@@ -16,11 +16,14 @@ type dstate = {
   dclocks : int array; (* saturated at ks.(i) + 1 *)
 }
 
-(** A labelled transition out of a digital state. [Delay] is one time
-    unit; [Act] carries the move's label, participants, and whether every
-    participating edge is controllable ([ctrl]). *)
+(** What a transition does: [`Delay] is one time unit, [`Act] carries
+    the move (its label and participants). *)
+type kind = [ `Delay | `Act of Ta.Zone_graph.move ]
+
+(** A labelled transition out of a digital state, with whether every
+    participating edge is controllable ([tr_ctrl]). *)
 type dtrans = {
-  kind : [ `Delay | `Act of Ta.Zone_graph.move ];
+  kind : kind;
   target : dstate;
   tr_ctrl : bool; (* Delay transitions report true *)
 }
@@ -30,26 +33,32 @@ type dtrans = {
 val is_closed : Ta.Model.network -> bool
 
 (** [initial net] is the all-zero digital state.
-    @raise Invalid_argument when [net] is not closed. *)
+    @raise Invalid_argument when [net] is not closed, or when the
+    all-zero valuation violates an initial location's invariant. *)
 val initial : Ta.Model.network -> dstate
 
 (** [successors net st] lists the unit-delay transition (when permitted by
-    invariants, urgency and committedness) and all enabled action
-    transitions. *)
+    invariants, urgency and committedness) and then all enabled action
+    transitions, in {!Ta.Zone_graph.moves} order. A target shares [st]'s
+    store and clock arrays when the transition leaves them unchanged, and
+    a delay with every clock saturated targets [st] itself; no state's
+    arrays are ever mutated. *)
 val successors : Ta.Model.network -> dstate -> dtrans list
 
 (** [sat_constr ks v c] evaluates a clock constraint on a saturated
     integer valuation. *)
 val sat_constr : int array -> int array -> Ta.Model.constr -> bool
 
-(** Explicit finite graph over reachable digital states. States are
-    indexed by their packed {!Engine.Codec} encoding; use {!id_of} for
-    lookups. *)
+(** Explicit finite graph over reachable digital states, ids [0 .. n-1]
+    with id 0 the initial state. Edges name their targets by id and live
+    in flat arrays indexed by edge: state [i]'s edges are
+    [offsets.(i) .. offsets.(i + 1) - 1], in {!successors} order. *)
 type graph = {
-  states : dstate array;
-  index : int Engine.Codec.Tbl.t;
-  pack : dstate -> Engine.Codec.packed;
-  transitions : dtrans list array; (* by source state id *)
+  states : dstate array;  (** by id; [states.(0)] is {!initial} *)
+  offsets : int array;  (** length [n + 1]; [offsets.(n)] edges in all *)
+  targets : int array;  (** target state id *)
+  kinds : kind array;
+  ctrls : bool array;  (** every participant controllable; delays [true] *)
 }
 
 (** [codec net] is the packed codec of [net]'s digital states (locations
@@ -59,19 +68,17 @@ val codec :
   Ta.Model.network ->
   Engine.Codec.spec * (dstate -> Engine.Codec.packed)
 
-(** [id_of g st] is the node id of [st] in [g].
-    @raise Not_found when [st] is not a state of [g]. *)
-val id_of : graph -> dstate -> int
-
 (** [explore net] builds the reachable graph, breadth-first on the shared
-    {!Engine.Core} with a {!Engine.Store.discrete_keyed} store. With
-    [jobs] the build is spread over the engine's shards
-    ({!Engine.Core.with_jobs}, optionally over a caller-owned [pool]):
-    the same graph is produced for every [jobs >= 1] — node numbering is
-    the canonical sharded one, so it may differ from the sequential BFS
-    numbering of a [jobs]-less build (graph consumers rebuild indices
-    from the state array, so both numberings are valid).
-    @raise Failure when [max_states] (default 2_000_000) is exceeded. *)
+    {!Engine.Core} with a {!Engine.Store.discrete_keyed} store. Edge
+    targets are the ids the engine assigned while deduplicating, so no
+    state is packed or looked up again afterwards. With [jobs] the build
+    is spread over the engine's shards ({!Engine.Core.with_jobs},
+    optionally over a caller-owned [pool]): the same graph is produced
+    for every [jobs >= 1] — node numbering is the engine's canonical
+    sharded one, so it may differ from the sequential BFS numbering of a
+    [jobs]-less build. Under both numberings the initial state is id 0.
+    @raise Failure when [max_states] (default 2_000_000) is exceeded.
+    @raise Invalid_argument as {!initial} does. *)
 val explore :
   ?max_states:int -> ?jobs:int -> ?pool:Par.Pool.t -> Ta.Model.network -> graph
 

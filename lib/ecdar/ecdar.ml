@@ -24,21 +24,17 @@ let make net ~inputs ~outputs =
   (* Every move must carry an observable channel. *)
   let graph = Digital.explore net in
   Array.iter
-    (fun ts ->
-      List.iter
-        (fun (tr : Digital.dtrans) ->
-          match tr.Digital.kind with
-          | `Delay -> ()
-          | `Act mv -> (
-              match move_channel mv with
-              | Some c when List.mem c inputs || List.mem c outputs -> ()
-              | Some c ->
-                invalid_arg
-                  (Printf.sprintf "Ecdar.make: channel %s not in the alphabet" c)
-              | None ->
-                invalid_arg "Ecdar.make: unobservable (tau) moves unsupported"))
-        ts)
-    graph.Digital.transitions;
+    (function
+      | `Delay -> ()
+      | `Act mv -> (
+          match move_channel mv with
+          | Some c when List.mem c inputs || List.mem c outputs -> ()
+          | Some c ->
+            invalid_arg
+              (Printf.sprintf "Ecdar.make: channel %s not in the alphabet" c)
+          | None ->
+            invalid_arg "Ecdar.make: unobservable (tau) moves unsupported"))
+    graph.Digital.kinds;
   t
 
 (* Per-state successor map: delay successor and (channel -> targets). *)
@@ -50,25 +46,22 @@ type view = {
 
 let view_of spec =
   let graph = Digital.explore spec.net in
-  let id_of st = Digital.id_of graph st in
   let n = Array.length graph.Digital.states in
   let delay = Array.make n None in
   let by_chan = Array.init n (fun _ -> Hashtbl.create 4) in
-  Array.iteri
-    (fun i ts ->
-      List.iter
-        (fun (tr : Digital.dtrans) ->
-          let tid = id_of tr.Digital.target in
-          match tr.Digital.kind with
-          | `Delay -> delay.(i) <- Some tid
-          | `Act mv -> (
-              match move_channel mv with
-              | Some c ->
-                let old = try Hashtbl.find by_chan.(i) c with Not_found -> [] in
-                Hashtbl.replace by_chan.(i) c (tid :: old)
-              | None -> ()))
-        ts)
-    graph.Digital.transitions;
+  for i = 0 to n - 1 do
+    for e = graph.Digital.offsets.(i) to graph.Digital.offsets.(i + 1) - 1 do
+      let tid = graph.Digital.targets.(e) in
+      match graph.Digital.kinds.(e) with
+      | `Delay -> delay.(i) <- Some tid
+      | `Act mv -> (
+          match move_channel mv with
+          | Some c ->
+            let old = try Hashtbl.find by_chan.(i) c with Not_found -> [] in
+            Hashtbl.replace by_chan.(i) c (tid :: old)
+          | None -> ())
+    done
+  done;
   { n; delay; by_chan }
 
 type refinement_result = {

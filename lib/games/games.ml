@@ -17,59 +17,98 @@ type solution = {
   initial_winning : bool;
 }
 
-(* Per-state transition split: uncontrollable moves, controllable action
-   moves, and the unit-delay transition (controller-owned wait). *)
-type split = {
-  u : (int * Digital.dtrans) list; (* target id, transition *)
-  c : (int * Digital.dtrans) list; (* action moves only *)
-  delay : (int * Digital.dtrans) option;
-}
+(* Edge classes of the game: uncontrollable actions, controllable
+   actions, and the unit delay (the controller's wait). *)
+let env = 0
+and ctrl = 1
+and wait = 2
 
-let split_transitions graph =
-  let id_of st = Digital.id_of graph st in
-  Array.map
-    (fun ts ->
-      List.fold_left
-        (fun acc t ->
-          let tid = id_of t.Digital.target in
-          match t.Digital.kind with
-          | `Delay -> { acc with delay = Some (tid, t) }
-          | `Act _ ->
-            if t.Digital.tr_ctrl then { acc with c = (tid, t) :: acc.c }
-            else { acc with u = (tid, t) :: acc.u })
-        { u = []; c = []; delay = None }
-        ts)
-    graph.Digital.transitions
+let classes (g : Digital.graph) =
+  Array.init (Array.length g.targets) (fun e ->
+      match g.kinds.(e) with
+      | `Delay -> wait
+      | `Act _ -> if g.ctrls.(e) then ctrl else env)
 
-let action_of (t : Digital.dtrans) : action =
-  match t.Digital.kind with `Delay -> `Delay | `Act mv -> `Move mv
+(* Source state of every edge. *)
+let sources (g : Digital.graph) =
+  let src = Array.make (Array.length g.targets) 0 in
+  for i = 0 to Array.length g.states - 1 do
+    Array.fill src g.offsets.(i) (g.offsets.(i + 1) - g.offsets.(i)) i
+  done;
+  src
+
+(* Per-state count of the edges of class [k]. *)
+let out_count (g : Digital.graph) cls k =
+  Array.init (Array.length g.states) (fun i ->
+      let c = ref 0 in
+      for e = g.offsets.(i) to g.offsets.(i + 1) - 1 do
+        if cls.(e) = k then incr c
+      done;
+      !c)
+
+(* The edges of class [k] into each state, in CSR form: the edges into
+   [t] are [edge.(first.(t)) .. edge.(first.(t + 1) - 1)], by descending
+   source id and, within a source, in edge order. *)
+type preds = { first : int array; edge : int array }
+
+let preds (g : Digital.graph) cls k =
+  let n = Array.length g.states in
+  let first = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun e t -> if cls.(e) = k then first.(t + 1) <- first.(t + 1) + 1)
+    g.targets;
+  for t = 1 to n do
+    first.(t) <- first.(t) + first.(t - 1)
+  done;
+  let next = Array.sub first 0 n in
+  let edge = Array.make first.(n) 0 in
+  for i = n - 1 downto 0 do
+    for e = g.offsets.(i) to g.offsets.(i + 1) - 1 do
+      if cls.(e) = k then begin
+        let t = g.targets.(e) in
+        edge.(next.(t)) <- e;
+        next.(t) <- next.(t) + 1
+      end
+    done
+  done;
+  { first; edge }
+
+let iter_preds p t f =
+  for k = p.first.(t) to p.first.(t + 1) - 1 do
+    f p.edge.(k)
+  done
+
+(* The strategy table of a per-state chosen edge ([-1]: no choice). *)
+let strategy_of (g : Digital.graph) choice =
+  let strategy = Hashtbl.create 1024 in
+  Array.iteri
+    (fun i e ->
+      if e >= 0 then
+        Hashtbl.replace strategy i
+          (match g.kinds.(e) with `Delay -> `Delay | `Act mv -> `Move mv))
+    choice;
+  strategy
 
 (* Reachability: least fixpoint (attractor). A state wins when it is a
    target, or every uncontrollable move stays winning AND either the
    controller owns a winning move (action or delay) or the environment is
-   forced (no delay possible, some u-move, all winning). *)
-let solve_reach graph target =
-  let n = Array.length graph.Digital.states in
-  let split = split_transitions graph in
-  let preds_u = Array.make n [] and preds_c = Array.make n [] in
-  let preds_d = Array.make n [] in
-  Array.iteri
-    (fun i s ->
-      List.iter (fun (tid, _) -> preds_u.(tid) <- i :: preds_u.(tid)) s.u;
-      List.iter (fun (tid, t) -> preds_c.(tid) <- (i, t) :: preds_c.(tid)) s.c;
-      match s.delay with
-      | Some (tid, t) -> preds_d.(tid) <- (i, t) :: preds_d.(tid)
-      | None -> ())
-    split;
+   forced (no delay possible, some u-move, all winning). Predecessors
+   are met in descending source id, controllable actions before the
+   delay, so the first choice recorded per state is the strategy. *)
+let solve_reach (g : Digital.graph) target =
+  let n = Array.length g.states in
+  let cls = classes g and src = sources g in
+  let n_env = out_count g cls env and n_wait = out_count g cls wait in
+  let preds_env = preds g cls env and preds_ctrl = preds g cls ctrl in
+  let preds_wait = preds g cls wait in
   let winning = Array.make n false in
-  let u_pending = Array.map (fun s -> List.length s.u) split in
-  let ctrl_choice : (int, action) Hashtbl.t = Hashtbl.create 1024 in
+  let u_pending = Array.copy n_env in
+  let choice = Array.make n (-1) in
   let queue = Queue.create () in
   let try_win i =
     if not winning.(i) then begin
-      let s = split.(i) in
-      let env_forced = s.delay = None && s.u <> [] && u_pending.(i) = 0 in
-      if u_pending.(i) = 0 && (Hashtbl.mem ctrl_choice i || env_forced) then begin
+      let env_forced = n_wait.(i) = 0 && n_env.(i) > 0 in
+      if u_pending.(i) = 0 && (choice.(i) >= 0 || env_forced) then begin
         winning.(i) <- true;
         Queue.push i queue
       end
@@ -81,43 +120,35 @@ let solve_reach graph target =
         winning.(i) <- true;
         Queue.push i queue
       end)
-    graph.Digital.states;
+    g.states;
+  let choose e =
+    let p = src.(e) in
+    if choice.(p) < 0 then choice.(p) <- e;
+    try_win p
+  in
   while not (Queue.is_empty queue) do
     let t = Queue.pop queue in
-    List.iter
-      (fun p ->
+    iter_preds preds_env t (fun e ->
+        let p = src.(e) in
         u_pending.(p) <- u_pending.(p) - 1;
-        try_win p)
-      preds_u.(t);
-    List.iter
-      (fun (p, tr) ->
-        if not (Hashtbl.mem ctrl_choice p) then
-          Hashtbl.replace ctrl_choice p (action_of tr);
-        try_win p)
-      (preds_c.(t) @ preds_d.(t))
+        try_win p);
+    iter_preds preds_ctrl t choose;
+    iter_preds preds_wait t choose
   done;
-  (winning, ctrl_choice)
+  (winning, strategy_of g choice)
 
 (* Safety: greatest fixpoint. Keep a state while it is safe, no
    uncontrollable move leaves the kept set, and the controller can stand
    still (no delay, or delay kept) or act within the kept set. *)
-let solve_safety graph safe =
-  let n = Array.length graph.Digital.states in
-  let split = split_transitions graph in
-  let preds_u = Array.make n [] and preds_c = Array.make n [] in
-  let preds_d = Array.make n [] in
-  Array.iteri
-    (fun i s ->
-      List.iter (fun (tid, _) -> preds_u.(tid) <- i :: preds_u.(tid)) s.u;
-      List.iter (fun (tid, _) -> preds_c.(tid) <- i :: preds_c.(tid)) s.c;
-      match s.delay with
-      | Some (tid, _) -> preds_d.(tid) <- i :: preds_d.(tid)
-      | None -> ())
-    split;
+let solve_safety (g : Digital.graph) safe =
+  let n = Array.length g.states in
+  let cls = classes g and src = sources g in
+  let c_alive = out_count g cls ctrl in
+  let has_delay = Array.map (fun c -> c > 0) (out_count g cls wait) in
+  let delay_alive = Array.copy has_delay in
+  let preds_env = preds g cls env and preds_ctrl = preds g cls ctrl in
+  let preds_wait = preds g cls wait in
   let kept = Array.make n true in
-  let c_alive = Array.map (fun s -> List.length s.c) split in
-  let delay_alive = Array.map (fun s -> s.delay <> None) split in
-  let has_delay = Array.map (fun s -> s.delay <> None) split in
   let queue = Queue.create () in
   let ok i =
     (* wait is fine when time cannot pass, or the delay successor kept *)
@@ -130,44 +161,40 @@ let solve_safety graph safe =
       Queue.push i queue
     end
   in
-  Array.iteri
-    (fun i st -> if not (safe st) then drop i)
-    graph.Digital.states;
+  Array.iteri (fun i st -> if not (safe st) then drop i) g.states;
   for i = 0 to n - 1 do
     if kept.(i) && not (ok i) then drop i
   done;
   while not (Queue.is_empty queue) do
     let t = Queue.pop queue in
-    List.iter drop preds_u.(t);
-    List.iter
-      (fun p ->
+    iter_preds preds_env t (fun e -> drop src.(e));
+    iter_preds preds_ctrl t (fun e ->
+        let p = src.(e) in
         c_alive.(p) <- c_alive.(p) - 1;
-        if kept.(p) && not (ok p) then drop p)
-      preds_c.(t);
-    List.iter
-      (fun p ->
+        if kept.(p) && not (ok p) then drop p);
+    iter_preds preds_wait t (fun e ->
+        let p = src.(e) in
         delay_alive.(p) <- false;
         if kept.(p) && not (ok p) then drop p)
-      preds_d.(t)
   done;
-  (* Strategy: any controllable action into the kept set, else delay when
-     kept, else nothing (wait in a timelock). *)
-  let strategy = Hashtbl.create 1024 in
-  Array.iteri
-    (fun i s ->
-      if kept.(i) then begin
-        match
-          List.find_opt (fun (tid, _) -> kept.(tid)) s.c
-        with
-        | Some (_, tr) -> Hashtbl.replace strategy i (action_of tr)
-        | None ->
-          (match s.delay with
-           | Some (tid, tr) when kept.(tid) ->
-             Hashtbl.replace strategy i (action_of tr)
-           | Some _ | None -> ())
-      end)
-    split;
-  (kept, strategy)
+  (* Strategy: the last controllable action (in edge order) into the
+     kept set, else the delay when kept, else nothing (wait in a
+     timelock). *)
+  let last_into i k =
+    let pick = ref (-1) in
+    for e = g.offsets.(i) to g.offsets.(i + 1) - 1 do
+      if cls.(e) = k && kept.(g.targets.(e)) then pick := e
+    done;
+    !pick
+  in
+  let choice =
+    Array.init n (fun i ->
+        if not kept.(i) then -1
+        else
+          let e = last_into i ctrl in
+          if e >= 0 then e else last_into i wait)
+  in
+  (kept, strategy_of g choice)
 
 let solve ?max_states net objective =
   let graph = Digital.explore ?max_states net in
@@ -176,8 +203,8 @@ let solve ?max_states net objective =
     | Reach target -> solve_reach graph target
     | Safety safe -> solve_safety graph safe
   in
-  let init_id = Digital.id_of graph (Digital.initial net) in
-  { graph; winning; strategy; initial_winning = winning.(init_id) }
+  (* The initial state is id 0. *)
+  { graph; winning; strategy; initial_winning = winning.(0) }
 
 let winning_count s =
   Array.fold_left (fun acc w -> if w then acc + 1 else acc) 0 s.winning
@@ -186,29 +213,28 @@ let winning_count s =
    choice, plus delay when the controller has no recorded choice (it
    waits). *)
 let closed_loop_succs s =
-  let graph = s.graph in
-  let id_of st = Digital.id_of graph st in
+  let g = s.graph in
   fun i ->
     let choice = Hashtbl.find_opt s.strategy i in
-    List.filter_map
-      (fun (t : Digital.dtrans) ->
-        let keep =
-          match t.Digital.kind, choice with
-          | `Delay, None -> true (* waiting lets time pass *)
-          | `Delay, Some `Delay -> true
-          | `Delay, Some (`Move _) -> false
-          | `Act _, _ when not t.Digital.tr_ctrl -> true
-          | `Act mv, Some (`Move mv') -> mv == mv'
-          | `Act _, _ -> false
-        in
-        if keep then Some (id_of t.Digital.target) else None)
-      graph.Digital.transitions.(i)
+    let succs = ref [] in
+    for e = g.Digital.offsets.(i + 1) - 1 downto g.Digital.offsets.(i) do
+      let keep =
+        match g.Digital.kinds.(e), choice with
+        | `Delay, None -> true (* waiting lets time pass *)
+        | `Delay, Some `Delay -> true
+        | `Delay, Some (`Move _) -> false
+        | `Act _, _ when not g.Digital.ctrls.(e) -> true
+        | `Act mv, Some (`Move mv') -> mv == mv'
+        | `Act _, _ -> false
+      in
+      if keep then succs := g.Digital.targets.(e) :: !succs
+    done;
+    !succs
 
 let closed_loop_safe s ~safe =
   let succs = closed_loop_succs s in
   let n = Array.length s.graph.Digital.states in
   let seen = Array.make n false in
-  (* The initial state is always id 0 (first state admitted by explore). *)
   let init_id = 0 in
   let queue = Queue.create () in
   seen.(init_id) <- true;

@@ -21,14 +21,24 @@ type action = [ `Delay | `Move of Ta.Zone_graph.move ]
 
 type solution = {
   graph : Digital.graph;
-  winning : bool array;  (** indexed by state id *)
+  winning : bool array;  (** indexed by state id of [graph] *)
   strategy : (int, action) Hashtbl.t;
-      (** state id -> controller's choice; absent = wait for environment *)
-  initial_winning : bool;
+      (** state id -> controller's choice; absent = wait for environment.
+          A [`Move mv] is physically the move of one of the state's edges
+          in [graph.kinds]. *)
+  initial_winning : bool;  (** [winning.(0)]: id 0 is the initial state *)
 }
 
-(** [solve net objective] computes the winning region and a strategy.
-    @raise Invalid_argument if the model is not closed/diagonal-free. *)
+(** [solve net objective] explores the digital graph and computes the
+    winning region and a strategy on it. The fixpoints walk flat
+    predecessor arrays, one per edge class (uncontrollable action,
+    controllable action, delay), meeting each state's predecessors in
+    descending source id and edge order. For reachability the first
+    controllable action or delay met into a winning state is the
+    strategy's choice; for safety it is the last controllable action
+    into the kept set in edge order, else the delay when kept.
+    @raise Invalid_argument if the model is not closed/diagonal-free, or
+    its initial state violates an invariant. *)
 val solve : ?max_states:int -> Ta.Model.network -> objective -> solution
 
 (** [winning_count s] — number of winning states (strategy size proxy). *)

@@ -56,10 +56,8 @@ let check_ta rng =
   let spec = Ta_gen.generate rng in
   let net = Ta_gen.build spec in
   let g = Discrete.Digital.explore ~max_states net in
-  let cspec, _ = Discrete.Digital.codec net in
-  fold_states cspec ~tag:"ta"
-    (Array.to_list g.Discrete.Digital.states)
-    g.Discrete.Digital.pack
+  let cspec, pack = Discrete.Digital.codec net in
+  fold_states cspec ~tag:"ta" (Array.to_list g.Discrete.Digital.states) pack
 
 let check_mdp rng =
   let spec = Mdp_gen.generate rng in

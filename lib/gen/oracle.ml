@@ -86,26 +86,25 @@ let digital_min_cost spec net target =
     !acc
   in
   let dist = Array.make n max_int in
-  let init = Discrete.Digital.id_of g (Discrete.Digital.initial net) in
-  dist.(init) <- 0;
+  (* The initial state is id 0. *)
+  dist.(0) <- 0;
   let changed = ref true in
   while !changed do
     changed := false;
     for s = 0 to n - 1 do
       if dist.(s) < max_int then
-        List.iter
-          (fun (tr : Discrete.Digital.dtrans) ->
-            let c =
-              match tr.Discrete.Digital.kind with
-              | `Delay -> rate states.(s)
-              | `Act mv -> cm.Priced.move_cost mv
-            in
-            let t = Discrete.Digital.id_of g tr.Discrete.Digital.target in
-            if dist.(s) + c < dist.(t) then begin
-              dist.(t) <- dist.(s) + c;
-              changed := true
-            end)
-          g.Discrete.Digital.transitions.(s)
+        for e = g.offsets.(s) to g.offsets.(s + 1) - 1 do
+          let c =
+            match g.kinds.(e) with
+            | `Delay -> rate states.(s)
+            | `Act mv -> cm.Priced.move_cost mv
+          in
+          let t = g.targets.(e) in
+          if dist.(s) + c < dist.(t) then begin
+            dist.(t) <- dist.(s) + c;
+            changed := true
+          end
+        done
     done
   done;
   let best = ref None in

@@ -31,7 +31,11 @@ let make_ctx net ~inputs ~outputs =
   List.iter (fun a -> Hashtbl.replace observable a ()) (inputs @ outputs);
   { graph; observable }
 
-let id_of ctx st = Digital.id_of ctx.graph st
+(* State [id]'s edges as (kind, target id), in edge order. *)
+let edges (g : Digital.graph) id =
+  List.init (g.offsets.(id + 1) - g.offsets.(id)) (fun j ->
+      let e = g.offsets.(id) + j in
+      (g.kinds.(e), g.targets.(e)))
 
 (* Close a set of state ids under unobservable (internal) actions. *)
 let tau_closure ctx ids =
@@ -40,17 +44,17 @@ let tau_closure ctx ids =
     if not (Hashtbl.mem seen id) then begin
       Hashtbl.replace seen id ();
       List.iter
-        (fun (t : Digital.dtrans) ->
-          match t.Digital.kind with
+        (fun (kind, tid) ->
+          match kind with
           | `Act mv ->
             let internal =
               match move_channel mv with
               | None -> true
               | Some c -> not (Hashtbl.mem ctx.observable c)
             in
-            if internal then visit (id_of ctx t.Digital.target)
+            if internal then visit tid
           | `Delay -> ())
-        ctx.graph.Digital.transitions.(id)
+        (edges ctx.graph id)
     end
   in
   List.iter visit ids;
@@ -61,12 +65,11 @@ let apply_channel ctx ids chan =
     List.concat_map
       (fun id ->
         List.filter_map
-          (fun (t : Digital.dtrans) ->
-            match t.Digital.kind with
-            | `Act mv when move_channel mv = Some chan ->
-              Some (id_of ctx t.Digital.target)
+          (fun (kind, tid) ->
+            match kind with
+            | `Act mv when move_channel mv = Some chan -> Some tid
             | `Act _ | `Delay -> None)
-          ctx.graph.Digital.transitions.(id))
+          (edges ctx.graph id))
       ids
   in
   tau_closure ctx next
@@ -76,22 +79,20 @@ let apply_delay ctx ids =
     List.filter_map
       (fun id ->
         List.find_map
-          (fun (t : Digital.dtrans) ->
-            match t.Digital.kind with
-            | `Delay -> Some (id_of ctx t.Digital.target)
-            | `Act _ -> None)
-          ctx.graph.Digital.transitions.(id))
+          (fun (kind, tid) ->
+            match kind with `Delay -> Some tid | `Act _ -> None)
+          (edges ctx.graph id))
       ids
   in
   tau_closure ctx next
 
 let channel_enabled ctx id chan =
   List.exists
-    (fun (t : Digital.dtrans) ->
-      match t.Digital.kind with
+    (fun (kind, _) ->
+      match kind with
       | `Act mv -> move_channel mv = Some chan
       | `Delay -> false)
-    ctx.graph.Digital.transitions.(id)
+    (edges ctx.graph id)
 
 let test net ~inputs ~outputs ~rounds ~seed iut =
   ignore outputs;
@@ -139,7 +140,6 @@ let test net ~inputs ~outputs ~rounds ~seed iut =
 (* A conforming IUT: a random walk over the spec's own digital graph. *)
 let spec_iut net ~outputs ~seed =
   let graph = Digital.explore net in
-  let id_of st = Digital.id_of graph st in
   let rng = Random.State.make [| seed |] in
   let state = ref 0 in
   let is_output c = List.mem c outputs in
@@ -148,22 +148,19 @@ let spec_iut net ~outputs ~seed =
     | [] -> None
     | _ -> Some (List.nth xs (Random.State.int rng (List.length xs)))
   in
-  let trans_of id = graph.Digital.transitions.(id) in
   let acts id =
     List.filter_map
-      (fun (t : Digital.dtrans) ->
-        match t.Digital.kind with
-        | `Act mv -> Some (move_channel mv, id_of t.Digital.target)
+      (fun (kind, tid) ->
+        match kind with
+        | `Act mv -> Some (move_channel mv, tid)
         | `Delay -> None)
-      (trans_of id)
+      (edges graph id)
   in
   let delay id =
     List.find_map
-      (fun (t : Digital.dtrans) ->
-        match t.Digital.kind with
-        | `Delay -> Some (id_of t.Digital.target)
-        | `Act _ -> None)
-      (trans_of id)
+      (fun (kind, tid) ->
+        match kind with `Delay -> Some tid | `Act _ -> None)
+      (edges graph id)
   in
   {
     ti_reset = (fun () -> state := 0);

@@ -22,13 +22,13 @@ let rate_of net cm (st : Digital.dstate) =
   ignore net;
   !total
 
-let trans_cost net cm st (t : Digital.dtrans) =
-  match t.Digital.kind with
+let trans_cost net cm st (kind : Digital.kind) =
+  match kind with
   | `Delay -> rate_of net cm st
   | `Act mv -> cm.move_cost mv
 
-let trans_label (t : Digital.dtrans) =
-  match t.Digital.kind with
+let trans_label (kind : Digital.kind) =
+  match kind with
   | `Delay -> "delay"
   | `Act mv -> mv.Zone_graph.mv_label
 
@@ -44,8 +44,9 @@ let min_cost_reach ?jobs ?pool net cm ~target =
   let key (st, _) = pack st in
   let successors (st, cost) =
     List.map
-      (fun t ->
-        (trans_label t, (t.Digital.target, cost + trans_cost net cm st t)))
+      (fun (t : Digital.dtrans) ->
+        ( trans_label t.kind,
+          (t.target, cost + trans_cost net cm st t.kind) ))
       (Digital.successors net st)
   in
   let on_state (st, cost) = if target st then Some cost else None in
@@ -87,15 +88,15 @@ let min_cost_reach ?jobs ?pool net cm ~target =
    condensation DAG dynamic program is exact (edges within a zero-cost
    SCC contribute nothing; cross edges carry their costs). *)
 let max_cost_reach net cm ~target =
-  let graph = Digital.explore net in
-  let n = Array.length graph.Digital.states in
-  let id_of st = Digital.id_of graph st in
+  let g = Digital.explore net in
+  let n = Array.length g.states in
   (* Targets are absorbing, so the SCC decomposition must not follow
      their outgoing edges (a target can then never sit on a cycle). *)
   let succs id =
-    if target graph.Digital.states.(id) then []
+    if target g.states.(id) then []
     else
-      List.map (fun t -> id_of t.Digital.target) graph.Digital.transitions.(id)
+      List.init (g.offsets.(id + 1) - g.offsets.(id)) (fun j ->
+          g.targets.(g.offsets.(id) + j))
   in
   let comp, n_comps = Quant_util.Scc.compute ~n ~succs in
   (* best.(c): largest cost from component c to a target, None when the
@@ -115,38 +116,37 @@ let max_cost_reach net cm ~target =
   for c = 0 to n_comps - 1 do
     List.iter
       (fun id ->
-        let st = graph.Digital.states.(id) in
+        let st = g.states.(id) in
         if target st then improve c 0
         else
-          List.iter
-            (fun t ->
-              let cost = trans_cost net cm st t in
-              let c' = comp.(id_of t.Digital.target) in
-              if c' <> c then
-                match best.(c') with
-                | Some b -> improve c (cost + b)
-                | None -> ())
-            graph.Digital.transitions.(id))
+          for e = g.offsets.(id) to g.offsets.(id + 1) - 1 do
+            let cost = trans_cost net cm st g.kinds.(e) in
+            let c' = comp.(g.targets.(e)) in
+            if c' <> c then
+              match best.(c') with
+              | Some b -> improve c (cost + b)
+              | None -> ()
+          done)
       members.(c)
   done;
   (* Unboundedness: a positive-cost edge inside an SCC of non-target
      states from which the target is still reachable. *)
   for id = 0 to n - 1 do
-    let st = graph.Digital.states.(id) in
+    let st = g.states.(id) in
     if not (target st) then
-      List.iter
-        (fun t ->
-          let cost = trans_cost net cm st t in
-          let tid = id_of t.Digital.target in
-          if cost > 0 && comp.(tid) = comp.(id)
-             && (not (target graph.Digital.states.(tid)))
-             && best.(comp.(id)) <> None
-          then unbounded := true)
-        graph.Digital.transitions.(id)
+      for e = g.offsets.(id) to g.offsets.(id + 1) - 1 do
+        let cost = trans_cost net cm st g.kinds.(e) in
+        let tid = g.targets.(e) in
+        if cost > 0 && comp.(tid) = comp.(id)
+           && (not (target g.states.(tid)))
+           && best.(comp.(id)) <> None
+        then unbounded := true
+      done
   done;
   if !unbounded then `Unbounded
   else
-    match best.(comp.(id_of (Digital.initial net))) with
+    (* The initial state is id 0. *)
+    match best.(comp.(0)) with
     | Some c -> `Cost (c, n)
     | None -> `Unreachable
 
