@@ -532,7 +532,7 @@ let engine () =
           let cmp1 = Zones.Dbm.cmp_stats () in
           let g = Gc.stat () in
           let metrics = Obs.Metrics.snapshot () in
-          let spans = Obs.Span.timings_json () in
+          let spans = Obs.Report.spans_json () in
           let eq =
             ( cmp1.Zones.Dbm.phys_hits - cmp0.Zones.Dbm.phys_hits,
               cmp1.Zones.Dbm.full_scans - cmp0.Zones.Dbm.full_scans )
@@ -738,10 +738,7 @@ let engine () =
          rows
       @ par_entries)
   in
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc (Obs.Json.to_string entries);
-  output_char oc '\n';
-  close_out oc;
+  Obs.Json.to_file "BENCH_engine.json" entries;
   Printf.printf "wrote BENCH_engine.json (%d runs)\n"
     (List.length rows + List.length par_entries)
 
@@ -762,24 +759,19 @@ let par () =
      parallel-speedup gate keys on this field rather than assuming the
      runner's shape. *)
   let cores = Domain.recommended_domain_count () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let row ~workload ~runs jobs =
     (* Fresh telemetry per row, so metrics and the per-domain span
        breakdown belong to exactly this pool size. *)
     Obs.reset ();
     Par.Pool.with_pool ~jobs @@ fun pool ->
     let itv, smc_s =
-      time (fun () -> Smc.probability ~pool ~config ~seed:42 ~runs net q)
+      timed (fun () -> Smc.probability ~pool ~config ~seed:42 ~runs net q)
     in
     let md, modes_s =
-      time (fun () -> Modest.Brp.run_modes ~pool ~runs ~seed:42 brp)
+      timed (fun () -> Modest.Brp.run_modes ~pool ~runs ~seed:42 brp)
     in
     let metrics = Obs.Metrics.snapshot () in
-    let span_domains = Obs.Span.domain_timings_json () in
+    let span_domains = Obs.Report.span_domains_json () in
     Printf.printf
       "%-5s jobs %d  smc %6.2fs  modes %6.2fs  p=%.4f [%.4f,%.4f]  Dmax %d\n"
       workload jobs smc_s modes_s itv.Smc.Estimate.p_hat itv.Smc.Estimate.low
@@ -846,10 +838,7 @@ let par () =
              ])
          rows)
   in
-  let oc = open_out "BENCH_par.json" in
-  output_string oc (Obs.Json.to_string entries);
-  output_char oc '\n';
-  close_out oc;
+  Obs.Json.to_file "BENCH_par.json" entries;
   Printf.printf "wrote BENCH_par.json (%d rows)\n" (List.length rows)
 
 (* ------------------------------------------------------------------ *)
@@ -920,10 +909,7 @@ let obs_bench () =
         ("overwritten_events", Obs.Json.Int dropped);
       ]
   in
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc (Obs.Json.to_string j);
-  output_char oc '\n';
-  close_out oc;
+  Obs.Json.to_file "BENCH_obs.json" j;
   print_endline "wrote BENCH_obs.json"
 
 (* ------------------------------------------------------------------ *)
@@ -932,16 +918,11 @@ let obs_bench () =
 
 let gen () =
   header "Differential oracle harness (cases/s per family, jobs 1/4)";
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let cases = 400 in
   let row family jobs =
     Obs.reset ();
     let report, wall =
-      time (fun () ->
+      timed (fun () ->
           Gen.Harness.run
             { Gen.Harness.default with seed = 42; cases; jobs;
               families = [ family ] })
@@ -980,10 +961,7 @@ let gen () =
              ])
          rows)
   in
-  let oc = open_out "BENCH_gen.json" in
-  output_string oc (Obs.Json.to_string entries);
-  output_char oc '\n';
-  close_out oc;
+  Obs.Json.to_file "BENCH_gen.json" entries;
   Printf.printf "wrote BENCH_gen.json (%d rows)\n" (List.length rows)
 
 (* ------------------------------------------------------------------ *)
@@ -1201,10 +1179,7 @@ let serve_bench () =
         ("graceful_exit", Obs.Json.Bool graceful);
       ]
   in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Obs.Json.to_string j);
-  output_char oc '\n';
-  close_out oc;
+  Obs.Json.to_file "BENCH_serve.json" j;
   print_endline "wrote BENCH_serve.json"
 
 (* ------------------------------------------------------------------ *)

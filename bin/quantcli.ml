@@ -42,6 +42,10 @@ let show_query ~stats_json name (r : Ta.Checker.result) =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+let runs_arg default =
+  Arg.(
+    value & opt int default & info [ "runs" ] ~docv:"RUNS" ~doc:"Simulation runs.")
+
 let jobs_arg =
   let env =
     Cmd.Env.info "QUANTLIB_JOBS" ~doc:"Default value for $(b,--jobs)."
@@ -202,22 +206,21 @@ let smc obs model trains runs seed jobs =
     Printf.eprintf "unknown model %s (train-gate|fischer)\n" other;
     2
 
+let smc_model_arg =
+  Arg.(
+    value
+    & opt string "train-gate"
+    & info [ "model" ] ~docv:"M"
+        ~doc:
+          "Model to analyse: $(b,train-gate) (CDF series, Fig. 4) or \
+           $(b,fischer) (probability of each process entering its \
+           critical section).")
+
 let smc_cmd =
-  let runs =
-    Arg.(value & opt int 500 & info [ "runs" ] ~docv:"RUNS" ~doc:"Simulation runs.")
-  in
-  let model =
-    Arg.(
-      value
-      & opt string "train-gate"
-      & info [ "model" ] ~docv:"M"
-          ~doc:
-            "Model to analyse: $(b,train-gate) (CDF series, Fig. 4) or \
-             $(b,fischer) (probability of each process entering its \
-             critical section).")
-  in
   Cmd.v (Cmd.info "smc" ~doc:"Statistical model checking CDF (Fig. 4).")
-    Term.(const smc $ obs_term $ model $ trains_arg $ runs $ seed_arg $ jobs_arg)
+    Term.(
+      const smc $ obs_term $ smc_model_arg $ trains_arg $ runs_arg 500
+      $ seed_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -296,13 +299,9 @@ let modes obs runs seed jobs =
   0
 
 let modes_cmd =
-  let runs =
-    Arg.(
-      value & opt int 2000 & info [ "runs" ] ~docv:"RUNS" ~doc:"Simulation runs.")
-  in
   Cmd.v
     (Cmd.info "modes" ~doc:"Simulate the BRP with the modes backend.")
-    Term.(const modes $ obs_term $ runs $ seed_arg $ jobs_arg)
+    Term.(const modes $ obs_term $ runs_arg 2000 $ seed_arg $ jobs_arg)
 
 let brp_cmd =
   let backend =
@@ -420,19 +419,19 @@ let check_impl obs model n stats_json mem_budget_mb jobs =
      | Some j when j > 1 -> Par.Pool.with_pool ~jobs:j (fun p -> run_queries (Some p))
      | _ -> run_queries None)
 
+let check_model_arg =
+  Arg.(
+    value
+    & opt string "fischer"
+    & info [ "model" ] ~docv:"M"
+        ~doc:"Model to check: $(b,fischer) or $(b,train-gate).")
+
+let check_n_arg =
+  Arg.(
+    value & opt int 4
+    & info [ "n" ] ~docv:"N" ~doc:"Processes (fischer) or trains (train-gate).")
+
 let check_cmd =
-  let model =
-    Arg.(
-      value
-      & opt string "fischer"
-      & info [ "model" ] ~docv:"M"
-          ~doc:"Model to check: $(b,fischer) or $(b,train-gate).")
-  in
-  let n =
-    Arg.(
-      value & opt int 4
-      & info [ "n" ] ~docv:"N" ~doc:"Processes (fischer) or trains (train-gate).")
-  in
   let mem_budget =
     Arg.(
       value
@@ -460,8 +459,8 @@ let check_cmd =
          "Model check a named model's standard queries (the profiling entry \
           point: combine with --flight/--report).")
     Term.(
-      const check_impl $ obs_term $ model $ n $ stats_json_arg $ mem_budget
-      $ jobs)
+      const check_impl $ obs_term $ check_model_arg $ check_n_arg
+      $ stats_json_arg $ mem_budget $ jobs)
 
 (* ------------------------------------------------------------------ *)
 
@@ -541,35 +540,39 @@ let fuzz obs seed cases jobs families no_shrink inject extrapolation out =
   let report = Gen.Harness.run cfg in
   Zones.Dbm.inject_fault None;
   print_string (Gen.Harness.render report);
-  (match out with
-   | Some file ->
-     let oc = open_out file in
-     output_string oc (Obs.Json.to_string (Gen.Harness.report_json report));
-     output_char oc '\n';
-     close_out oc
-   | None -> ());
+  Option.iter (fun file -> Obs.Json.to_file file (Gen.Harness.report_json report)) out;
   if report.Gen.Harness.r_divergences <> [] then 1 else 0
 
+let cases_arg =
+  Arg.(
+    value & opt int 200
+    & info [ "cases" ] ~docv:"N" ~doc:"Number of generated cases.")
+
+let families_arg =
+  Arg.(
+    value
+    & opt_all string []
+    & info [ "family" ] ~docv:"NAME"
+        ~doc:
+          "Restrict to one oracle family (repeatable): ta-reach, priced, \
+           mdp-vi, smc-ci, bip-deadlock. Default: all, round-robin.")
+
+let no_shrink_arg =
+  Arg.(
+    value & flag
+    & info [ "no-shrink" ] ~doc:"Report divergences without minimizing them.")
+
+let extrapolation_arg =
+  Arg.(
+    value
+    & opt (enum [ ("none", `None); ("k", `K); ("lu", `Lu) ]) `Lu
+    & info [ "extrapolation" ] ~docv:"ABS"
+        ~doc:
+          "Zone-engine extrapolation the ta-reach oracle cross-checks \
+           against the digital backend: none, k (classic Extra-M) or lu \
+           (default; coarse lower/upper-bound abstraction).")
+
 let fuzz_cmd =
-  let cases_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "cases" ] ~docv:"N" ~doc:"Number of generated cases.")
-  in
-  let families_arg =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "family" ] ~docv:"NAME"
-          ~doc:
-            "Restrict to one oracle family (repeatable): ta-reach, priced, \
-             mdp-vi, smc-ci, bip-deadlock. Default: all, round-robin.")
-  in
-  let no_shrink_arg =
-    Arg.(
-      value & flag
-      & info [ "no-shrink" ] ~doc:"Report divergences without minimizing them.")
-  in
   let inject_arg =
     Arg.(
       value
@@ -589,16 +592,6 @@ let fuzz_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the JSON report (including shrunk repros) to $(docv).")
-  in
-  let extrapolation_arg =
-    Arg.(
-      value
-      & opt (enum [ ("none", `None); ("k", `K); ("lu", `Lu) ]) `Lu
-      & info [ "extrapolation" ] ~docv:"ABS"
-          ~doc:
-            "Zone-engine extrapolation the ta-reach oracle cross-checks \
-             against the digital backend: none, k (classic Extra-M) or lu \
-             (default; coarse lower/upper-bound abstraction).")
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -928,25 +921,7 @@ let client_ping socket =
   client_call ~socket ~meth:"ping" [] ~on_ok:(fun _ -> 0)
 
 let client_cmd =
-  let runs default =
-    Arg.(
-      value & opt int default
-      & info [ "runs" ] ~docv:"RUNS" ~doc:"Simulation runs.")
-  in
   let check =
-    let model =
-      Arg.(
-        value
-        & opt string "fischer"
-        & info [ "model" ] ~docv:"M"
-            ~doc:"Model to check: $(b,fischer) or $(b,train-gate).")
-    in
-    let n =
-      Arg.(
-        value & opt int 4
-        & info [ "n" ] ~docv:"N"
-            ~doc:"Processes (fischer) or trains (train-gate).")
-    in
     let jobs =
       Arg.(
         value
@@ -959,65 +934,34 @@ let client_cmd =
     Cmd.v
       (Cmd.info "check" ~doc:"Model check on the daemon (warm caches).")
       Term.(
-        const client_check $ socket_arg $ deadline_arg $ model $ n
-        $ stats_json_arg $ jobs)
+        const client_check $ socket_arg $ deadline_arg $ check_model_arg
+        $ check_n_arg $ stats_json_arg $ jobs)
   in
   let smc =
-    let model =
-      Arg.(
-        value
-        & opt string "train-gate"
-        & info [ "model" ] ~docv:"M"
-            ~doc:"Model to analyse: $(b,train-gate) or $(b,fischer).")
-    in
     Cmd.v
       (Cmd.info "smc"
          ~doc:
            "Statistical query on the daemon; concurrent smc requests are \
             fused into one sample batch without changing any result.")
       Term.(
-        const client_smc $ socket_arg $ deadline_arg $ model $ trains_arg
-        $ runs 500 $ seed_arg)
+        const client_smc $ socket_arg $ deadline_arg $ smc_model_arg
+        $ trains_arg $ runs_arg 500 $ seed_arg)
   in
   let modes =
     Cmd.v
       (Cmd.info "modes" ~doc:"BRP modes simulation on the daemon.")
-      Term.(const client_modes $ socket_arg $ deadline_arg $ runs 2000 $ seed_arg)
+      Term.(
+        const client_modes $ socket_arg $ deadline_arg $ runs_arg 2000 $ seed_arg)
   in
   let fuzz =
-    let cases =
-      Arg.(
-        value & opt int 200
-        & info [ "cases" ] ~docv:"N" ~doc:"Number of generated cases.")
-    in
-    let families =
-      Arg.(
-        value
-        & opt_all string []
-        & info [ "family" ] ~docv:"NAME"
-            ~doc:"Restrict to one oracle family (repeatable).")
-    in
-    let no_shrink =
-      Arg.(
-        value & flag
-        & info [ "no-shrink" ]
-            ~doc:"Report divergences without minimizing them.")
-    in
-    let extrapolation =
-      Arg.(
-        value
-        & opt (enum [ ("none", `None); ("k", `K); ("lu", `Lu) ]) `Lu
-        & info [ "extrapolation" ] ~docv:"ABS"
-            ~doc:"Zone-engine extrapolation: none, k or lu.")
-    in
     Cmd.v
       (Cmd.info "fuzz"
          ~doc:
            "Differential fuzzing on the daemon (fault injection is \
             refused there: it would mutate shared process state).")
       Term.(
-        const client_fuzz $ socket_arg $ deadline_arg $ seed_arg $ cases
-        $ families $ no_shrink $ extrapolation)
+        const client_fuzz $ socket_arg $ deadline_arg $ seed_arg $ cases_arg
+        $ families_arg $ no_shrink_arg $ extrapolation_arg)
   in
   let metrics =
     Cmd.v

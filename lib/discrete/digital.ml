@@ -224,25 +224,14 @@ let explore_stats ?(max_states = 2_000_000) ?jobs ?pool net =
   (* Every successor is either [Added] or a [Dup] under a discrete store,
      so the recorded edges are exactly the generated transition lists,
      their targets already resolved to ids. *)
-  let edges = out.Engine.Core.edges in
-  let n = Array.length edges in
-  let offsets = Array.make (n + 1) 0 in
-  Array.iteri (fun i l -> offsets.(i + 1) <- offsets.(i) + List.length l) edges;
-  let m = offsets.(n) in
-  let targets = Array.make m 0 in
-  let kinds = Array.make m `Delay in
-  let ctrls = Array.make m true in
-  Array.iteri
-    (fun i l ->
-      List.iteri
-        (fun j (kind, tid) ->
-          let e = offsets.(i) + j in
-          targets.(e) <- tid;
-          kinds.(e) <- kind;
-          ctrls.(e) <- kind_ctrl kind)
-        l)
-    edges;
-  ( { states = out.Engine.Core.states; offsets; targets; kinds; ctrls },
+  let { Engine.Core.offsets; labels = kinds; targets } = out.Engine.Core.edges in
+  ( {
+      states = out.Engine.Core.states;
+      offsets;
+      targets;
+      kinds;
+      ctrls = Array.map kind_ctrl kinds;
+    },
     out.Engine.Core.stats )
 
 let explore ?max_states ?jobs ?pool net =

@@ -39,11 +39,13 @@ type par_info = {
   mailbox_hwm : int;
 }
 
+type 'l edges = { offsets : int array; labels : 'l array; targets : int array }
+
 type ('s, 'l, 'a) outcome = {
   found : ('a * ('l * 's) list) option;
   states : 's array;
   parents : (int * 'l option) array;
-  edges : ('l * int) list array;
+  edges : 'l edges;
   stopped : stop_cause option;
   stats : Stats.t;
   par : par_info option;
@@ -408,25 +410,37 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
           parents.(base.(sid) + idx) <- (dense_of nd.parent, nd.label))
         shard_arr.(sid).arena)
     rotation;
+  (* Flat edges: count each state's resolved slots into [offsets], then
+     copy them in place. -1 slots are covered successors, or cross-shard
+     hand-offs the run truncated before merging. *)
   let edges =
-    if not record_edges then [||]
+    if not record_edges then { offsets = [||]; labels = [||]; targets = [||] }
     else begin
-      let a = Array.make n [] in
-      Array.iter
-        (fun sid ->
-          List.iter
-            (fun (gid, labels, dsts) ->
-              let l = ref [] in
-              for j = Array.length labels - 1 downto 0 do
-                (* -1 slots: covered successors, or cross-shard hand-offs
-                   the run truncated before merging. *)
-                if dsts.(j) >= 0 then
-                  l := (labels.(j), dense_of dsts.(j)) :: !l
-              done;
-              a.(dense_of gid) <- !l)
-            shard_arr.(sid).elog)
-        rotation;
-      a
+      let offsets = Array.make (n + 1) 0 and some_label = ref None in
+      let each_log f = Array.iter (fun sh -> List.iter f sh.elog) shard_arr in
+      each_log (fun (gid, labels, dsts) ->
+          if Option.is_none !some_label then some_label := Some labels.(0);
+          offsets.(dense_of gid + 1) <-
+            Array.fold_left (fun c d -> if d >= 0 then c + 1 else c) 0 dsts);
+      for i = 1 to n do
+        offsets.(i) <- offsets.(i) + offsets.(i - 1)
+      done;
+      let m = offsets.(n) in
+      let labels =
+        match !some_label with Some l -> Array.make m l | None -> [||]
+      in
+      let targets = Array.make m 0 in
+      each_log (fun (gid, ls, dsts) ->
+          let e = ref offsets.(dense_of gid) in
+          Array.iteri
+            (fun j d ->
+              if d >= 0 then begin
+                labels.(!e) <- ls.(j);
+                targets.(!e) <- dense_of d;
+                incr e
+              end)
+            dsts);
+      { offsets; labels; targets }
     end
   in
   (* Witness choice: the canonical minimum over all shards — [prefer]

@@ -40,6 +40,12 @@ type par_info = {
   mailbox_hwm : int;  (** largest backlog any single mailbox held *)
 }
 
+(** Recorded successor edges, flat: state [i]'s edges are
+    [offsets.(i) .. offsets.(i + 1) - 1] of [labels] and [targets] (the
+    target ids), in generation order. [offsets] has one entry per state
+    plus one. *)
+type 'l edges = { offsets : int array; labels : 'l array; targets : int array }
+
 type ('s, 'l, 'a) outcome = {
   found : ('a * ('l * 's) list) option;
       (** the payload returned by [on_state], with the labelled steps of
@@ -48,11 +54,11 @@ type ('s, 'l, 'a) outcome = {
   parents : (int * 'l option) array;
       (** discovery parent and edge label per id; [(-1, None)] for the
           initial state *)
-  edges : ('l * int) list array;
-      (** per-id successor edges in generation order, only when
-          [record_edges] (empty array otherwise). Edges to states the
-          store answered [Covered] for are not recorded, so meaningful
-          graph building requires an exact store. *)
+  edges : 'l edges;
+      (** per-id successor edges, only when [record_edges] (empty
+          arrays otherwise). Edges to states the store answered
+          [Covered] for are not recorded, so meaningful graph building
+          requires an exact store. *)
   stopped : stop_cause option;
       (** [None] for a complete run; mirrored as [stats.truncated] *)
   stats : Stats.t;

@@ -184,19 +184,28 @@ let codec ?time_cap (sta : Sta.t) =
   in
   (spec, pack)
 
-(* Regroup one state's recorded edges into its MDP actions: consecutive
-   edges with the same action index form one action, in generation
-   order. Action 0 is the unit delay, the only action with a reward. *)
-let rec actions_of = function
-  | [] -> []
-  | ((ai, a_label, _), _) :: _ as edges ->
-    let rec take acc = function
-      | ((aj, _, p), dst) :: rest when aj = ai -> take ((p, dst) :: acc) rest
-      | rest -> (List.rev acc, rest)
-    in
-    let probs, rest = take [] edges in
-    { Mdp.a_label; probs; reward = (if ai = 0 then 1.0 else 0.0) }
-    :: actions_of rest
+(* Regroup state [i]'s slice of the recorded edges into its MDP actions:
+   consecutive edges with the same action index form one action, in
+   generation order. Action 0 is the unit delay, the only action with a
+   reward. *)
+let actions_of { Engine.Core.offsets; labels; targets } i =
+  let hi = offsets.(i + 1) in
+  let index e = match labels.(e) with ai, _, _ -> ai in
+  let rec from e =
+    if e >= hi then []
+    else begin
+      let ai, a_label, _ = labels.(e) in
+      let rec take e acc =
+        if e < hi && index e = ai then
+          let _, _, p = labels.(e) in
+          take (e + 1) ((p, targets.(e)) :: acc)
+        else (List.rev acc, e)
+      in
+      let probs, next = take e [] in
+      { Mdp.a_label; probs; reward = (if ai = 0 then 1.0 else 0.0) } :: from next
+    end
+  in
+  from offsets.(i)
 
 let expand ?time_cap ?(max_states = 5_000_000) (sta : Sta.t) =
   (match Sta.classify sta with
@@ -264,7 +273,10 @@ let expand ?time_cap ?(max_states = 5_000_000) (sta : Sta.t) =
     failwith "Digital_sta.expand: state limit";
   (* A discrete store answers every successor [Added] or [Dup], so the
      recorded edges are exactly the generated ones. *)
-  let mdp = Mdp.make (Array.map actions_of out.Engine.Core.edges) in
+  let edges = out.Engine.Core.edges in
+  let mdp =
+    Mdp.make (Array.init (Array.length out.Engine.Core.states) (actions_of edges))
+  in
   { sta; mdp; states = out.Engine.Core.states; initial = 0 }
 
 let target_of exp pred = Array.map pred exp.states

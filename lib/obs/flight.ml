@@ -11,10 +11,14 @@
    recorder is off is a single atomic load, and [start] returns a
    negative sentinel so the matching [stop] is a no-op.
 
-   Alongside the ring, every domain keeps per-phase totals (count and
+   Alongside the ring, every domain keeps per-name totals (count and
    summed duration per interned id). Totals see every Complete event,
    including the ones the ring overwrote, so the per-phase time
-   breakdown in BENCH_engine.json is exact even for long runs.
+   breakdown in BENCH_engine.json is exact even for long runs. They are
+   also the only place a span's time adds up: [Span.with_] closes
+   through {!complete}, which bumps the totals even while the recorder
+   is off (no ring is allocated then) and marks the id as a span, so
+   readers keep span names apart from phase names.
 
    Draining merges all rings into one list sorted by timestamp and is
    non-destructive: drain twice, get the same events. Drain at a
@@ -42,6 +46,10 @@ type event = {
 let intern_lock = Mutex.create ()
 let ids : (string, int) Hashtbl.t = Hashtbl.create 64
 let names : string array ref = ref [||]
+
+(* [!spans.(id)] once {!complete} recorded [id]; grown with [names] and
+   written only under [intern_lock], so no mark is lost to a growth. *)
+let spans : bool array ref = ref [||]
 let n_names = ref 0
 
 let locked m f =
@@ -55,9 +63,12 @@ let intern name =
   | None ->
     let id = !n_names in
     if id >= Array.length !names then begin
-      let a = Array.make (max 16 (2 * (id + 1))) "" in
+      let cap = max 16 (2 * (id + 1)) in
+      let a = Array.make cap "" and m = Array.make cap false in
       Array.blit !names 0 a 0 id;
-      names := a
+      Array.blit !spans 0 m 0 id;
+      names := a;
+      spans := m
     end;
     !names.(id) <- name;
     Hashtbl.replace ids name id;
@@ -77,7 +88,7 @@ type ring = {
   mutable tss : float array;
   mutable durs : float array;
   mutable head : int;  (** total events ever appended *)
-  mutable tot_count : int array;  (** per-id Complete totals *)
+  mutable tot_count : int array;  (** per-id Complete totals, spans too *)
   mutable tot_ticks : float array;  (** per-id summed durations, Clock ticks *)
 }
 
@@ -156,6 +167,11 @@ let disable () = Atomic.set enabled false
 
 let start () = if Atomic.get enabled then Clock.now () else -1.0
 
+let[@inline] bump_total r id dur =
+  if id >= Array.length r.tot_count then grow_totals r id;
+  Array.unsafe_set r.tot_count id (Array.unsafe_get r.tot_count id + 1);
+  Array.unsafe_set r.tot_ticks id (Array.unsafe_get r.tot_ticks id +. dur)
+
 (* [push] + [bump_total] fused for Complete events (tag [id lsl 2]):
    one call from the stop sites, [r]'s fields loaded once, the two cold
    growth branches out of line. This body runs for every recorded phase
@@ -168,9 +184,7 @@ let record_complete r id ts dur =
   Array.unsafe_set r.tss i ts;
   Array.unsafe_set r.durs i dur;
   r.head <- r.head + 1;
-  if id >= Array.length r.tot_count then grow_totals r id;
-  Array.unsafe_set r.tot_count id (Array.unsafe_get r.tot_count id + 1);
-  Array.unsafe_set r.tot_ticks id (Array.unsafe_get r.tot_ticks id +. dur)
+  bump_total r id dur
 
 let stop id t0 =
   if t0 >= 0.0 then
@@ -187,11 +201,15 @@ let stop_start id t0 =
     t1
   end
 
-(* A pre-timed Complete event — the bridge for [Span.with_], which
-   already holds both endpoints when it closes. [ts] and [dur] are in
-   {!Clock} ticks, like every slot in the ring. *)
+(* A closed span — the bridge for [Span.with_], which already holds
+   both endpoints when it closes. [ts] and [dur] are in {!Clock} ticks,
+   like every slot in the ring. The totals count it whether or not the
+   recorder is on; the ring only sees it when it is. *)
 let complete id ~ts ~dur =
-  if Atomic.get enabled then record_complete (Shard.my rings) id ts dur
+  if not !spans.(id) then locked intern_lock (fun () -> !spans.(id) <- true);
+  let r = Shard.my rings in
+  if Atomic.get enabled then record_complete r id ts dur
+  else bump_total r id dur
 
 let mark id =
   if Atomic.get enabled then
@@ -257,35 +275,40 @@ let drain () =
       | c -> c)
     evs
 
-(* Per-phase totals (count, total seconds) merged across domains,
-   sorted by name — exact even when the ring overwrote events. *)
-let totals () =
+let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+
+(* Each domain's (count, total seconds) per span name ([span]) or per
+   phase name, sorted by name, in increasing domain order; domains
+   without any are left out. Exact even when the ring overwrote events. *)
+let per_domain ~span =
   let p = Clock.to_s 1.0 in
-  let tbl : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
-  Shard.iter rings (fun _ r ->
+  Shard.fold rings
+    (fun acc did r ->
+      let l = ref [] in
       Array.iteri
         (fun id n ->
-          if n > 0 then begin
-            let name = name_of id in
-            let c, s =
-              match Hashtbl.find_opt tbl name with
-              | Some cs -> cs
-              | None -> (0, 0.0)
-            in
-            Hashtbl.replace tbl name (c + n, s +. (r.tot_ticks.(id) *. p))
-          end)
-        r.tot_count);
-  Hashtbl.fold (fun name cs acc -> (name, cs) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+          if n > 0 && !spans.(id) = span then
+            l := (name_of id, (n, r.tot_ticks.(id) *. p)) :: !l)
+        r.tot_count;
+      if !l = [] then acc else (did, by_name !l) :: acc)
+    []
+  |> List.rev
 
-let totals_json () =
-  Json.Obj
-    (List.map
-       (fun (name, (count, total_s)) ->
-         ( name,
-           Json.Obj
-             [ ("count", Json.Int count); ("total_s", Json.Float total_s) ] ))
-       (totals ()))
+let merged ~span =
+  let tbl : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun (_, l) ->
+      List.iter
+        (fun (name, (n, s)) ->
+          let c, t = Option.value (Hashtbl.find_opt tbl name) ~default:(0, 0.0) in
+          Hashtbl.replace tbl name (c + n, t +. s))
+        l)
+    (per_domain ~span);
+  by_name (Hashtbl.fold (fun name cs acc -> (name, cs) :: acc) tbl [])
+
+let totals () = merged ~span:false
+let span_totals () = merged ~span:true
+let span_domain_totals () = per_domain ~span:true
 
 (* ---- exports ------------------------------------------------------- *)
 
@@ -404,18 +427,14 @@ let to_otlp evs =
           ] );
     ]
 
-let write_file path j =
-  let oc = open_out path in
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  close_out oc
-
-let write_chrome path = write_file path (to_chrome (drain ()))
-let write_otlp path = write_file path (to_otlp (drain ()))
+let write_chrome path = Json.to_file path (to_chrome (drain ()))
+let write_otlp path = Json.to_file path (to_otlp (drain ()))
 
 (* Per-request capture for a serving loop: persist the timeline recorded
    so far, then clear the rings so the next request starts from an empty
-   window. Recording stays enabled throughout. *)
+   window. The totals keep counting across captures, so a scrape's
+   spans and phases cover the whole process, as its metrics do.
+   Recording stays enabled throughout. *)
 let capture_chrome path =
   write_chrome path;
-  reset ()
+  Shard.iter rings (fun _ r -> r.head <- 0)

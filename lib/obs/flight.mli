@@ -9,10 +9,14 @@
     hot path permanently. Names are interned to ids once ({!intern} at
     module initialisation, never per event).
 
-    Per-phase totals (count, total seconds per name) are kept separately
-    from the ring and see every [Complete] event, so phase breakdowns
-    stay exact even after the ring wraps; only the event *timeline* is
-    bounded by the capacity ({!dropped} counts overwritten events).
+    Per-name totals (count, total seconds) are kept separately from the
+    ring and see every [Complete] event, so breakdowns stay exact even
+    after the ring wraps; only the event *timeline* is bounded by the
+    capacity ({!dropped} counts overwritten events). They are the one
+    timing source of the process: engine phases ({!stop}) and closed
+    [Span.with_] spans ({!complete}) both add up there, spans even while
+    the recorder is off. {!totals} reads the phases, {!span_totals} and
+    {!span_domain_totals} the spans.
 
     {!enable}, {!disable}, {!reset} and {!drain} touch other domains'
     rings: call them at quiescent points (no concurrent appenders). *)
@@ -42,7 +46,8 @@ val enable : ?capacity:int -> unit -> unit
 val disable : unit -> unit
 val is_enabled : unit -> bool
 
-(** Clear all rings and totals, keeping the enabled state. *)
+(** Clear all rings and all totals (phases and spans), keeping the
+    enabled state. *)
 val reset : unit -> unit
 
 (** [stop id (start ())] brackets a phase: records one [Complete] event
@@ -58,9 +63,11 @@ val stop : int -> float -> unit
     free when the recorder is off. *)
 val stop_start : int -> float -> float
 
-(** Record a pre-timed [Complete] event (e.g. a closed span). [ts] and
-    [dur] are in {!Clock} ticks — pass [Clock.now] readings through
-    unconverted. *)
+(** Record a closed span — the bridge [Span.with_] closes through. It
+    marks [id] as a span name, adds [dur] to this domain's totals
+    whether or not the recorder is on, and appends a [Complete] event
+    when it is. [ts] and [dur] are in {!Clock} ticks — pass [Clock.now]
+    readings through unconverted. *)
 val complete : int -> ts:float -> dur:float -> unit
 
 (** Record an [Instant] event. *)
@@ -77,10 +84,16 @@ val drain : unit -> event list
 val dropped : unit -> int
 
 (** Per-phase [(name, (count, total seconds))] merged across domains,
-    sorted by name; exact regardless of wraparound. *)
+    sorted by name; exact regardless of wraparound. Span names are left
+    out. *)
 val totals : unit -> (string * (int * float)) list
 
-val totals_json : unit -> Json.t
+(** The same for span names alone. *)
+val span_totals : unit -> (string * (int * float)) list
+
+(** Span totals per recording domain, in increasing domain id (0 is the
+    main domain), names sorted; domains without spans are left out. *)
+val span_domain_totals : unit -> (int * (string * (int * float)) list) list
 
 (** Chrome [trace_event] object format: "X" slices per [Complete], "i"
     instants, "C" counter tracks; pid 1, one tid per domain, µs
@@ -96,9 +109,9 @@ val write_chrome : string -> unit
 
 val write_otlp : string -> unit
 
-(** [capture_chrome path] — {!write_chrome} then {!reset}: the
+(** [capture_chrome path] — {!write_chrome}, then empty the rings: the
     slow-request hook of a serving loop. The drained window becomes one
     per-request trace file and the rings start empty for the next
-    request; recording stays enabled. Call at a quiescent point (the
-    request finished, no concurrent appenders). *)
+    request; the totals are kept, and recording stays enabled. Call at
+    a quiescent point (the request finished, no concurrent appenders). *)
 val capture_chrome : string -> unit

@@ -78,6 +78,12 @@ let to_string j =
   to_buffer buf j;
   Buffer.contents buf
 
+let to_file path j =
+  let oc = open_out path in
+  output_string oc (to_string j);
+  output_char oc '\n';
+  close_out oc
+
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)

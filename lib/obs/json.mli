@@ -19,6 +19,9 @@ type t =
 val to_string : t -> string
 val to_buffer : Buffer.t -> t -> unit
 
+(** [to_file path j] writes [j] and a newline to [path], replacing it. *)
+val to_file : string -> t -> unit
+
 (** [member key j] — field lookup, [None] on missing key or non-object. *)
 val member : string -> t -> t option
 

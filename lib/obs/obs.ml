@@ -1,6 +1,8 @@
 (** Telemetry for every analysis backend: a metrics registry
     ({!Metrics}: counters, gauges, log-scale histograms), span-based
-    tracing to pluggable sinks ({!Span}, {!Sink}), run reports
+    tracing to pluggable sinks ({!Span}, {!Sink}), the flight recorder
+    ({!Flight}: a phase timeline, and the per-domain totals that are the
+    one timing source for spans and phases alike), run reports
     ({!Report}) and the shared escaping-correct JSON builder ({!Json}).
 
     Conventions: metric and span names are dotted lower-case paths
@@ -28,9 +30,8 @@ let counter name = Metrics.Counter.make name
 let gauge name = Metrics.Gauge.make name
 let histogram name = Metrics.Histogram.make name
 
-(** Reset the default registry, the span aggregates and the flight
-    recorder — the start of a fresh measured run. *)
+(** Reset the default registry and the flight recorder's rings and
+    totals (spans and phases) — the start of a fresh measured run. *)
 let reset () =
   Metrics.Registry.reset Metrics.Registry.default;
-  Span.reset ();
   Flight.reset ()

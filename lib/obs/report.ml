@@ -1,7 +1,7 @@
 (* The run report: one JSON snapshot combining the metrics registry,
-   span timing aggregates, flight-recorder phase totals and GC
-   statistics — everything a bench or CI run needs to make two revisions
-   comparable. *)
+   the flight recorder's span and phase totals (the one place named
+   regions are timed) and GC statistics — everything a bench or CI run
+   needs to make two revisions comparable. *)
 
 (* Two GC snapshot depths. [Gc.quick_stat] (the default) reads the
    mutator's counters without touching the heap: allocation totals
@@ -30,27 +30,38 @@ let gc_json ?(full = false) () =
       ("live_words", Json.Int s.Gc.live_words);
     ]
 
+let totals_json l =
+  Json.Obj
+    (List.map
+       (fun (name, (count, total_s)) ->
+         ( name,
+           Json.Obj
+             [ ("count", Json.Int count); ("total_s", Json.Float total_s) ] ))
+       l)
+
+let spans_json () = totals_json (Flight.span_totals ())
+
+let span_domains_json () =
+  Json.Obj
+    (List.map
+       (fun (did, l) -> (string_of_int did, totals_json l))
+       (Flight.span_domain_totals ()))
+
 let make ?registry ?(full_gc = false) () =
-  let base =
-    [
-      ("version", Json.Int 1);
-      ("metrics", Metrics.snapshot ?registry ());
-      ("spans", Span.timings_json ());
-      ("span_domains", Span.domain_timings_json ());
-      ("gc", gc_json ~full:full_gc ());
-    ]
-  in
   (* Phase totals ride along only when the flight recorder produced
      any, so reports from uninstrumented runs keep their old shape. *)
-  let fields =
-    match Flight.totals () with
-    | [] -> base
-    | _ -> base @ [ ("phases", Flight.totals_json ()) ]
+  let phases =
+    match Flight.totals () with [] -> [] | l -> [ ("phases", totals_json l) ]
   in
-  Json.Obj fields
+  Json.Obj
+    ([
+       ("version", Json.Int 1);
+       ("metrics", Metrics.snapshot ?registry ());
+       ("spans", spans_json ());
+       ("span_domains", span_domains_json ());
+       ("gc", gc_json ~full:full_gc ());
+     ]
+    @ phases)
 
 let to_file path ?registry ?full_gc () =
-  let oc = open_out path in
-  output_string oc (Json.to_string (make ?registry ?full_gc ()));
-  output_char oc '\n';
-  close_out oc
+  Json.to_file path (make ?registry ?full_gc ())

@@ -1,21 +1,24 @@
 (** The run report: a JSON snapshot of every observability source.
 
-    Shape (["phases"] only when the flight recorder recorded any):
+    Shape (["phases"] only when the flight recorder timed any phase):
     {v
     { "version": 1,
       "metrics": { "<name>": {"type": "counter", ...}, ... },
-      "spans":   { "<name>": {"count", "total_s", "max_s"}, ... },
+      "spans":   { "<name>": {"count", "total_s"}, ... },
       "span_domains": { "<domain-id>": { "<name>": {...} }, ... },
       "gc":      { "stat", "minor_words", ..., "live_words" },
       "phases":  { "<name>": {"count", "total_s"}, ... } }
     v}
 
-    [span_domains] breaks the span aggregates out by recording domain
+    Spans and phases are both read from the {!Flight} totals; a name
+    appears under ["spans"] when [Span.with_] timed it and under
+    ["phases"] when a flight phase did, never under both.
+    [span_domains] breaks the span totals out by recording domain
     (domain 0 is the main domain) — under a [Par] pool it shows how a
     parallel section's time split across the workers. *)
 
 (** [make ()] snapshots the registry (default: {!Metrics.Registry.default}),
-    the span aggregates, the flight-recorder phase totals and the GC.
+    the span and phase totals and the GC.
 
     GC fields come from [Gc.quick_stat] by default — no heap walk:
     allocation totals and collection counts are exact, [live_words] and
@@ -30,6 +33,11 @@ val make : ?registry:Metrics.Registry.t -> ?full_gc:bool -> unit -> Json.t
 (** GC statistics alone, as embedded in {!make}; [~full] selects the
     [Gc.stat] heap walk over [Gc.quick_stat]. *)
 val gc_json : ?full:bool -> unit -> Json.t
+
+(** The report's ["spans"] and ["span_domains"] members alone. *)
+val spans_json : unit -> Json.t
+
+val span_domains_json : unit -> Json.t
 
 val to_file :
   string -> ?registry:Metrics.Registry.t -> ?full_gc:bool -> unit -> unit

@@ -1,60 +1,19 @@
-(* Nestable timed spans, domain-safe. Besides feeding the installed
-   sink, every span updates two aggregates (count / total / max per
-   name): a global one and a per-domain one, so run reports can show
-   both the overall picture and how a parallel section's time split
-   across the worker domains. Aggregate tables and sink emission share
-   one mutex (short critical sections — a span records once, at close);
-   nesting depth is domain-local state, so each worker traces its own
-   stack. *)
-
-type agg = {
-  mutable a_count : int;
-  mutable a_total_s : float;
-  mutable a_max_s : float;
-}
+(* Nestable timed spans, domain-safe. A closed span's count and duration
+   go into the closing domain's {!Flight} totals (recorder on or off),
+   and its start and end events into the installed sink. Sink emission
+   serialises on one mutex; nesting depth is domain-local state, so each
+   worker traces its own stack. *)
 
 let lock = Mutex.create ()
-let aggregates : (string, agg) Hashtbl.t = Hashtbl.create 32
-
-(* Keyed by (domain id, span name); domain 0 is the main domain. *)
-let domain_aggregates : (int * string, agg) Hashtbl.t = Hashtbl.create 32
-
 let depth_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 let depth () = !(Domain.DLS.get depth_key)
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let reset () =
-  locked @@ fun () ->
-  Hashtbl.reset aggregates;
-  Hashtbl.reset domain_aggregates;
-  Domain.DLS.get depth_key := 0
-
-let bump tbl key dur_s =
-  let a =
-    match Hashtbl.find_opt tbl key with
-    | Some a -> a
-    | None ->
-      let a = { a_count = 0; a_total_s = 0.0; a_max_s = 0.0 } in
-      Hashtbl.replace tbl key a;
-      a
-  in
-  a.a_count <- a.a_count + 1;
-  a.a_total_s <- a.a_total_s +. dur_s;
-  if dur_s > a.a_max_s then a.a_max_s <- dur_s
-
-let record name dur_s =
-  let did = (Domain.self () :> int) in
-  locked @@ fun () ->
-  bump aggregates name dur_s;
-  bump domain_aggregates (did, name) dur_s
-
 (* Sinks are single-consumer (a file, a memory buffer): serialise
-   emission under the same lock so concurrent domains interleave whole
-   events, never bytes. *)
-let emit ev = locked (fun () -> Sink.emit ev)
+   emission so concurrent domains interleave whole events, never
+   bytes. *)
+let emit ev =
+  Mutex.lock lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () -> Sink.emit ev)
 
 let with_ ~name f =
   let tracing = not (Sink.is_null !Sink.current) in
@@ -69,15 +28,13 @@ let with_ ~name f =
   incr depth_cell;
   let finish ok =
     let t1 = Clock.now () in
-    let dur_s = Clock.to_s (t1 -. t0) in
     depth_cell := d;
-    record name dur_s;
-    (* Mirror closed spans into the flight timeline: interning here is a
-       per-close hashtable hit, fine for coarse-grained spans. *)
-    if Flight.is_enabled () then
-      Flight.complete (Flight.intern name) ~ts:t0 ~dur:(t1 -. t0);
+    (* Interning here is a per-close hashtable hit, fine for
+       coarse-grained spans. *)
+    Flight.complete (Flight.intern name) ~ts:t0 ~dur:(t1 -. t0);
     (* Re-read the sink: the body may have installed one. *)
     if not (Sink.is_null !Sink.current) then
+      let dur_s = Clock.to_s (t1 -. t0) in
       emit (Sink.Span_end { name; depth = d; t = Clock.to_epoch t1; dur_s; ok })
   in
   match f () with
@@ -87,54 +44,3 @@ let with_ ~name f =
   | exception e ->
     finish false;
     raise e
-
-type timing = { name : string; count : int; total_s : float; max_s : float }
-
-let timing_of name (a : agg) =
-  { name; count = a.a_count; total_s = a.a_total_s; max_s = a.a_max_s }
-
-let timings () =
-  locked @@ fun () ->
-  Hashtbl.fold (fun name a acc -> timing_of name a :: acc) aggregates []
-  |> List.sort (fun a b -> String.compare a.name b.name)
-
-let timing_json t =
-  Json.Obj
-    [
-      ("count", Json.Int t.count);
-      ("total_s", Json.Float t.total_s);
-      ("max_s", Json.Float t.max_s);
-    ]
-
-let timings_json () =
-  Json.Obj (List.map (fun t -> (t.name, timing_json t)) (timings ()))
-
-let domain_timings () =
-  locked @@ fun () ->
-  Hashtbl.fold
-    (fun (did, name) a acc -> (did, timing_of name a) :: acc)
-    domain_aggregates []
-  |> List.sort (fun (d1, t1) (d2, t2) ->
-         match compare d1 d2 with
-         | 0 -> String.compare t1.name t2.name
-         | c -> c)
-
-let domain_timings_json () =
-  let per_domain = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (did, t) ->
-      let fields =
-        match Hashtbl.find_opt per_domain did with
-        | Some fs -> fs
-        | None ->
-          order := did :: !order;
-          []
-      in
-      Hashtbl.replace per_domain did ((t.name, timing_json t) :: fields))
-    (domain_timings ());
-  Json.Obj
-    (List.rev_map
-       (fun did ->
-         (string_of_int did, Json.Obj (List.rev (Hashtbl.find per_domain did))))
-       !order)

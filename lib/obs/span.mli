@@ -1,35 +1,17 @@
 (** Span-based tracing: nestable named timers, domain-safe.
 
     [with_ ~name f] runs [f], emitting [Span_start]/[Span_end] events to
-    the installed {!Sink} and folding the duration into per-name
-    aggregates (count, total, max) that {!Report} serialises — one
-    global table and one keyed by the recording domain, so a parallel
-    section's time can be broken out per worker. The span is closed —
-    and the nesting depth restored — whether [f] returns or raises; a
-    raising body is reported with [ok = false]. Nesting depth is
-    domain-local; aggregate updates and sink emission serialise on an
-    internal mutex. *)
+    the installed {!Sink} and adding the duration to the closing
+    domain's {!Flight} totals through {!Flight.complete} — whether or
+    not the recorder is on; with it on, the span is also a slice on the
+    timeline. {!Flight.span_totals} and {!Flight.span_domain_totals}
+    read the counts and times back, and {!Report} serialises them. The
+    span is closed — and the nesting depth restored — whether [f]
+    returns or raises; a raising body is reported with [ok = false] and
+    still counted. Nesting depth is domain-local; sink emission
+    serialises on an internal mutex. *)
 
 val with_ : name:string -> (unit -> 'a) -> 'a
 
 (** Current nesting depth in this domain (0 outside any span). *)
 val depth : unit -> int
-
-type timing = { name : string; count : int; total_s : float; max_s : float }
-
-(** Aggregated timings since the last {!reset}, sorted by name. *)
-val timings : unit -> timing list
-
-(** The same, as a JSON object keyed by span name. *)
-val timings_json : unit -> Json.t
-
-(** Per-domain aggregates since the last {!reset}, sorted by domain id
-    then name. Domain 0 is the main domain; worker domains get fresh
-    ids when their pool is created. *)
-val domain_timings : unit -> (int * timing) list
-
-(** The same, as a JSON object [{ "<domain-id>": { "<span>": {...} } }]. *)
-val domain_timings_json : unit -> Json.t
-
-(** Drop all aggregates and reset this domain's depth. *)
-val reset : unit -> unit

@@ -167,7 +167,7 @@ let memo_escapes net =
 
 type graph = {
   states : Zone_graph.state array;
-  succs : int list array;
+  edges : string Engine.Core.edges; (* successor ids per state *)
   parents : (int * string) array; (* for diagnostic traces *)
 }
 
@@ -192,7 +192,7 @@ let build_graph ?(max_states = 1_000_000) ?stop ?mem_budget_words net ~extra =
   in
   ( {
       states = out.Engine.Core.states;
-      succs = Array.map (List.map snd) out.Engine.Core.edges;
+      edges = out.Engine.Core.edges;
       parents;
     },
     out.Engine.Core.stats )
@@ -228,10 +228,11 @@ let all_paths_reach graph net ~is_q starts =
       else begin
         status.(id) <- `Gray;
         let st = graph.states.(id) in
+        let { Engine.Core.offsets; targets; _ } = graph.edges in
+        let hi = offsets.(id + 1) in
+        let rec all e = e >= hi || (verify targets.(e) && all (e + 1)) in
         let ok =
-          (not (can_idle_forever net st))
-          && graph.succs.(id) <> []
-          && List.for_all verify graph.succs.(id)
+          (not (can_idle_forever net st)) && offsets.(id) < hi && all offsets.(id)
         in
         status.(id) <- (if ok then `Good else `Bad);
         ok

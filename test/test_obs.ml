@@ -275,7 +275,7 @@ let span_name = function
   | Sink.Span_end { name; _ } -> "end:" ^ name
 
 let test_span_nesting_and_sink_order () =
-  Span.reset ();
+  Obs.reset ();
   let sink, events = Sink.memory () in
   Sink.set sink;
   Fun.protect ~finally:(fun () -> Sink.set Sink.null) @@ fun () ->
@@ -297,15 +297,15 @@ let test_span_nesting_and_sink_order () =
       | Sink.Span_start { name; depth; _ } | Sink.Span_end { name; depth; _ } ->
         check_int ("depth of " ^ name) (if name = "outer" then 0 else 1) depth)
     evs;
-  (* Aggregates saw all three names, once each. *)
-  let timings = Span.timings () in
+  (* The span totals saw all three names, once each. *)
+  let timings = Flight.span_totals () in
   Alcotest.(check (list string))
     "aggregate names" [ "inner1"; "inner2"; "outer" ]
-    (List.map (fun t -> t.Span.name) timings);
-  List.iter (fun t -> check_int t.Span.name 1 t.Span.count) timings
+    (List.map fst timings);
+  List.iter (fun (name, (count, _)) -> check_int name 1 count) timings
 
 let test_span_unwind_on_exception () =
-  Span.reset ();
+  Obs.reset ();
   let sink, events = Sink.memory () in
   Sink.set sink;
   Fun.protect ~finally:(fun () -> Sink.set Sink.null) @@ fun () ->
@@ -329,9 +329,9 @@ let test_span_unwind_on_exception () =
     "both spans closed as failed"
     [ ("boom", false); ("outer", false) ]
     ends;
-  (* A failed span still feeds the aggregates. *)
+  (* A failed span still feeds the totals. *)
   check "failed span aggregated" true
-    (List.exists (fun t -> t.Span.name = "boom") (Span.timings ()));
+    (List.mem_assoc "boom" (Flight.span_totals ()));
   (* And the next span starts at depth 0 again. *)
   Span.with_ ~name:"after" (fun () -> ());
   check "recovered" true
@@ -418,24 +418,22 @@ let test_span_domain_breakdown () =
     Domain.spawn (fun () -> Span.with_ ~name:"worker.work" (fun () -> ()))
   in
   Domain.join d;
-  let by_domain = Span.domain_timings () in
+  let by_domain = Flight.span_domain_totals () in
   let names_of id =
-    List.filter_map
-      (fun (d, t) -> if d = id then Some t.Span.name else None)
-      by_domain
+    List.map fst (Option.value ~default:[] (List.assoc_opt id by_domain))
   in
   check "main domain recorded" true
     (List.mem "main.work" (names_of (Domain.self () :> int)));
   check "worker span attributed to another domain" true
     (List.exists
-       (fun (d, t) ->
-         d <> (Domain.self () :> int) && t.Span.name = "worker.work")
+       (fun (d, l) ->
+         d <> (Domain.self () :> int) && List.mem_assoc "worker.work" l)
        by_domain);
-  (* The global aggregate still sees both. *)
+  (* The global view still sees both. *)
   Alcotest.(check (list string))
     "global aggregate merges domains"
     [ "main.work"; "worker.work" ]
-    (List.map (fun t -> t.Span.name) (Span.timings ()));
+    (List.map fst (Flight.span_totals ()));
   Obs.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -470,8 +468,9 @@ let test_flight_wraparound () =
     [ 4; 5; 6; 7; 8; 9; 10; 11 ]
     (List.map (fun e -> e.Flight.seq) evs);
   (* Totals live outside the ring: every append is accounted even
-     though a third of the timeline was overwritten. *)
-  (match List.assoc_opt "t.wrap" (Flight.totals ()) with
+     though a third of the timeline was overwritten. [complete] is the
+     span bridge, so the events count as a span. *)
+  (match List.assoc_opt "t.wrap" (Flight.span_totals ()) with
    | Some (n, total) ->
      check_int "totals count is exact despite wraparound" 12 n;
      check "totals sum is exact despite wraparound" true
@@ -536,7 +535,7 @@ let test_flight_drain_idempotent () =
   let second = Flight.drain () in
   check "drain is non-destructive" true (first = second);
   check "totals unchanged by draining" true
-    (Flight.totals () = Flight.totals ());
+    (Flight.span_totals () = Flight.span_totals ());
   Flight.disable ()
 
 let test_flight_stop_start_chain () =
@@ -752,6 +751,78 @@ let test_report_roundtrip () =
    | None -> Alcotest.fail "gc section missing");
   Obs.reset ()
 
+(* ------------------------------------------------------------------ *)
+(* One timing source: spans and phases in the flight totals            *)
+(* ------------------------------------------------------------------ *)
+
+let member_path j path =
+  List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path
+
+let count_at j path =
+  match member_path j (path @ [ "count" ]) with
+  | Some (Json.Int n) -> n
+  | _ -> 0
+
+let test_timing_recorder_off () =
+  Obs.reset ();
+  Flight.disable ();
+  Span.with_ ~name:"t.off.span" (fun () -> ());
+  let report = Obs.Report.make () in
+  check_int "span counted once under spans" 1
+    (count_at report [ "spans"; "t.off.span" ]);
+  check_int "and under its domain" 1
+    (count_at report
+       [ "span_domains"; string_of_int (Domain.self () :> int); "t.off.span" ]);
+  check "no ring event while off" true (Flight.drain () = []);
+  check "no phases key" true (Json.member "phases" report = None)
+
+let test_timing_recorder_on () =
+  Obs.reset ();
+  Flight.enable ();
+  let ph = Flight.intern "t.on.phase" in
+  Span.with_ ~name:"t.on.span" (fun () -> Flight.stop ph (Flight.start ()));
+  Flight.disable ();
+  let report = Obs.Report.make () in
+  check_int "span under spans" 1 (count_at report [ "spans"; "t.on.span" ]);
+  check_int "span not under phases" 0 (count_at report [ "phases"; "t.on.span" ]);
+  check_int "phase under phases" 1 (count_at report [ "phases"; "t.on.phase" ]);
+  check_int "phase not under spans" 0 (count_at report [ "spans"; "t.on.phase" ]);
+  check "chrome export has both slices" true
+    (match Json.member "traceEvents" (Flight.to_chrome (Flight.drain ())) with
+     | Some (Json.Arr evs) ->
+       List.for_all
+         (fun name ->
+           List.exists
+             (fun e ->
+               Json.member "name" e = Some (Json.Str name)
+               && Json.member "ph" e = Some (Json.Str "X"))
+             evs)
+         [ "t.on.span"; "t.on.phase" ]
+     | _ -> false);
+  Obs.reset ()
+
+let test_capture_keeps_totals () =
+  Obs.reset ();
+  Flight.enable ();
+  let ph = Flight.intern "t.cap.phase" in
+  Span.with_ ~name:"t.cap.span" (fun () -> Flight.stop ph (Flight.start ()));
+  let before = (Flight.totals (), Flight.span_totals ()) in
+  let path = Filename.temp_file "capture" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      Flight.capture_chrome path;
+      check "totals unchanged by a capture" true
+        (before = (Flight.totals (), Flight.span_totals ()));
+      check "both totals non-empty" true
+        (fst before <> [] && snd before <> []);
+      check "rings emptied" true (Flight.drain () = []);
+      let ic = open_in path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      check "capture file holds the span" true
+        (Astring.String.is_infix ~affix:"\"t.cap.span\"" text));
+  Flight.disable ();
+  Obs.reset ()
+
 let () =
   Alcotest.run "obs"
     [
@@ -786,6 +857,15 @@ let () =
             test_reset_racing_snapshot;
           Alcotest.test_case "per-domain span breakdown" `Quick
             test_span_domain_breakdown;
+        ] );
+      ( "timing",
+        [
+          Alcotest.test_case "recorder off: span in report, no phases" `Quick
+            test_timing_recorder_off;
+          Alcotest.test_case "recorder on: spans and phases apart" `Quick
+            test_timing_recorder_on;
+          Alcotest.test_case "capture keeps the totals" `Quick
+            test_capture_keeps_totals;
         ] );
       ( "flight",
         [
