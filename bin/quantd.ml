@@ -1,9 +1,9 @@
 (* quantd — the long-running analysis daemon.
 
    Serves check/smc/modes/fuzz/metrics queries as JSONL over a
-   Unix-domain socket (see Serve.Protocol), keeping compiled models,
-   reply caches and sealed-DBM intern tables warm between requests.
-   Talk to it with `quantcli client --socket ...`.
+   Unix-domain socket (see Serve.Protocol), keeping compiled models and
+   replies cached between requests (see Serve.Registry). Talk to it
+   with `quantcli client --socket ...`.
 
    Exit codes: 0 graceful shutdown (SIGTERM/SIGINT), 2 usage,
    3 internal/startup failure (cmdliner's own parse errors keep its 124). *)
@@ -34,9 +34,9 @@ let mem_budget_arg =
     & opt (some int) None
     & info [ "mem-budget" ] ~docv:"MB"
         ~doc:
-          "Retained-heap budget in megabytes. Bounds the warm caches (LRU \
-           eviction: anchors, then replies, then models) and every \
-           exploration (a query over budget degrades into a structured \
+          "Retained-heap budget in megabytes. Bounds the caches (LRU \
+           eviction: replies, then models) and every exploration (a \
+           query over budget degrades into a structured \
            resource_exhausted reply instead of an OOM kill).")
 
 let slow_ms_arg =
@@ -76,8 +76,7 @@ let run socket jobs mem_budget_mb slow_ms slow_dir max_conns =
   if slow_ms <> None then Obs.Flight.enable ();
   let config =
     {
-      Serve.Daemon.default_config with
-      socket_path = socket;
+      Serve.Daemon.socket_path = socket;
       jobs;
       mem_budget_words =
         Option.map (fun mb -> mb * 1024 * 1024 / 8) mem_budget_mb;

@@ -38,8 +38,7 @@ let subsets xs =
     (fun acc x -> acc @ List.map (fun s -> x :: s) acc)
     [ [] ] xs
 
-let make ~components ~connectors ?(priorities = []) ?(broadcast_maximal = true)
-    () =
+let make ~components ~connectors ?(priorities = []) () =
   let n = Array.length components in
   let check_member (ci, (p : Component.port)) =
     if ci < 0 || ci >= n then invalid_arg "Bip.System.make: bad component index";
@@ -99,7 +98,7 @@ let make ~components ~connectors ?(priorities = []) ?(broadcast_maximal = true)
           (Printf.sprintf "Bip.System.make: unknown interaction in priority %s < %s"
              r.low r.high))
     priorities;
-  { components; interactions; priorities; broadcast_maximal }
+  { components; interactions; priorities; broadcast_maximal = true }
 
 let interaction_by_name t name =
   match

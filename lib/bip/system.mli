@@ -53,14 +53,13 @@ type t = {
 
 (** [make ~components ~connectors ~priorities ()] elaborates connectors
     into concrete interactions (broadcasts enumerate their subsets,
-    trigger-alone included).
+    trigger-alone included), preferring maximal broadcast subsets.
     @raise Invalid_argument on bad component indices, duplicate
     interaction names, or priorities naming unknown interactions. *)
 val make :
   components:Component.t array ->
   connectors:connector list ->
   ?priorities:priority list ->
-  ?broadcast_maximal:bool ->
   unit ->
   t
 

@@ -254,8 +254,7 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
       (* Periodic frontier-depth samples become a counter track in the
          trace; the mask check is the only always-on cost. *)
       if sh.visited land 1023 = 0 then
-        Obs.Flight.sample ph_frontier_len
-          (float_of_int (frontier_length sh.frontier));
+        Obs.Flight.sample ph_frontier_len (frontier_length sh.frontier);
       match bound_hit sh with
       | Some _ as cause ->
         sh.cause <- cause;
@@ -310,14 +309,14 @@ let run_sharded ?(max_states = 1_000_000) ?stop ?mem_budget_words
     (* A single shard merges nothing and waits at no barrier: its time
        is the run's own, so it records no shard phases (the negative
        sentinel turns both stops into no-ops). *)
-    let fl = if solo then -1.0 else Obs.Flight.start () in
+    let fl = if solo then -1 else Obs.Flight.start () in
     (* Merge: drain last round's inboxes in source-shard order; within a
        box, FIFO push order. Both orders are scheduling-independent. *)
     let prev = boxes.(1 - !parity) in
     for src = 0 to nsh - 1 do
       let box = prev.(src).(sid) in
       if Par.Mailbox.length box > 0 then begin
-        Obs.Flight.sample ph_mailbox_len (float_of_int (Par.Mailbox.length box));
+        Obs.Flight.sample ph_mailbox_len (Par.Mailbox.length box);
         Par.Mailbox.iter
           (fun m ->
             let g =

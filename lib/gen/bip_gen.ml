@@ -1,10 +1,10 @@
 type comp = { b_locs : int; b_ports : int; b_trans : (int * int * int) list }
 type spec = { b_comps : comp array; b_conns : (int * int) list list }
 
-let generate ?(max_comps = 3) rng =
+let generate rng =
   let r = Rng.state rng in
   let int n = Random.State.int r n in
-  let n_comps = 1 + int max_comps in
+  let n_comps = 1 + int 3 in
   let gen_comp () =
     let locs = 2 + int 2 in
     let ports = 1 + int 2 in

@@ -19,7 +19,8 @@ type spec = {
           one port per distinct component *)
 }
 
-val generate : ?max_comps:int -> Rng.t -> spec
+(** One to three components. *)
+val generate : Rng.t -> spec
 val build : spec -> Bip.System.t
 val shrinks : spec -> spec list
 val to_json : spec -> Obs.Json.t

@@ -30,10 +30,15 @@ type vi_stats = { iterations : int; final_delta : float }
 
 let pick ~maximize a b = if maximize then max a b else min a b
 
+(* Value iteration stops once a sweep moves no value by more than
+   [epsilon], or after [max_iter] sweeps. *)
+let epsilon = 1e-12
+let max_iter = 2_000_000
+
 (* Generic value iteration from below: v := max/min over actions of
    (base(a) + sum p * v'), with target states pinned to [pin]. *)
-let value_iterate ?(epsilon = 1e-12) ?(sweep = Gauss_seidel)
-    ?(max_iter = 2_000_000) t ~target ~maximize ~pin ~base ~frozen =
+let value_iterate ?(sweep = Gauss_seidel) t ~target ~maximize ~pin ~base
+    ~frozen =
   let n = n_states t in
   let v = Array.make n 0.0 in
   Array.iteri (fun s tgt -> if tgt then v.(s) <- pin) target;
@@ -76,11 +81,11 @@ let value_iterate ?(epsilon = 1e-12) ?(sweep = Gauss_seidel)
    with Exit -> ());
   (v, !stats)
 
-let reach_prob ?epsilon ?sweep ?max_iter t ~target ~maximize =
+let reach_prob ?sweep t ~target ~maximize =
   let n = n_states t in
   if Array.length target <> n then invalid_arg "Mdp.reach_prob: target size";
   let frozen = Array.make n false in
-  value_iterate ?epsilon ?sweep ?max_iter t ~target ~maximize ~pin:1.0
+  value_iterate ?sweep t ~target ~maximize ~pin:1.0
     ~base:(fun _ -> 0.0)
     ~frozen
 
@@ -116,15 +121,15 @@ let bounded_reach_prob t ~target ~steps ~maximize =
   done;
   !v
 
-let expected_reward ?epsilon ?sweep ?max_iter t ~target ~maximize =
+let expected_reward ?sweep t ~target ~maximize =
   let n = n_states t in
   if Array.length target <> n then invalid_arg "Mdp.expected_reward: target size";
   (* Divergence mask: maximizing needs every scheduler to reach the target
      almost surely (min reach = 1); minimizing needs some scheduler to
      (max reach = 1). Other states get value infinity. *)
-  let reach, _ = reach_prob ?epsilon ?sweep ?max_iter t ~target ~maximize:(not maximize) in
+  let reach, _ = reach_prob ?sweep t ~target ~maximize:(not maximize) in
   let frozen = Array.map (fun p -> p < 1.0 -. 1e-9) reach in
-  value_iterate ?epsilon ?sweep ?max_iter t ~target ~maximize ~pin:0.0
+  value_iterate ?sweep t ~target ~maximize ~pin:0.0
     ~base:(fun a -> a.reward)
     ~frozen
 

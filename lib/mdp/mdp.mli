@@ -33,11 +33,10 @@ type vi_stats = { iterations : int; final_delta : float }
 
 (** [reach_prob t ~target ~maximize] — per-state optimal probability of
     eventually reaching a target state. Value iteration from below
-    (converges to the exact least fixpoint). *)
+    (converges to the exact least fixpoint); it stops once a sweep moves
+    no value by more than 1e-12, or after 2,000,000 sweeps. *)
 val reach_prob :
-  ?epsilon:float ->
   ?sweep:sweep ->
-  ?max_iter:int ->
   t ->
   target:bool array ->
   maximize:bool ->
@@ -53,11 +52,10 @@ val bounded_reach_prob :
     [infinity] when the (adversarial) scheduler can avoid the target:
     for [maximize], whenever some scheduler misses the target with
     positive probability; for [minimize], whenever no scheduler reaches
-    it almost surely. *)
+    it almost surely. Same iteration and stopping rule as
+    {!reach_prob}. *)
 val expected_reward :
-  ?epsilon:float ->
   ?sweep:sweep ->
-  ?max_iter:int ->
   t ->
   target:bool array ->
   maximize:bool ->

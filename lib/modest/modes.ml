@@ -2,8 +2,6 @@ module Model = Ta.Model
 module Expr = Ta.Expr
 module Bound = Zones.Bound
 
-type scheduler = Asap_uniform
-
 (* Simulator instruments: an "event" is one fired move (internal or
    synchronised pair); the event-queue depth is the number of candidate
    moves the scheduler chose among at that step. *)
@@ -201,9 +199,7 @@ let step (sta : Sta.t) rng st =
       end
     end
 
-let run ?(scheduler = Asap_uniform) (sta : Sta.t) ~seed ~horizon ~watch
-    ~monitors =
-  let Asap_uniform = scheduler in
+let run (sta : Sta.t) ~seed ~horizon ~watch ~monitors =
   let rng = Random.State.make [| seed |] in
   let hits = Array.make (Array.length watch) None in
   let monitors_ok = Array.make (Array.length monitors) true in
@@ -235,9 +231,9 @@ let run ?(scheduler = Asap_uniform) (sta : Sta.t) ~seed ~horizon ~watch
   Obs.Metrics.Counter.incr m_runs;
   { hits; monitors_ok; end_time = final.mtime; steps }
 
-let runs ?pool ?scheduler sta ~seed ~n ~horizon ~watch ~monitors =
+let runs ?pool sta ~seed ~n ~horizon ~watch ~monitors =
   Obs.Span.with_ ~name:"modes.batch" @@ fun () ->
   (* Run k is fully determined by its derived seed, so the batch shards
      across a pool without changing any observation. *)
   Par.map_range ?pool ~lo:0 ~hi:n (fun k ->
-      run ?scheduler sta ~seed:(seed + (k * 7919)) ~horizon ~watch ~monitors)
+      run sta ~seed:(seed + (k * 7919)) ~horizon ~watch ~monitors)

@@ -2,12 +2,10 @@
 
     Probabilistic branches are sampled by weight; the remaining
     nondeterminism — which enabled move fires, and when — is resolved by
-    an explicit scheduler, as the paper notes simulation must: the
-    default is ASAP timing (moves fire as soon as their guards allow)
-    with uniform-random choice among simultaneously enabled moves.
+    an explicit scheduler, as the paper notes simulation must. It is
+    fixed: ASAP timing (moves fire as soon as their guards allow) with
+    uniform-random choice among simultaneously enabled moves.
     Deterministically seeded. *)
-
-type scheduler = Asap_uniform
 
 (** One simulated run's observations. *)
 type observation = {
@@ -23,7 +21,6 @@ type observation = {
 (** [run sta ~seed ~horizon ~watch ~monitors] simulates one run until the
     horizon, a stuck state, or all watches hit. *)
 val run :
-  ?scheduler:scheduler ->
   Sta.t ->
   seed:int ->
   horizon:float ->
@@ -36,7 +33,6 @@ val run :
     [?pool] changes wall-clock time only, never an observation. *)
 val runs :
   ?pool:Par.Pool.t ->
-  ?scheduler:scheduler ->
   Sta.t ->
   seed:int ->
   n:int ->

@@ -18,6 +18,7 @@ external now : unit -> (float[@unboxed])
 external mono : unit -> (float[@unboxed])
   = "obs_clock_mono_byte" "obs_clock_mono" [@@noalloc]
 
+let ticks () = Float.to_int (now ())
 let t0_ticks = now ()
 let t0_mono = mono ()
 let t0_epoch = Unix.gettimeofday ()

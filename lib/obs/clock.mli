@@ -12,8 +12,14 @@
     calibrate the tick period against [CLOCK_MONOTONIC] on first use. *)
 
 (** Current time in clock ticks. Monotone, tick unit unspecified —
-    subtract two readings and {!to_s} the difference. *)
-val now : unit -> float
+    subtract two readings and {!to_s} the difference. Declared as the
+    external itself, so no caller boxes the reading. *)
+external now : unit -> (float[@unboxed])
+  = "obs_clock_ticks_byte" "obs_clock_ticks" [@@noalloc]
+
+(** {!now} as an int: the unit the flight recorder stores and sums,
+    read without allocating. *)
+val ticks : unit -> int
 
 (** Seconds per tick times [d]: convert a tick delta to seconds. The
     first call calibrates the tick period (spinning until at least 1ms

@@ -82,14 +82,17 @@ let name_of id = !names.(id)
 let enabled = Atomic.make false
 let capacity = Atomic.make 8192 (* power of two *)
 
+(* Timestamps and durations are {!Clock.ticks} ints end to end — in
+   the API, the slots and the totals — so recording boxes nothing; the
+   exports convert to seconds once. *)
 type ring = {
   mutable cap : int;  (** power of two; 0 until first append *)
   mutable tags : int array;  (** interned id lsl 2 lor kind *)
-  mutable tss : float array;
-  mutable durs : float array;
+  mutable tss : int array;
+  mutable durs : int array;  (** ticks, or a [Counter]'s sampled value *)
   mutable head : int;  (** total events ever appended *)
   mutable tot_count : int array;  (** per-id Complete totals, spans too *)
-  mutable tot_ticks : float array;  (** per-id summed durations, Clock ticks *)
+  mutable tot_ticks : int array;  (** per-id summed durations *)
 }
 
 let rings : ring Shard.t =
@@ -111,8 +114,8 @@ let tag_of id kind =
 let alloc r cap =
   r.cap <- cap;
   r.tags <- Array.make cap (-1);
-  r.tss <- Array.make cap 0.0;
-  r.durs <- Array.make cap 0.0;
+  r.tss <- Array.make cap 0;
+  r.durs <- Array.make cap 0;
   r.head <- 0
 
 (* [i] is masked by [cap - 1] (a power of two, the arrays' length) and
@@ -131,7 +134,7 @@ let push r id kind ts dur =
 let grow_totals r id =
   let n = Array.length r.tot_count in
   let cap = max 16 (max (2 * n) (id + 1)) in
-  let c = Array.make cap 0 and s = Array.make cap 0.0 in
+  let c = Array.make cap 0 and s = Array.make cap 0 in
   Array.blit r.tot_count 0 c 0 n;
   Array.blit r.tot_ticks 0 s 0 n;
   r.tot_count <- c;
@@ -145,7 +148,7 @@ let reset () =
   Shard.iter rings (fun _ r ->
       r.head <- 0;
       Array.fill r.tot_count 0 (Array.length r.tot_count) 0;
-      Array.fill r.tot_ticks 0 (Array.length r.tot_ticks) 0.0)
+      Array.fill r.tot_ticks 0 (Array.length r.tot_ticks) 0)
 
 let round_pow2 n =
   let c = ref 1 in
@@ -165,12 +168,12 @@ let enable ?capacity:(cap = 8192) () =
 
 let disable () = Atomic.set enabled false
 
-let start () = if Atomic.get enabled then Clock.now () else -1.0
+let start () = if Atomic.get enabled then Clock.ticks () else -1
 
 let[@inline] bump_total r id dur =
   if id >= Array.length r.tot_count then grow_totals r id;
   Array.unsafe_set r.tot_count id (Array.unsafe_get r.tot_count id + 1);
-  Array.unsafe_set r.tot_ticks id (Array.unsafe_get r.tot_ticks id +. dur)
+  Array.unsafe_set r.tot_ticks id (Array.unsafe_get r.tot_ticks id + dur)
 
 (* [push] + [bump_total] fused for Complete events (tag [id lsl 2]):
    one call from the stop sites, [r]'s fields loaded once, the two cold
@@ -187,17 +190,16 @@ let record_complete r id ts dur =
   bump_total r id dur
 
 let stop id t0 =
-  if t0 >= 0.0 then
-    record_complete (Shard.my rings) id t0 (Clock.now () -. t0)
+  if t0 >= 0 then record_complete (Shard.my rings) id t0 (Clock.ticks () - t0)
 
 (* Close one phase and open the next on a single clock read — for
    back-to-back phases (store probe, then bucket scan) where a stop
    followed by a start would read the clock twice at the seam. *)
 let stop_start id t0 =
-  if t0 < 0.0 then -1.0
+  if t0 < 0 then -1
   else begin
-    let t1 = Clock.now () in
-    record_complete (Shard.my rings) id t0 (t1 -. t0);
+    let t1 = Clock.ticks () in
+    record_complete (Shard.my rings) id t0 (t1 - t0);
     t1
   end
 
@@ -213,11 +215,11 @@ let complete id ~ts ~dur =
 
 let mark id =
   if Atomic.get enabled then
-    push (Shard.my rings) id Instant (Clock.now ()) 0.0
+    push (Shard.my rings) id Instant (Clock.ticks ()) 0
 
 let sample id v =
   if Atomic.get enabled then
-    push (Shard.my rings) id Counter (Clock.now ()) v
+    push (Shard.my rings) id Counter (Clock.ticks ()) v
 
 (* ---- draining ------------------------------------------------------ *)
 
@@ -251,12 +253,12 @@ let drain () =
                   seq;
                   name = name_of (tag lsr 2);
                   kind;
-                  ts = Clock.to_epoch r.tss.(i);
+                  ts = Clock.to_epoch (float_of_int r.tss.(i));
                   (* Counter slots carry the sampled value, not a time. *)
                   dur =
                     (match kind with
-                     | Complete -> Clock.to_s r.durs.(i)
-                     | Instant | Counter -> r.durs.(i));
+                     | Complete -> Clock.to_s (float_of_int r.durs.(i))
+                     | Instant | Counter -> float_of_int r.durs.(i));
                 }
               in
               take (seq - 1) (e :: acc)
@@ -288,7 +290,7 @@ let per_domain ~span =
       Array.iteri
         (fun id n ->
           if n > 0 && !spans.(id) = span then
-            l := (name_of id, (n, r.tot_ticks.(id) *. p)) :: !l)
+            l := (name_of id, (n, float_of_int r.tot_ticks.(id) *. p)) :: !l)
         r.tot_count;
       if !l = [] then acc else (did, by_name !l) :: acc)
     []

@@ -51,30 +51,31 @@ val is_enabled : unit -> bool
 val reset : unit -> unit
 
 (** [stop id (start ())] brackets a phase: records one [Complete] event
-    and bumps the phase totals. [start] returns the current {!Clock}
-    tick reading — or a negative sentinel when the recorder is off,
-    making [stop] free. The pair costs ~40ns when recording. *)
-val start : unit -> float
+    and bumps the phase totals. [start] returns the current
+    {!Clock.ticks} reading — or a negative sentinel when the recorder is
+    off, making [stop] free. The pair costs ~40ns when recording and
+    allocates nothing. *)
+val start : unit -> int
 
-val stop : int -> float -> unit
+val stop : int -> int -> unit
 
 (** [stop_start id t0] closes phase [id] and opens the next phase on a
     single clock read, returning the new start. Sentinel-propagating:
     free when the recorder is off. *)
-val stop_start : int -> float -> float
+val stop_start : int -> int -> int
 
 (** Record a closed span — the bridge [Span.with_] closes through. It
     marks [id] as a span name, adds [dur] to this domain's totals
     whether or not the recorder is on, and appends a [Complete] event
-    when it is. [ts] and [dur] are in {!Clock} ticks — pass [Clock.now]
+    when it is. [ts] and [dur] are in ticks — pass {!Clock.ticks}
     readings through unconverted. *)
-val complete : int -> ts:float -> dur:float -> unit
+val complete : int -> ts:int -> dur:int -> unit
 
 (** Record an [Instant] event. *)
 val mark : int -> unit
 
 (** Record a [Counter] sample (a value-over-time track in the trace). *)
-val sample : int -> float -> unit
+val sample : int -> int -> unit
 
 (** Merge all rings, sorted by timestamp (ties: domain, then sequence).
     Non-destructive: draining twice yields the same events. *)

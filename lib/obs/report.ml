@@ -3,22 +3,17 @@
    regions are timed) and GC statistics — everything a bench or CI run
    needs to make two revisions comparable. *)
 
-(* Two GC snapshot depths. [Gc.quick_stat] (the default) reads the
-   mutator's counters without touching the heap: allocation totals
-   (minor/major/promoted words) and collection counts are exact, while
-   [live_words]/[heap_words] are carried over from the last major
-   collection — an approximation that can lag the truth by one major
-   cycle. [Gc.stat] instead completes a major cycle and walks the heap
-   so [live_words] (words actually alive, vs. [top_heap_words] for the
-   peak reservation) is exact at the snapshot instant — worth paying
-   only where that number is the point, e.g. BENCH_engine.json
-   store-representation comparisons; ask for it with [~full_gc:true].
-   The ["stat"] field records which one produced the snapshot. *)
-let gc_json ?(full = false) () =
-  let s = if full then Gc.stat () else Gc.quick_stat () in
+(* [Gc.quick_stat] reads the mutator's counters without touching the
+   heap: allocation totals (minor/major/promoted words) and collection
+   counts are exact, while [live_words]/[heap_words] are carried over
+   from the last major collection — an approximation that can lag the
+   truth by one major cycle. The ["stat"] field names the snapshot
+   kind. *)
+let gc_json () =
+  let s = Gc.quick_stat () in
   Json.Obj
     [
-      ("stat", Json.Str (if full then "full" else "quick"));
+      ("stat", Json.Str "quick");
       ("minor_words", Json.Float s.Gc.minor_words);
       ("major_words", Json.Float s.Gc.major_words);
       ("promoted_words", Json.Float s.Gc.promoted_words);
@@ -47,7 +42,7 @@ let span_domains_json () =
        (fun (did, l) -> (string_of_int did, totals_json l))
        (Flight.span_domain_totals ()))
 
-let make ?registry ?(full_gc = false) () =
+let make ?registry () =
   (* Phase totals ride along only when the flight recorder produced
      any, so reports from uninstrumented runs keep their old shape. *)
   let phases =
@@ -59,9 +54,8 @@ let make ?registry ?(full_gc = false) () =
        ("metrics", Metrics.snapshot ?registry ());
        ("spans", spans_json ());
        ("span_domains", span_domains_json ());
-       ("gc", gc_json ~full:full_gc ());
+       ("gc", gc_json ());
      ]
     @ phases)
 
-let to_file path ?registry ?full_gc () =
-  Json.to_file path (make ?registry ?full_gc ())
+let to_file path ?registry () = Json.to_file path (make ?registry ())

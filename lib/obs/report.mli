@@ -20,24 +20,15 @@
 (** [make ()] snapshots the registry (default: {!Metrics.Registry.default}),
     the span and phase totals and the GC.
 
-    GC fields come from [Gc.quick_stat] by default — no heap walk:
-    allocation totals and collection counts are exact, [live_words] and
+    GC fields come from [Gc.quick_stat] — no heap walk: allocation
+    totals and collection counts are exact, [live_words] and
     [heap_words] are as of the last major collection (may lag by one
-    cycle). Pass [~full_gc:true] for a [Gc.stat] full major cycle +
-    heap walk that makes [live_words] exact at the snapshot instant;
-    reports are one-shot, but the walk is only worth paying where
-    live-heap comparisons are the point (bench store rows). The
-    [gc.stat] field says which variant ran. *)
-val make : ?registry:Metrics.Registry.t -> ?full_gc:bool -> unit -> Json.t
-
-(** GC statistics alone, as embedded in {!make}; [~full] selects the
-    [Gc.stat] heap walk over [Gc.quick_stat]. *)
-val gc_json : ?full:bool -> unit -> Json.t
+    cycle). The [gc.stat] field says ["quick"]. *)
+val make : ?registry:Metrics.Registry.t -> unit -> Json.t
 
 (** The report's ["spans"] and ["span_domains"] members alone. *)
 val spans_json : unit -> Json.t
 
 val span_domains_json : unit -> Json.t
 
-val to_file :
-  string -> ?registry:Metrics.Registry.t -> ?full_gc:bool -> unit -> unit
+val to_file : string -> ?registry:Metrics.Registry.t -> unit -> unit

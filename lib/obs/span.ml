@@ -22,20 +22,24 @@ let with_ ~name f =
   (* Timing runs on the tick-based {!Clock} (NTP-jump-proof, and the
      same unit the flight ring stores); sink events keep their epoch
      timestamps via [Clock.to_epoch]. *)
-  let t0 = Clock.now () in
+  let t0 = Clock.ticks () in
   if tracing then
-    emit (Sink.Span_start { name; depth = d; t = Clock.to_epoch t0 });
+    emit
+      (Sink.Span_start
+         { name; depth = d; t = Clock.to_epoch (float_of_int t0) });
   incr depth_cell;
   let finish ok =
-    let t1 = Clock.now () in
+    let t1 = Clock.ticks () in
     depth_cell := d;
     (* Interning here is a per-close hashtable hit, fine for
        coarse-grained spans. *)
-    Flight.complete (Flight.intern name) ~ts:t0 ~dur:(t1 -. t0);
+    Flight.complete (Flight.intern name) ~ts:t0 ~dur:(t1 - t0);
     (* Re-read the sink: the body may have installed one. *)
     if not (Sink.is_null !Sink.current) then
-      let dur_s = Clock.to_s (t1 -. t0) in
-      emit (Sink.Span_end { name; depth = d; t = Clock.to_epoch t1; dur_s; ok })
+      let dur_s = Clock.to_s (float_of_int (t1 - t0)) in
+      emit
+        (Sink.Span_end
+           { name; depth = d; t = Clock.to_epoch (float_of_int t1); dur_s; ok })
   in
   match f () with
   | v ->

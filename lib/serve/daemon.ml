@@ -14,7 +14,6 @@ type config = {
   mem_budget_words : int option;
   slow_ms : float option;
   slow_trace_dir : string option;
-  max_line_bytes : int;
   max_conns : int;
 }
 
@@ -25,9 +24,12 @@ let default_config =
     mem_budget_words = None;
     slow_ms = None;
     slow_trace_dir = None;
-    max_line_bytes = 8 * 1024 * 1024;
     max_conns = 128;
   }
+
+(* The request frame cap: an unterminated line longer than the JSON
+   parser would accept (8 MiB) can never become a legal request. *)
+let max_line_bytes = Obs.Json.default_limits.Obs.Json.max_bytes
 
 type conn = {
   fd : Unix.file_descr;
@@ -165,13 +167,13 @@ let run ?(config = default_config) () =
                 (* An unterminated frame larger than any legal request
                    is a protocol violation: reply once, then hang up
                    after the write drains. *)
-                if String.length c.inbuf > config.max_line_bytes then begin
+                if String.length c.inbuf > max_line_bytes then begin
                   c.inbuf <- "";
                   c.out <-
                     c.out
                     ^ Protocol.error_line ~id:Obs.Json.Null Protocol.Bad_json
                         (Printf.sprintf "frame exceeds %d bytes"
-                           config.max_line_bytes)
+                           max_line_bytes)
                     ^ "\n";
                   c.closing <- true
                 end

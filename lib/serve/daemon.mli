@@ -15,9 +15,9 @@
     down, and {!run} returns normally (exit 0 is the caller's).
 
     Robustness: non-blocking everywhere, EINTR-safe, SIGPIPE ignored
-    (a vanished client costs its connection), over-long unterminated
-    frames answered with [bad_json] and a hangup, connections beyond
-    [max_conns] closed at accept. *)
+    (a vanished client costs its connection), unterminated frames over
+    the JSON byte limit (8 MiB) answered with [bad_json] and a hangup,
+    connections beyond [max_conns] closed at accept. *)
 
 type config = {
   socket_path : string;
@@ -26,11 +26,10 @@ type config = {
       (** registry cache budget {e and} per-exploration bound *)
   slow_ms : float option;  (** flight-capture threshold, see {!Service} *)
   slow_trace_dir : string option;
-  max_line_bytes : int;  (** request frame cap (also the JSON byte limit) *)
   max_conns : int;
 }
 
-(** ["quantd.sock"], 1 job, no budget, 8 MiB frames, 128 connections. *)
+(** ["quantd.sock"], 1 job, no budget, 128 connections. *)
 val default_config : config
 
 (** Serve until SIGTERM/SIGINT, then drain and return. Prints one

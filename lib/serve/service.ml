@@ -103,8 +103,7 @@ let handle_check t (req : P.request) ~now =
       match Registry.cached_reply t.registry ~fingerprint with
       | Some r -> Ok r
       | None ->
-        let entry = Registry.model t.registry spec ~n in
-        let net = Registry.net entry in
+        let net = Registry.model t.registry spec ~n in
         let deadline = deadline_at ~now req in
         let stop = stop_hook t ~deadline in
         let mem_budget_words = Registry.mem_budget_words t.registry in
@@ -143,7 +142,6 @@ let handle_check t (req : P.request) ~now =
               ("queries", Json.Arr (List.map (fun (_, j, _) -> j) results));
             ]
         in
-        Registry.warm t.registry entry;
         Registry.store_reply t.registry ~fingerprint result;
         Ok result
     end
@@ -178,8 +176,7 @@ let plan_smc (req : P.request) ~registry =
     match model with
     | "train-gate" ->
       let spec = Models.train_gate in
-      let entry = Registry.model registry spec ~n:trains in
-      let net = Registry.net entry in
+      let net = Registry.model registry spec ~n:trains in
       let config =
         { Smc.Stochastic.rates = (fun auto _ -> 1.0 +. float_of_int auto) }
       in
@@ -204,8 +201,7 @@ let plan_smc (req : P.request) ~registry =
       Ok { plan_fingerprint = fingerprint; items; finish }
     | "fischer" ->
       let spec = Models.fischer in
-      let entry = Registry.model registry spec ~n:trains in
-      let net = Registry.net entry in
+      let net = Registry.model registry spec ~n:trains in
       let items =
         List.init trains (fun i ->
             Smc.Batch.item ~seed:(seed + i) ~runs net

@@ -22,10 +22,11 @@ type hitting_stats = {
 (* Shared reductions over a hitting-time array                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Every estimate below is a pure fold over one [hitting_times] array.
-   Keeping the folds here — and funnelling both the one-shot facade and
-   [Batch] through them — is what makes "batched result = sequential
-   result" hold by construction rather than by test. *)
+(* Every estimate below is a pure fold over one [Batch.hitting_times]
+   array. Keeping the folds here — and funnelling both the one-shot
+   facade (a one-item batch) and a serving layer's fused batches
+   through them — is what makes "batched result = sequential result"
+   hold by construction rather than by test. *)
 
 let count_within times bound =
   Array.fold_left
@@ -54,78 +55,6 @@ let stats_of_times ~runs times =
       hit_fraction = float_of_int (Array.length arr) /. float_of_int runs;
       runs;
     }
-
-(* ------------------------------------------------------------------ *)
-(* One-shot facade                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let probability ?pool ?cancel ?(config = Stochastic.default_config)
-    ?(seed = 42) ?runs net q =
-  assert (Ta.Prop.crisp q.goal);
-  let runs = match runs with Some r -> r | None -> default_runs () in
-  let times =
-    Stochastic.hitting_times ?pool ?cancel net config ~seed ~runs
-      ~horizon:q.horizon ~stop:(stop_of net q.goal)
-  in
-  interval_of_times ~runs ~horizon:q.horizon times
-
-(* SPRT over Bernoulli outcomes sampled speculatively: sample index [k]
-   always draws from [| seed; k |], and [Par.fold_until] feeds the
-   outcomes to the incremental test strictly in index order, so the
-   verdict is the one the sequential test reaches on the same stream.
-   Outcomes are produced in super-batches so an early verdict does not
-   leave max_samples worth of speculative work behind. *)
-let hypothesis ?pool ?(config = Stochastic.default_config) ?(seed = 42)
-    ?(delta = 0.01) net q ~theta =
-  assert (Ta.Prop.crisp q.goal);
-  Obs.Span.with_ ~name:"smc.sprt" @@ fun () ->
-  let stop = stop_of net q.goal in
-  let sample k =
-    let rng = Random.State.make [| seed; k |] in
-    let _, hit = Stochastic.simulate net config rng ~horizon:q.horizon ~stop in
-    match hit with Some h -> h <= q.horizon | None -> false
-  in
-  let max_samples = 1_000_000 in
-  let batch = 4096 in
-  let rec go st lo =
-    let hi = min max_samples (lo + batch) in
-    let verdict = ref None in
-    let st', _consumed =
-      Par.fold_until ?pool ~lo ~hi ~f:sample ~init:st
-        ~step:(fun st _k x ->
-          match Estimate.Sprt.step st x with
-          | Estimate.Sprt.Decided r ->
-            verdict := Some r;
-            Par.Stop st
-          | Estimate.Sprt.Undecided st' -> Par.Continue st')
-        ()
-    in
-    match !verdict with
-    | Some r -> r
-    | None ->
-      if hi >= max_samples then Estimate.Sprt.force st' else go st' hi
-  in
-  go (Estimate.Sprt.start ~max_samples ~theta ~delta ~alpha:0.05 ~beta:0.05 ()) 0
-
-let cdf ?pool ?cancel ?(config = Stochastic.default_config) ?(seed = 42) ?runs
-    net ~goal ~horizon ~grid =
-  assert (Ta.Prop.crisp goal);
-  let runs = match runs with Some r -> r | None -> default_runs () in
-  let times =
-    Stochastic.hitting_times ?pool ?cancel net config ~seed ~runs ~horizon
-      ~stop:(stop_of net goal)
-  in
-  cdf_of_times ~runs ~grid times
-
-let hitting_time ?pool ?cancel ?(config = Stochastic.default_config)
-    ?(seed = 42) ?runs net ~goal ~horizon =
-  assert (Ta.Prop.crisp goal);
-  let runs = match runs with Some r -> r | None -> default_runs () in
-  let times =
-    Stochastic.hitting_times ?pool ?cancel net config ~seed ~runs ~horizon
-      ~stop:(stop_of net goal)
-  in
-  stats_of_times ~runs times
 
 (* ------------------------------------------------------------------ *)
 (* Batched sampling                                                     *)
@@ -171,11 +100,11 @@ module Batch = struct
     let stops = Array.map (fun it -> stop_of it.net it.goal) items in
     (* One fused range: global index [g] belongs to item [i] as its
        local run [k = g - offsets.(i)], and draws from
-       [Random.State.make [| seed_i; k |]] — the exact stream
-       [Stochastic.hitting_times] would use for that item alone. The
-       fused batch therefore returns, per item, byte-for-byte the array
-       the one-shot path returns, while a single [map_range] keeps every
-       pool worker busy across item boundaries. *)
+       [Random.State.make [| seed_i; k |]] — the stream the item draws
+       from alone, as a one-item batch. The fused batch therefore
+       returns, per item, byte-for-byte the array the one-shot path
+       returns, while a single [map_range] keeps every pool worker busy
+       across item boundaries. *)
     let all =
       Par.map_range ?pool ?cancel ~lo:0 ~hi:total (fun g ->
           let i = owner offsets g in
@@ -190,17 +119,70 @@ module Batch = struct
     in
     Array.to_list
       (Array.init n (fun i -> Array.sub all offsets.(i) items.(i).runs))
-
-  let probability ?pool ?cancel items =
-    List.map2
-      (fun it times ->
-        interval_of_times ~runs:it.runs ~horizon:it.horizon times)
-      items
-      (hitting_times ?pool ?cancel items)
-
-  let hitting_time ?pool ?cancel items =
-    List.map2
-      (fun it times -> stats_of_times ~runs:it.runs times)
-      items
-      (hitting_times ?pool ?cancel items)
 end
+
+(* ------------------------------------------------------------------ *)
+(* One-shot facade                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every one-shot estimate is a one-item batch: the sampler, seeds and
+   span of a fused serving request. *)
+let sample ?pool ?cancel ?config ?seed ?runs net q =
+  let it = Batch.item ?config ?seed ?runs net q in
+  match Batch.hitting_times ?pool ?cancel [ it ] with
+  | [ times ] -> (it.Batch.runs, times)
+  | _ -> assert false
+
+let probability ?pool ?cancel ?config ?seed ?runs net q =
+  let runs, times = sample ?pool ?cancel ?config ?seed ?runs net q in
+  interval_of_times ~runs ~horizon:q.horizon times
+
+(* SPRT over Bernoulli outcomes sampled speculatively: sample index [k]
+   always draws from [| seed; k |], and [Par.fold_until] feeds the
+   outcomes to the incremental test strictly in index order, so the
+   verdict is the one the sequential test reaches on the same stream.
+   Outcomes are produced in super-batches so an early verdict does not
+   leave max_samples worth of speculative work behind. *)
+let hypothesis ?pool ?(config = Stochastic.default_config) ?(seed = 42)
+    ?(delta = 0.01) net q ~theta =
+  assert (Ta.Prop.crisp q.goal);
+  Obs.Span.with_ ~name:"smc.sprt" @@ fun () ->
+  let stop = stop_of net q.goal in
+  let sample k =
+    let rng = Random.State.make [| seed; k |] in
+    let _, hit = Stochastic.simulate net config rng ~horizon:q.horizon ~stop in
+    match hit with Some h -> h <= q.horizon | None -> false
+  in
+  let max_samples = 1_000_000 in
+  let batch = 4096 in
+  let rec go st lo =
+    let hi = min max_samples (lo + batch) in
+    let verdict = ref None in
+    let st', _consumed =
+      Par.fold_until ?pool ~lo ~hi ~f:sample ~init:st
+        ~step:(fun st _k x ->
+          match Estimate.Sprt.step st x with
+          | Estimate.Sprt.Decided r ->
+            verdict := Some r;
+            Par.Stop st
+          | Estimate.Sprt.Undecided st' -> Par.Continue st')
+        ()
+    in
+    match !verdict with
+    | Some r -> r
+    | None ->
+      if hi >= max_samples then Estimate.Sprt.force st' else go st' hi
+  in
+  go (Estimate.Sprt.start ~max_samples ~theta ~delta ~alpha:0.05 ~beta:0.05 ()) 0
+
+let cdf ?pool ?cancel ?config ?seed ?runs net ~goal ~horizon ~grid =
+  let runs, times =
+    sample ?pool ?cancel ?config ?seed ?runs net { horizon; goal }
+  in
+  cdf_of_times ~runs ~grid times
+
+let hitting_time ?pool ?cancel ?config ?seed ?runs net ~goal ~horizon =
+  let runs, times =
+    sample ?pool ?cancel ?config ?seed ?runs net { horizon; goal }
+  in
+  stats_of_times ~runs times

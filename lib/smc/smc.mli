@@ -89,10 +89,11 @@ val hitting_time :
   hitting_stats
 
 (** The shared reductions every estimate above applies to one
-    {!Stochastic.hitting_times} array. Exposed so a caller holding raw
-    per-item arrays (the {!Batch} path, a serving layer) reduces them
-    through {e the same code} as the one-shot entry points — equality
-    of batched and sequential results then holds by construction. *)
+    {!Batch.hitting_times} array. Exposed so a caller holding raw
+    per-item arrays (a serving layer) reduces them through {e the same
+    code} as the one-shot entry points, which sample as a one-item
+    batch — equality of batched and sequential results then holds by
+    construction. *)
 
 (** [interval_of_times ~runs ~horizon times] — the Wilson interval of
     {!val:probability} (successes = hitting times within [horizon]). *)
@@ -139,25 +140,12 @@ module Batch : sig
     item
 
   (** One optional hitting time per run, per item; the per-item arrays
-      equal {!Stochastic.hitting_times} on that item alone. *)
+      equal the ones a one-item batch of that item returns. The one
+      sampling loop: the one-shot entry points run through it too, all
+      under the [smc.batch_fused] span. *)
   val hitting_times :
     ?pool:Par.Pool.t ->
     ?cancel:Par.Cancel.t ->
     item list ->
     float option array list
-
-  (** Wilson interval per item, equal to {!val:probability} on that
-      item alone (the item's [horizon] is the success bound). *)
-  val probability :
-    ?pool:Par.Pool.t ->
-    ?cancel:Par.Cancel.t ->
-    item list ->
-    Estimate.interval list
-
-  (** Hitting-time statistics per item, equal to {!val:hitting_time}. *)
-  val hitting_time :
-    ?pool:Par.Pool.t ->
-    ?cancel:Par.Cancel.t ->
-    item list ->
-    hitting_stats list
 end

@@ -309,13 +309,3 @@ let simulate net cfg rng ~horizon ~stop =
    | None -> Obs.Metrics.Counter.incr m_rejected);
   Obs.Metrics.Histogram.observe m_run_wall (Unix.gettimeofday () -. t0);
   result
-
-let hitting_times ?pool ?cancel net cfg ~seed ~runs ~horizon ~stop =
-  Obs.Span.with_ ~name:"smc.batch" @@ fun () ->
-  (* Each run draws from its own [| seed; k |]-derived stream, so runs
-     are independent of execution order and the batch shards across a
-     pool without changing any result. *)
-  Par.map_range ?pool ?cancel ~lo:0 ~hi:runs (fun k ->
-      let rng = Random.State.make [| seed; k |] in
-      let _, hit = simulate net cfg rng ~horizon ~stop in
-      hit)

@@ -42,20 +42,3 @@ val simulate :
   horizon:float ->
   stop:(cstate -> bool) ->
   cstate * float option
-
-(** [hitting_times net cfg ~seed ~runs ~horizon ~stop] collects one
-    optional hitting time per run. Run [k] draws from the stream
-    [Random.State.make [| seed; k |]], so the result array depends only
-    on [seed] — with or without a [pool] the bytes are identical.
-    [cancel] aborts the batch at the next chunk boundary (deadline
-    tokens included), raising {!Par.Cancelled}. *)
-val hitting_times :
-  ?pool:Par.Pool.t ->
-  ?cancel:Par.Cancel.t ->
-  Ta.Model.network ->
-  config ->
-  seed:int ->
-  runs:int ->
-  horizon:float ->
-  stop:(cstate -> bool) ->
-  float option array

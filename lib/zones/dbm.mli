@@ -203,7 +203,7 @@ val reset_cmp_stats : unit -> unit
 
 (** Live entries in the weak intern table behind {!seal}. The table
     holds representatives only as long as something else (a passed
-    list, a warm cache anchor) keeps them alive, so this is the direct
+    list, a retained state set) keeps them alive, so this is the direct
     observable for intern-lifecycle tests and for a serving process
     watching its warm-cache footprint: after the last store is dropped
     and a full major GC, the count falls back to the baseline. *)

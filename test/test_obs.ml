@@ -456,7 +456,7 @@ let test_flight_wraparound () =
   Flight.enable ~capacity:8 ();
   let id = Flight.intern "t.wrap" in
   for i = 0 to 11 do
-    Flight.complete id ~ts:(float_of_int i *. 1_000_000.0) ~dur:1.0
+    Flight.complete id ~ts:(i * 1_000_000) ~dur:1
   done;
   let evs = Flight.drain () in
   check_int "ring keeps exactly [capacity] events" 8 (List.length evs);
@@ -528,7 +528,7 @@ let test_flight_drain_idempotent () =
   Flight.enable ~capacity:64 ();
   let id = Flight.intern "t.twice" in
   for i = 0 to 9 do
-    Flight.complete id ~ts:(float_of_int i *. 1000.0) ~dur:2.0
+    Flight.complete id ~ts:(i * 1000) ~dur:2
   done;
   Flight.mark (Flight.intern "t.mark");
   let first = Flight.drain () in
@@ -557,11 +557,38 @@ let test_flight_stop_start_chain () =
   (* Off: the sentinel propagates through the whole chain and nothing
      is recorded. *)
   let t0 = Flight.start () in
-  check "start returns the off sentinel" true (t0 < 0.0);
+  check "start returns the off sentinel" true (t0 < 0);
   let t1 = Flight.stop_start a t0 in
-  check "stop_start propagates the sentinel" true (t1 < 0.0);
+  check "stop_start propagates the sentinel" true (t1 < 0);
   Flight.stop b t1;
   check "no events recorded while off" true (Flight.drain () = [])
+
+(* The recorder stays on the engine hot path: a recorded phase must not
+   allocate. A boxed tick anywhere on the start/stop path costs words
+   per phase, several phases per visited state. *)
+let test_flight_recording_allocates_nothing () =
+  let net = Ta.Fischer.make ~n:4 () in
+  let q = Ta.Fischer.mutex net in
+  let minor_words () =
+    let before = Gc.minor_words () in
+    let r = Ta.Checker.check net q in
+    (Gc.minor_words () -. before, r.Ta.Checker.stats.Ta.Checker.visited)
+  in
+  (* Warm-up with the recorder on: rings, totals and intern tables are
+     allocated once, outside the measured runs. *)
+  Flight.enable ();
+  ignore (minor_words ());
+  Flight.disable ();
+  let off, visited = minor_words () in
+  Flight.enable ();
+  let on, _ = minor_words () in
+  Flight.disable ();
+  Obs.reset ();
+  check
+    (Printf.sprintf "recorder on costs <= 2 words/state (%.1f)"
+       ((on -. off) /. float_of_int visited))
+    true
+    (on -. off <= 2.0 *. float_of_int visited)
 
 let test_flight_chrome_and_otlp_json () =
   Flight.enable ~capacity:64 ();
@@ -569,7 +596,7 @@ let test_flight_chrome_and_otlp_json () =
   let t0 = Flight.start () in
   Flight.stop ph t0;
   Flight.mark (Flight.intern "t.export.mark");
-  Flight.sample (Flight.intern "t.export.gauge") 42.0;
+  Flight.sample (Flight.intern "t.export.gauge") 42;
   let evs = Flight.drain () in
   let chrome = Flight.to_chrome evs in
   let text = Json.to_string chrome in
@@ -880,6 +907,8 @@ let () =
             test_flight_stop_start_chain;
           Alcotest.test_case "chrome + otlp export validity" `Quick
             test_flight_chrome_and_otlp_json;
+          Alcotest.test_case "recording allocates nothing" `Quick
+            test_flight_recording_allocates_nothing;
         ] );
       ( "sharded",
         [

@@ -1,6 +1,7 @@
 (* Tests for the quantd service layer: protocol framing, in-process
-   request handling (reply cache, smc fusing determinism), intern-table
-   lifecycle under warm-query churn, and the socket daemon end to end —
+   request handling (reply cache, smc fusing determinism), the
+   registry's eviction order, intern-table lifecycle under warm-query
+   churn, and the socket daemon end to end —
    byte-identity against the one-shot path, malformed-input survival,
    deadline expiry, LRU eviction under a memory budget and graceful
    SIGTERM shutdown. Daemon tests fork a child that never returns into
@@ -149,6 +150,63 @@ let test_bad_requests_are_structured () =
     (code (request ~id:4 "fuzz" [ ("inject", Json.Str "dbm-up") ]));
   check_str "out-of-range n" "bad_request"
     (code (request ~id:5 "check" [ ("n", Json.Int 99) ]))
+
+(* ------------------------------------------------------------------ *)
+(* Registry: two cache classes under one budget                        *)
+(* ------------------------------------------------------------------ *)
+
+module R = Serve.Registry
+
+let test_registry_eviction_order () =
+  let fischer = Serve.Models.fischer in
+  let reply i = Json.Str (String.make 2000 (Char.chr (Char.code 'a' + i))) in
+  let key = string_of_int in
+  (* Sizes as the budgeted registry will see them, measured on an
+     unbudgeted one holding the same model and one reply. *)
+  let probe = R.create () in
+  ignore (R.model probe fischer ~n:3);
+  let model_words = R.words probe in
+  R.store_reply probe ~fingerprint:(key 0) (reply 0);
+  let reply_words = R.words probe - model_words in
+  let budget = model_words + (3 * reply_words) + (reply_words / 2) in
+  let reg = R.create ~mem_budget_words:budget () in
+  let net = R.model reg fischer ~n:3 in
+  let store i =
+    R.store_reply reg ~fingerprint:(key i) (reply i);
+    check
+      (Printf.sprintf "words within budget after storing reply %d" i)
+      true
+      (R.words reg <= budget)
+  in
+  let cached i = R.cached_reply reg ~fingerprint:(key i) <> None in
+  store 1;
+  store 2;
+  store 3;
+  (* The hit refreshes reply 1: the LRU order is now 2, 3, 1. *)
+  check "three replies fit" true (cached 1);
+  store 4;
+  check "the least recently used reply went" false (cached 2);
+  check "the refreshed reply stayed" true (cached 1);
+  check "the newer replies stayed" true (cached 3 && cached 4);
+  check "replies go before models" true (R.model reg fischer ~n:3 == net);
+  (* Models go once no reply is left, least recently used first: a
+     budget one word short of three models, with model 3 the oldest
+     once model 2 is touched again. *)
+  let probe = R.create () in
+  List.iter (fun n -> ignore (R.model probe fischer ~n)) [ 2; 3; 4 ];
+  let budget = R.words probe - 1 in
+  let reg = R.create ~mem_budget_words:budget () in
+  let nets = List.map (fun n -> (n, R.model reg fischer ~n)) [ 2; 3; 4 ] in
+  ignore (R.model reg fischer ~n:2);
+  R.store_reply reg ~fingerprint:"r" (reply 0);
+  check "words within budget after the store" true (R.words reg <= budget);
+  check "the reply went first" true
+    (R.cached_reply reg ~fingerprint:"r" = None);
+  check "the recently used models stayed" true
+    (R.model reg fischer ~n:2 == List.assoc 2 nets
+    && R.model reg fischer ~n:4 == List.assoc 4 nets);
+  check "the least recently used model went" true
+    (R.model reg fischer ~n:3 != List.assoc 3 nets)
 
 (* ------------------------------------------------------------------ *)
 (* Intern-table lifecycle under warm-query churn                       *)
@@ -344,31 +402,33 @@ let test_daemon_deadline_expiry () =
      | Error _ -> false)
 
 let test_daemon_eviction_under_budget () =
-  (* 128 kWords ≈ 1 MB: roomy enough for the n=4 instances to answer,
-     tight enough that their retained anchors must evict — and that the
-     n=5 instances degrade into a structured resource_exhausted reply
-     instead of an OOM kill. *)
-  with_daemon ~mem_budget_words:131_072 @@ fun client ->
+  (* 16 kWords = 128 KB: roomy enough for a fischer-3 check to answer,
+     tight enough that a fischer-5 exploration degrades into a
+     structured resource_exhausted reply instead of an OOM kill, and
+     that a few hundred small cached smc replies must evict. *)
+  with_daemon ~mem_budget_words:16_384 @@ fun client ->
+  let check_model n =
+    Serve.Client.call client ~meth:"check"
+      [ ("model", Json.Str "fischer"); ("n", Json.Int n) ]
+  in
+  check "fischer-3 answered under the budget" true
+    (Result.is_ok (check_model 3));
+  (match check_model 5 with
+   | Error ("resource_exhausted", _) -> ()
+   | Error (code, msg) -> Alcotest.fail ("wrong error: " ^ code ^ ": " ^ msg)
+   | Ok _ -> Alcotest.fail "expected resource_exhausted");
+  (* Distinct seeds keep every reply a new cache entry. *)
   List.iter
-    (fun (model, n) ->
-      (* Two distinct queries per model (an identical repeat would stop
-         at the reply cache): the second warms the retained-anchor
-         layer, growing the cache past the budget. *)
-      List.iter
-        (fun stats_json ->
-          match
-            Serve.Client.call client ~meth:"check"
-              [ ("model", Json.Str model); ("n", Json.Int n);
-                ("stats_json", Json.Bool stats_json) ]
-          with
-          | Ok _ -> ()
-          | Error ("resource_exhausted", _) ->
-            (* The same budget bounds in-flight exploration: the reply
-               is the graceful-degrade contract, not a failure. *)
-            ()
-          | Error (code, msg) -> Alcotest.fail (code ^ ": " ^ msg))
-        [ false; true ])
-    [ ("fischer", 4); ("train-gate", 4); ("fischer", 5); ("train-gate", 5) ];
+    (fun r ->
+      match r with
+      | Ok _ -> ()
+      | Error (code, msg) -> Alcotest.fail (code ^ ": " ^ msg))
+    (Serve.Client.call_many client
+       (List.init 300 (fun seed ->
+            ( "smc",
+              None,
+              [ ("model", Json.Str "fischer"); ("trains", Json.Int 1);
+                ("runs", Json.Int 1); ("seed", Json.Int seed) ] ))));
   match Serve.Client.call client ~meth:"metrics" [] with
   | Ok j ->
     let evictions =
@@ -382,13 +442,7 @@ let test_daemon_eviction_under_budget () =
     in
     check "budget forced evictions" true (evictions > 0);
     (* Eviction degraded the cache, not the answers. *)
-    check "still answering after eviction" true
-      (match
-         Serve.Client.call client ~meth:"check"
-           [ ("model", Json.Str "fischer"); ("n", Json.Int 3) ]
-       with
-       | Ok _ -> true
-       | Error _ -> false)
+    check "still answering after eviction" true (Result.is_ok (check_model 3))
   | Error (code, msg) -> Alcotest.fail (code ^ ": " ^ msg)
 
 let test_daemon_metrics_scrape () =
@@ -436,6 +490,11 @@ let () =
             test_fused_smc_equals_alone;
           Alcotest.test_case "structured errors" `Quick
             test_bad_requests_are_structured;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "replies, then models, LRU within each" `Quick
+            test_registry_eviction_order;
         ] );
       ( "intern lifecycle",
         [
