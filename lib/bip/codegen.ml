@@ -11,7 +11,7 @@ let to_ocaml ?(module_comment = "Generated BIP coordination code") sys =
   add "(* Behaviour hooks: index them as guards.(component).(hook_id). *)\n";
   add "let tt (_ : int array) = true\n";
   add "let nop (_ : int array) = ()\n\n";
-  let { System.components; interactions; priorities; broadcast_maximal } = sys in
+  let { System.components; interactions; priorities; wider } = sys in
   (* Component tables. *)
   add "(* components: name, initial location, store size *)\n";
   add "let components = [|\n";
@@ -82,7 +82,15 @@ let to_ocaml ?(module_comment = "Generated BIP coordination code") sys =
             Printf.sprintf "(%d, %d)" (index_of r.System.low)
               (index_of r.System.high))
           priorities));
-  add "let broadcast_maximal = %b\n\n" broadcast_maximal;
+  add "(* maximal progress: wider.(k) lists the interactions that have\n";
+  add "   every port of k and more ports; they inhibit k *)\n";
+  add "let wider : int array array = [|\n";
+  Array.iter
+    (fun row ->
+      add "  [| %s |];\n"
+        (String.concat "; " (Array.to_list (Array.map string_of_int row))))
+    wider;
+  add "|]\n\n";
   (* Engine. *)
   add
     {|let initial () =
@@ -106,20 +114,13 @@ let enabled st =
     interactions;
   List.rev !out
 
-let subset a b = List.for_all (fun x -> List.mem x b) a
-
 let filtered st =
   let en = enabled st in
+  let on = Array.make (Array.length interactions) false in
+  List.iter (fun k -> on.(k) <- true) en;
   let inhibited k =
-    List.exists (fun (low, high) -> low = k && List.mem high en) priorities
-    || (broadcast_maximal
-        && (let (_, pk) = interactions.(k) in
-            List.exists
-              (fun k' ->
-                k' <> k
-                && (let (_, pk') = interactions.(k') in
-                    List.length pk' > List.length pk && subset pk pk'))
-              en))
+    List.exists (fun (low, high) -> low = k && on.(high)) priorities
+    || Array.exists (fun k' -> on.(k')) wider.(k)
   in
   List.filter (fun k -> not (inhibited k)) en
 

@@ -3,7 +3,8 @@
     Emits a standalone, dependency-free OCaml module implementing the
     centralized engine specialised to one system: component automata and
     interactions become static data, priority filtering and broadcast
-    maximality are compiled in. Guards and updates — being behaviour, not
+    maximality are compiled in (the latter as the system's maximality
+    table, {!System.t.wider}). Guards and updates — being behaviour, not
     glue — are exposed as registration hooks (defaulting to [true]/no-op),
     mirroring how the BIP tool-chain links generated coordination code
     against functional component code. *)

@@ -92,7 +92,8 @@ let transitions_on c ~loc ~store p =
     (fun t -> t.t_port = p && t.t_guard store)
     c.transitions.(loc)
 
-let port_enabled c ~loc ~store p = transitions_on c ~loc ~store p <> []
+let port_enabled c ~loc ~store p =
+  List.exists (fun t -> t.t_port = p && t.t_guard store) c.transitions.(loc)
 
 let loc_index c name =
   let found = ref (-1) in

@@ -60,7 +60,8 @@ val build : builder -> t
 (** {1 Queries} *)
 
 (** [port_enabled c ~loc ~store p] — some transition from [loc] is
-    labelled [p] with a true guard. *)
+    labelled [p] with a true guard. Guards are evaluated in transition
+    order up to the first true one. *)
 val port_enabled : t -> loc:int -> store:int array -> int -> bool
 
 (** [transitions_on c ~loc ~store p] — the enabled transitions on [p]. *)

@@ -242,8 +242,7 @@ let inject_faults d ~runs ~steps ~seed =
     let trace = Exec.run d.sys (Exec.Random rng) ~steps in
     List.iter
       (fun (name, st) ->
-        if String.length name >= 5 && String.sub name 0 5 = "fail_" then
-          incr faults;
+        if String.starts_with ~prefix:"fail_" name then incr faults;
         if not (safety_ok d st) then incr violations)
       trace
   done;

@@ -170,21 +170,17 @@ let local_reach (c : Component.t) =
   visit c.Component.initial_loc;
   seen
 
-(* An interaction is surely enabled at a location vector when every
-   participant has an unguarded transition on its port from its location
-   and the interaction itself has no guard. *)
-let surely_enabled (sys : System.t) locs (i : System.interaction) =
-  i.System.i_guard = None
-  && List.for_all
-       (fun (ci, (p : Component.port)) ->
-         List.exists
-           (fun (t : Component.transition) ->
-             t.Component.t_port = p.Component.port_id
-             && not t.Component.t_has_guard)
-           sys.components.(ci).Component.transitions.(locs.(ci)))
-       i.System.i_ports
+(* [group n iter] — for each key in [0, n), the items that [iter add]
+   registers under it with [add key item], in registration order. *)
+let group n iter =
+  let groups = Array.make n [] in
+  iter (fun key item -> groups.(key) <- item :: groups.(key));
+  Array.map (fun items -> Array.of_list (List.rev items)) groups
+
+let count p a = Array.fold_left (fun n x -> if p x then n + 1 else n) 0 a
 
 let prove ?(max_candidates = 1_000_000) (sys : System.t) =
+  Obs.Span.with_ ~name:"bip.dfinder" @@ fun () ->
   let net = build_net sys in
   (* Interaction invariants: one marked trap per initial place. *)
   let init_places =
@@ -196,73 +192,137 @@ let prove ?(max_candidates = 1_000_000) (sys : System.t) =
   let traps =
     List.sort_uniq compare (List.map (fun p -> trap_closure net [ p ]) init_places)
   in
-  let flows = semiflows net ~max_rows:5000 in
-  let init_value y =
-    List.fold_left (fun acc p -> acc + y.(p)) 0 init_places
-  in
-  let flow_consts = List.map (fun y -> (y, init_value y)) flows in
+  let flows = Array.of_list (semiflows net ~max_rows:5000) in
   let locals = Array.map local_reach sys.components in
   let n = Array.length sys.components in
-  (* Enumerate candidate vectors over the local invariants, pruning with
-     the trap invariants, and keep those where nothing is surely
-     enabled. *)
+  (* Per-place tables: the traps holding the place, each semiflow's
+     (non-zero) weight on it, and the guard-free interactions that have
+     a participant with an unguarded transition on its port from it —
+     once per such participant. *)
+  let traps_at =
+    group net.n_places (fun add ->
+        List.iteri
+          (fun k trap -> Array.iteri (fun p held -> if held then add p k) trap)
+          traps)
+  in
+  let flows_at =
+    group net.n_places (fun add ->
+        Array.iteri
+          (fun f y -> Array.iteri (fun p w -> if w <> 0 then add p (f, w)) y)
+          flows)
+  in
+  let unguarded =
+    Array.of_list
+      (List.filter
+         (fun (i : System.interaction) -> i.System.i_guard = None)
+         (Array.to_list sys.interactions))
+  in
+  let sure_at =
+    group net.n_places (fun add ->
+        Array.iteri
+          (fun k (i : System.interaction) ->
+            List.iter
+              (fun (ci, (p : Component.port)) ->
+                Array.iteri
+                  (fun l ts ->
+                    if
+                      List.exists
+                        (fun (t : Component.transition) ->
+                          t.Component.t_port = p.Component.port_id
+                          && not t.Component.t_has_guard)
+                        ts
+                    then add (place net ci l) k)
+                  sys.components.(ci).Component.transitions)
+              i.System.i_ports)
+          unguarded)
+  in
+  (* Running state of the partial vector: how many of its places each
+     trap holds, each semiflow's weighted sum, and how many participants
+     of each guard-free interaction it serves; with the counts of traps
+     left empty, semiflows off their initial value and interactions
+     surely enabled. A candidate survives when all three are 0. *)
+  let trap_hits = Array.make (List.length traps) 0 in
+  let empty_traps = ref (List.length traps) in
+  let flow_init =
+    Array.map
+      (fun y -> List.fold_left (fun acc p -> acc + y.(p)) 0 init_places)
+      flows
+  in
+  let flow_sums = Array.make (Array.length flows) 0 in
+  let off_flows = ref (count (fun v -> v <> 0) flow_init) in
+  let arity =
+    Array.map
+      (fun (i : System.interaction) -> List.length i.System.i_ports)
+      unguarded
+  in
+  let served = Array.make (Array.length unguarded) 0 in
+  let sure = ref (count (fun a -> a = 0) arity) in
+  (* Enter ([d = 1]) or leave ([d = -1]) place [p]; loops, not
+     closures, as this runs twice per node of the enumeration. *)
+  let occupy p d =
+    let ks = traps_at.(p) in
+    for j = 0 to Array.length ks - 1 do
+      let k = ks.(j) in
+      let before = trap_hits.(k) in
+      trap_hits.(k) <- before + d;
+      if before = 0 then decr empty_traps
+      else if before + d = 0 then incr empty_traps
+    done;
+    let fs = flows_at.(p) in
+    for j = 0 to Array.length fs - 1 do
+      let f, w = fs.(j) in
+      let before = flow_sums.(f) in
+      flow_sums.(f) <- before + (d * w);
+      if before = flow_init.(f) then incr off_flows
+      else if before + (d * w) = flow_init.(f) then decr off_flows
+    done;
+    let ks = sure_at.(p) in
+    for j = 0 to Array.length ks - 1 do
+      let k = ks.(j) in
+      let before = served.(k) in
+      served.(k) <- before + d;
+      if before = arity.(k) then decr sure
+      else if before + d = arity.(k) then incr sure
+    done
+  in
+  (* Enumerate candidate vectors over the local invariants, in
+     lexicographic order, and keep those that satisfy every interaction
+     invariant and where nothing is surely enabled. *)
   let survivors = ref [] in
   let checked = ref 0 in
   let exception Too_many in
   let vec = Array.make n 0 in
-  (try
-     let rec enum ci =
-       if ci = n then begin
-         incr checked;
-         if !checked > max_candidates then raise Too_many;
-         let locs = Array.copy vec in
-         let trap_ok trap =
-           Array.exists
-             (fun ci' -> trap.(place net ci' locs.(ci')))
-             (Array.init n Fun.id)
-         in
-         let flow_ok (y, v0) =
-           let v =
-             Array.to_list (Array.mapi (fun ci' l -> y.(place net ci' l)) locs)
-             |> List.fold_left ( + ) 0
-           in
-           v = v0
-         in
-         if
-           List.for_all trap_ok traps
-           && List.for_all flow_ok flow_consts
-           && not
-                (Array.exists (surely_enabled sys locs) sys.interactions)
-         then survivors := locs :: !survivors
-       end
-       else
-         Array.iteri
-           (fun l ok ->
-             if ok then begin
-               vec.(ci) <- l;
-               enum (ci + 1)
-             end)
-           locals.(ci)
-     in
-     enum 0;
-     let verdict =
-       match !survivors with
-       | [] -> Proved
-       | s -> Inconclusive (List.rev s)
-     in
-     {
-       verdict;
-       n_traps = List.length traps;
-       n_semiflows = List.length flows;
-       n_candidates_checked = !checked;
-     }
-   with Too_many ->
-     {
-       verdict = Inconclusive [];
-       n_traps = List.length traps;
-       n_semiflows = List.length flows;
-       n_candidates_checked = !checked;
-     })
+  let report verdict =
+    {
+      verdict;
+      n_traps = List.length traps;
+      n_semiflows = Array.length flows;
+      n_candidates_checked = !checked;
+    }
+  in
+  try
+    let rec enum ci =
+      if ci = n then begin
+        incr checked;
+        if !checked > max_candidates then raise Too_many;
+        if !empty_traps = 0 && !off_flows = 0 && !sure = 0 then
+          survivors := Array.copy vec :: !survivors
+      end
+      else
+        for l = 0 to Array.length locals.(ci) - 1 do
+          if locals.(ci).(l) then begin
+            vec.(ci) <- l;
+            let p = place net ci l in
+            occupy p 1;
+            enum (ci + 1);
+            occupy p (-1)
+          end
+        done
+    in
+    enum 0;
+    report
+      (match !survivors with [] -> Proved | s -> Inconclusive (List.rev s))
+  with Too_many -> report (Inconclusive [])
 
 let check ?max_candidates sys =
   match (prove ?max_candidates sys).verdict with

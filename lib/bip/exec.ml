@@ -31,12 +31,14 @@ let interaction_enabled (sys : System.t) st (i : System.interaction) =
 let enabled (sys : System.t) st =
   Array.to_list sys.interactions |> List.filter (interaction_enabled sys st)
 
-let port_set (i : System.interaction) =
-  List.map (fun (ci, (p : Component.port)) -> (ci, p.Component.port_id)) i.System.i_ports
-  |> List.sort compare
+(* Whether [on] marks some id of [row] from position [k] on. *)
+let rec any_on on (row : int array) k =
+  k < Array.length row && (on.(row.(k)) || any_on on row (k + 1))
 
 let filtered (sys : System.t) st =
   let en = enabled sys st in
+  let on = Array.make (Array.length sys.interactions) false in
+  List.iter (fun (i : System.interaction) -> on.(i.System.i_id) <- true) en;
   let inhibited_by_priority (a : System.interaction) =
     List.exists
       (fun (r : System.priority) ->
@@ -50,22 +52,11 @@ let filtered (sys : System.t) st =
              en)
       sys.priorities
   in
-  let inhibited_by_maximality (a : System.interaction) =
-    sys.broadcast_maximal
-    &&
-    let pa = port_set a in
-    List.exists
-      (fun (b : System.interaction) ->
-        b.System.i_id <> a.System.i_id
-        &&
-        let pb = port_set b in
-        List.length pb > List.length pa
-        && List.for_all (fun p -> List.mem p pb) pa)
-      en
-  in
   let kept =
     List.filter
-      (fun a -> not (inhibited_by_priority a || inhibited_by_maximality a))
+      (fun (a : System.interaction) ->
+        not
+          (inhibited_by_priority a || any_on on sys.wider.(a.System.i_id) 0))
       en
   in
   Obs.Metrics.Counter.add m_enabled (List.length en);
@@ -123,6 +114,7 @@ let step sys sched st =
     Some (i, fire sys sched st i)
 
 let run sys sched ~steps =
+  Obs.Span.with_ ~name:"bip.run" @@ fun () ->
   let rec loop st k acc =
     if k = 0 then List.rev acc
     else

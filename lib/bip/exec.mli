@@ -5,7 +5,12 @@
     broadcast maximal progress, let the scheduler choose one, execute its
     data transfer and the participants' transitions. This is the
     operational semantics behind BIP's "correct code for component
-    coordination". *)
+    coordination".
+
+    Maximal progress is read from the system's maximality table
+    ({!System.t.wider}, built once by {!System.make}; it replaces the
+    former [broadcast_maximal] flag): an enabled interaction is
+    inhibited when an interaction of its row is enabled too. *)
 
 type state = { locs : int array; stores : int array array }
 
@@ -20,7 +25,9 @@ val initial : System.t -> state
     {e before} priority filtering. *)
 val enabled : System.t -> state -> System.interaction list
 
-(** [filtered sys st] — after priority rules and broadcast maximality. *)
+(** [filtered sys st] — after priority rules and broadcast maximality,
+    in id order. The enabled ids are marked in an array, so maximality
+    costs one lookup per entry of each enabled interaction's row. *)
 val filtered : System.t -> state -> System.interaction list
 
 (** [step sys sched st] fires one interaction, or [None] on deadlock. *)
@@ -28,7 +35,7 @@ val step :
   System.t -> scheduler -> state -> (System.interaction * state) option
 
 (** [run sys sched ~steps] — labelled trace from the initial state
-    (stops early on deadlock). *)
+    (stops early on deadlock). Timed under the span [bip.run]. *)
 val run :
   System.t -> scheduler -> steps:int -> (string * state) list
 

@@ -30,7 +30,7 @@ type t = {
   components : Component.t array;
   interactions : interaction array;
   priorities : priority list;
-  broadcast_maximal : bool;
+  wider : int array array;
 }
 
 let subsets xs =
@@ -98,7 +98,31 @@ let make ~components ~connectors ?(priorities = []) () =
           (Printf.sprintf "Bip.System.make: unknown interaction in priority %s < %s"
              r.low r.high))
     priorities;
-  { components; interactions; priorities; broadcast_maximal = true }
+  (* Maximal progress: [wider.(a)] lists, ascending, the interactions
+     that have every port of [a] and more ports than [a]. *)
+  let ports =
+    Array.map
+      (fun i ->
+        List.sort compare
+          (List.map
+             (fun (ci, (p : Component.port)) -> (ci, p.Component.port_id))
+             i.i_ports))
+      interactions
+  in
+  let wider =
+    Array.mapi
+      (fun a pa ->
+        let n_a = List.length pa in
+        Array.of_list
+          (List.filter
+             (fun b ->
+               b <> a
+               && List.length ports.(b) > n_a
+               && List.for_all (fun p -> List.mem p ports.(b)) pa)
+             (List.init (Array.length interactions) Fun.id)))
+      ports
+  in
+  { components; interactions; priorities; wider }
 
 let interaction_by_name t name =
   match

@@ -45,15 +45,24 @@ type priority = {
 
 type t = {
   components : Component.t array;
-  interactions : interaction array;
+  interactions : interaction array;  (** entry [k] has [i_id = k] *)
   priorities : priority list;
-  broadcast_maximal : bool;
-      (** prefer maximal broadcast subsets (BIP's default) *)
+  wider : int array array;
+      (** the maximality table: [wider.(k)] lists, in ascending order,
+          the ids of the interactions that have every port of
+          interaction [k] and more ports than it. When [k] and one of
+          these are both enabled, maximal progress inhibits [k] (BIP's
+          preference for maximal broadcast subsets). A fixed relation
+          of the system, built once by {!make}; the engine reads it on
+          every step. An empty row means nothing inhibits [k] by
+          maximality; every row is empty after
+          {!Transform.compile_priorities}, which replaces the former
+          [broadcast_maximal = false]. *)
 }
 
 (** [make ~components ~connectors ~priorities ()] elaborates connectors
     into concrete interactions (broadcasts enumerate their subsets,
-    trigger-alone included), preferring maximal broadcast subsets.
+    trigger-alone included) and builds the maximality table [wider].
     @raise Invalid_argument on bad component indices, duplicate
     interaction names, or priorities naming unknown interactions. *)
 val make :

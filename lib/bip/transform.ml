@@ -11,12 +11,6 @@ let interaction_enabled (sys : System.t) (i : System.interaction) locs stores =
     i.System.i_ports
   && (match i.System.i_guard with None -> true | Some g -> g locs stores)
 
-let port_set (i : System.interaction) =
-  List.map
-    (fun (ci, (p : Component.port)) -> (ci, p.Component.port_id))
-    i.System.i_ports
-  |> List.sort compare
-
 let compile_priorities (sys : System.t) =
   let inhibitors (a : System.interaction) =
     (* Explicit priority rules. *)
@@ -31,21 +25,10 @@ let compile_priorities (sys : System.t) =
           else None)
         sys.priorities
     in
-    (* Implicit maximal progress: strict port supersets inhibit. *)
+    (* Implicit maximal progress: the wider interactions inhibit. *)
     let by_maximality =
-      if not sys.broadcast_maximal then []
-      else begin
-        let pa = port_set a in
-        Array.to_list sys.interactions
-        |> List.filter_map (fun (b : System.interaction) ->
-               let pb = port_set b in
-               if
-                 b.System.i_id <> a.System.i_id
-                 && List.length pb > List.length pa
-                 && List.for_all (fun p -> List.mem p pb) pa
-               then Some (b, None)
-               else None)
-      end
+      Array.to_list sys.wider.(a.System.i_id)
+      |> List.map (fun b -> (sys.interactions.(b), None))
     in
     by_rule @ by_maximality
   in
@@ -76,5 +59,5 @@ let compile_priorities (sys : System.t) =
     sys with
     System.interactions = compiled;
     priorities = [];
-    broadcast_maximal = false;
+    wider = Array.map (fun _ -> [||]) sys.wider;
   }

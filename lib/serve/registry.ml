@@ -8,61 +8,105 @@ let m_reply_hits = Obs.counter "serve.reply_hits"
 let m_reply_misses = Obs.counter "serve.reply_misses"
 let m_evictions = Obs.counter "serve.evictions"
 
-(* A cached value and the registry clock at its last use. *)
-type 'a cached = { value : 'a; mutable tick : int }
+(* A cached value, the registry clock at its last use, and the words
+   it was charged when added. *)
+type 'a cached = { value : 'a; mutable tick : int; charge : int }
 
-type t = {
-  models : (string, Ta.Model.network cached) Hashtbl.t;
-  replies : (string, Obs.Json.t cached) Hashtbl.t;
-  mutable clock : int;
-  budget_words : int option;
+(* One cache class: its table, the bucket count it was created with,
+   and the most entries it has held. Buckets double when the entries
+   exceed twice their number and never shrink, so the bucket array has
+   at most [max buckets peak] slots. *)
+type 'a cache = {
+  tbl : (string, 'a cached) Hashtbl.t;
+  buckets : int;
+  mutable peak : int;
 }
 
+type t = {
+  models : Ta.Model.network cache;
+  replies : Obs.Json.t cache;
+  mutable clock : int;
+  budget_words : int option;
+  mutable charges : int;
+      (* the empty registry's words plus every entry's charge *)
+}
+
+let cache buckets = { tbl = Hashtbl.create buckets; buckets; peak = 0 }
+
+(* Retained heap of both caches, shared structure counted once. An
+   O(live-cache) walk, for metrics scrapes. It counts what the tables
+   reach, so an entry leaves the reading as soon as it leaves its
+   table. *)
+let words_of models replies =
+  Obj.reachable_words (Obj.repr (models.tbl, replies.tbl))
+
+let words t = words_of t.models t.replies
+
 let create ?mem_budget_words () =
+  let models = cache 16 and replies = cache 64 in
   {
-    models = Hashtbl.create 16;
-    replies = Hashtbl.create 64;
+    models;
+    replies;
     clock = 0;
     budget_words = mem_budget_words;
+    charges = words_of models replies;
   }
 
 let mem_budget_words t = t.budget_words
+
+(* What the budget is enforced against: never below [words t], since
+   each entry's charge covers everything it reaches (shared structure
+   is charged to every entry that reaches it) and each bucket array is
+   bounded by its peak. O(1), where [words] walks the whole cache. *)
+let charged t =
+  let growth c = max 0 (c.peak - c.buckets) in
+  t.charges + growth t.models + growth t.replies
 
 let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let find t tbl key ~hit ~miss =
-  match Hashtbl.find_opt tbl key with
-  | Some c ->
+let find t c key ~hit ~miss =
+  match Hashtbl.find_opt c.tbl key with
+  | Some e ->
     Obs.Metrics.Counter.incr hit;
-    c.tick <- tick t;
-    Some c.value
+    e.tick <- tick t;
+    Some e.value
   | None ->
     Obs.Metrics.Counter.incr miss;
     None
 
-let add t tbl key value = Hashtbl.replace tbl key { value; tick = tick t }
+(* A hash bucket cell (key, data, next) and a [cached] record, headers
+   included. *)
+let entry_overhead = 4 + 4
 
-(* Retained heap of both caches, shared structure counted once. An
-   O(live-cache) walk — called on reply insertion (rare next to
-   compute) and on metrics scrapes. It counts what the tables reach,
-   so an entry leaves the reading as soon as it leaves its table. *)
-let words t = Obj.reachable_words (Obj.repr (t.models, t.replies))
+let add t c key value =
+  (match Hashtbl.find_opt c.tbl key with
+   | Some old -> t.charges <- t.charges - old.charge
+   | None -> ());
+  let charge =
+    entry_overhead
+    + Obj.reachable_words (Obj.repr key)
+    + Obj.reachable_words (Obj.repr value)
+  in
+  Hashtbl.replace c.tbl key { value; tick = tick t; charge };
+  t.charges <- t.charges + charge;
+  c.peak <- max c.peak (Hashtbl.length c.tbl)
 
-(* Drop the least recently used entry of [tbl]; false when it is empty. *)
-let evict tbl =
+(* Drop the least recently used entry of [c]; false when it is empty. *)
+let evict t c =
   let lru =
     Hashtbl.fold
-      (fun key c acc ->
+      (fun key e acc ->
         match acc with
-        | Some (_, tick) when tick <= c.tick -> acc
-        | _ -> Some (key, c.tick))
-      tbl None
+        | Some (_, old) when old.tick <= e.tick -> acc
+        | _ -> Some (key, e))
+      c.tbl None
   in
   match lru with
-  | Some (key, _) ->
-    Hashtbl.remove tbl key;
+  | Some (key, e) ->
+    Hashtbl.remove c.tbl key;
+    t.charges <- t.charges - e.charge;
     Obs.Metrics.Counter.incr m_evictions;
     true
   | None -> false
@@ -71,8 +115,8 @@ let evict tbl =
    replies, then compiled models, LRU within each class. *)
 let rec enforce_budget t =
   match t.budget_words with
-  | Some budget when words t > budget ->
-    if evict t.replies || evict t.models then enforce_budget t
+  | Some budget when charged t > budget ->
+    if evict t t.replies || evict t t.models then enforce_budget t
   | _ -> ()
 
 let model t (spec : Models.spec) ~n =
@@ -94,8 +138,8 @@ let store_reply t ~fingerprint reply =
 let stats_json t =
   Obs.Json.Obj
     [
-      ("models", Obs.Json.Int (Hashtbl.length t.models));
-      ("replies", Obs.Json.Int (Hashtbl.length t.replies));
+      ("models", Obs.Json.Int (Hashtbl.length t.models.tbl));
+      ("replies", Obs.Json.Int (Hashtbl.length t.replies.tbl));
       ("cache_words", Obs.Json.Int (words t));
       ( "budget_words",
         match t.budget_words with

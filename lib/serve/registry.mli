@@ -10,10 +10,16 @@
       the identical bytes (every serve method is deterministic in its
       params, so replaying is sound).
 
-    Everything is droppable: each {!store_reply} walks the caches'
-    retained words ({!Obj.reachable_words}) and, over budget, evicts
+    Everything is droppable: over budget, each {!store_reply} evicts
     replies, then models, LRU within each class — so a budgeted daemon
     degrades to cold-start latency instead of growing without bound.
+    The budget is enforced against a running total kept in O(1): each
+    entry is charged its reachable words ({!Obj.reachable_words}) once,
+    when added, and refunded when it leaves; the tables' own words are
+    counted with each bucket array bounded by the most entries its
+    table has held. Shared structure is charged to every entry that
+    reaches it, so the total never reads below {!words}, and the
+    caches' exact size stays within the budget after every store.
 
     Instrumented on the default {!Obs} registry: [serve.model_hits]/
     [misses], [serve.reply_hits]/[misses], [serve.evictions]. *)
@@ -35,7 +41,8 @@ val cached_reply : t -> fingerprint:string -> Obs.Json.t option
 (** Cache [reply], then evict until the caches are within budget. *)
 val store_reply : t -> fingerprint:string -> Obs.Json.t -> unit
 
-(** Retained heap of the caches, in words (an O(cache) walk). *)
+(** Retained heap of the caches, in words: the exact walk, O(cache);
+    the budget is enforced against an upper bound of it (see above). *)
 val words : t -> int
 
 (** Cache shape + intern-table size, for the [metrics] scrape. *)

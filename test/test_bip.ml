@@ -96,36 +96,40 @@ let test_rendezvous_blocks () =
   check "guarded rendezvous deadlocks" false free;
   check "witness produced" true (witness <> None)
 
+(* A one-port component A -p-> Done, and back to A when [cycle]. *)
+let one_shot ?(cycle = false) name =
+  let b = Component.create name in
+  let a = Component.add_location b "A" in
+  let d = Component.add_location b "Done" in
+  let p = Component.add_port b "p" in
+  Component.set_initial b a;
+  Component.add_transition b ~src:a ~dst:d ~port:p ();
+  if cycle then Component.add_transition b ~src:d ~dst:a ~port:p ();
+  (Component.build b, p)
+
+(* A trigger broadcasting to two synchrons. *)
+let broadcast_trio () =
+  let t, pt = one_shot "Trig" in
+  let s1, ps1 = one_shot "S1" in
+  let s2, ps2 = one_shot "S2" in
+  System.make
+    ~components:[| t; s1; s2 |]
+    ~connectors:
+      [
+        System.Broadcast
+          {
+            c_name = "bcast";
+            trigger = (0, pt);
+            synchrons = [ (1, ps1); (2, ps2) ];
+            action = None;
+          };
+      ]
+    ()
+
 (* Broadcast with maximal progress: the trigger takes every enabled
    synchron along. *)
 let test_broadcast_maximal () =
-  let mk name =
-    let b = Component.create name in
-    let a = Component.add_location b "A" in
-    let d = Component.add_location b "Done" in
-    let p = Component.add_port b "p" in
-    Component.set_initial b a;
-    Component.add_transition b ~src:a ~dst:d ~port:p ();
-    (Component.build b, p)
-  in
-  let t, pt = mk "Trig" in
-  let s1, ps1 = mk "S1" in
-  let s2, ps2 = mk "S2" in
-  let sys =
-    System.make
-      ~components:[| t; s1; s2 |]
-      ~connectors:
-        [
-          System.Broadcast
-            {
-              c_name = "bcast";
-              trigger = (0, pt);
-              synchrons = [ (1, ps1); (2, ps2) ];
-              action = None;
-            };
-        ]
-      ()
-  in
+  let sys = broadcast_trio () in
   (* 4 interactions generated: trigger alone, +S1, +S2, +S1+S2. *)
   check_int "subset interactions" 4 (Array.length sys.System.interactions);
   let st = Engine.initial sys in
@@ -140,22 +144,24 @@ let test_broadcast_maximal () =
     check "all moved" true (Array.for_all (fun l -> l = 1) st'.Engine.locs)
   | None -> Alcotest.fail "broadcast did not fire"
 
-let test_priority () =
+(* Two independent togglers; [a] yields to [b]. *)
+let priority_pair () =
   let c1, p1 = toggler "P" in
   let c2, p2 = toggler "Q" in
-  let sys =
-    System.make
-      ~components:[| c1; c2 |]
-      ~connectors:
-        [
-          System.Rendezvous
-            { c_name = "a"; members = [ (0, p1) ]; guard = None; action = None };
-          System.Rendezvous
-            { c_name = "b"; members = [ (1, p2) ]; guard = None; action = None };
-        ]
-      ~priorities:[ { System.low = "a"; high = "b"; when_ = None } ]
-      ()
-  in
+  System.make
+    ~components:[| c1; c2 |]
+    ~connectors:
+      [
+        System.Rendezvous
+          { c_name = "a"; members = [ (0, p1) ]; guard = None; action = None };
+        System.Rendezvous
+          { c_name = "b"; members = [ (1, p2) ]; guard = None; action = None };
+      ]
+    ~priorities:[ { System.low = "a"; high = "b"; when_ = None } ]
+    ()
+
+let test_priority () =
+  let sys = priority_pair () in
   let st = Engine.initial sys in
   check_int "both enabled" 2 (List.length (Engine.enabled sys st));
   match Engine.filtered sys st with
@@ -412,58 +418,38 @@ let same_reachable a b =
 let test_priority_compilation_equiv () =
   (* Priority example: after the transformation (no priority layer) the
      reachable states and deterministic traces coincide. *)
-  let mk () =
-    let c1, p1 = toggler "P" in
-    let c2, p2 = toggler "Q" in
-    System.make
-      ~components:[| c1; c2 |]
-      ~connectors:
-        [
-          System.Rendezvous
-            { c_name = "a"; members = [ (0, p1) ]; guard = None; action = None };
-          System.Rendezvous
-            { c_name = "b"; members = [ (1, p2) ]; guard = None; action = None };
-        ]
-      ~priorities:[ { System.low = "a"; high = "b"; when_ = None } ]
-      ()
-  in
-  let sys = mk () in
+  let sys = priority_pair () in
   let compiled = Transform.compile_priorities sys in
   check "no priorities left" true (compiled.System.priorities = []);
   check "reachable states agree" true (same_reachable sys compiled);
   let trace s = List.map fst (Engine.run s Engine.First ~steps:6) in
   check "deterministic traces agree" true (trace sys = trace compiled)
 
+(* A cycling trigger broadcasting to one cycling synchron. *)
+let broadcast_pair () =
+  let t, pt = one_shot ~cycle:true "Trig" in
+  let s1, ps1 = one_shot ~cycle:true "S1" in
+  System.make
+    ~components:[| t; s1 |]
+    ~connectors:
+      [
+        System.Broadcast
+          {
+            c_name = "bc";
+            trigger = (0, pt);
+            synchrons = [ (1, ps1) ];
+            action = None;
+          };
+      ]
+    ()
+
 let test_priority_compilation_broadcast () =
   (* Maximal progress folds into guards the same way. *)
-  let mk name =
-    let b = Component.create name in
-    let a = Component.add_location b "A" in
-    let d = Component.add_location b "Done" in
-    let p = Component.add_port b "p" in
-    Component.set_initial b a;
-    Component.add_transition b ~src:a ~dst:d ~port:p ();
-    Component.add_transition b ~src:d ~dst:a ~port:p ();
-    (Component.build b, p)
-  in
-  let t, pt = mk "Trig" in
-  let s1, ps1 = mk "S1" in
-  let sys =
-    System.make
-      ~components:[| t; s1 |]
-      ~connectors:
-        [
-          System.Broadcast
-            {
-              c_name = "bc";
-              trigger = (0, pt);
-              synchrons = [ (1, ps1) ];
-              action = None;
-            };
-        ]
-      ()
-  in
+  let sys = broadcast_pair () in
   let compiled = Transform.compile_priorities sys in
+  check "maximality compiled into guards" true
+    (Array.exists (fun row -> row <> [||]) sys.System.wider
+     && Array.for_all (fun row -> row = [||]) compiled.System.wider);
   check "reachable states agree (broadcast)" true (same_reachable sys compiled);
   (* In the initial state only the maximal interaction fires in both. *)
   let names s = List.map (fun (i : System.interaction) -> i.System.i_name)
@@ -475,6 +461,460 @@ let test_priority_compilation_dala () =
   let compiled = Transform.compile_priorities d.Dala.sys in
   check "DALA subset equivalent after compilation" true
     (same_reachable d.Dala.sys compiled)
+
+(* ------------------------------------------------------------------ *)
+(* Engine reference: maximal progress, golden runs                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine's first filter, kept as the reference: enabledness from
+   each participant's full list of enabled transitions, priority rules
+   by name, and maximal progress recomputed for every pair of enabled
+   interactions from their sorted port lists. Returns the kept names
+   and whether maximal progress inhibited an enabled interaction. *)
+let reference_filtered (sys : System.t) (st : Engine.state) =
+  let locs = st.Engine.locs and stores = st.Engine.stores in
+  let enabled (i : System.interaction) =
+    List.for_all
+      (fun (ci, (p : Component.port)) ->
+        Component.transitions_on sys.System.components.(ci) ~loc:locs.(ci)
+          ~store:stores.(ci) p.Component.port_id
+        <> [])
+      i.System.i_ports
+    && match i.System.i_guard with None -> true | Some g -> g locs stores
+  in
+  let en = List.filter enabled (Array.to_list sys.System.interactions) in
+  let port_set (i : System.interaction) =
+    List.map
+      (fun (ci, (p : Component.port)) -> (ci, p.Component.port_id))
+      i.System.i_ports
+    |> List.sort compare
+  in
+  let by_priority (a : System.interaction) =
+    List.exists
+      (fun (r : System.priority) ->
+        String.equal r.System.low a.System.i_name
+        && (match r.System.when_ with None -> true | Some c -> c locs stores)
+        && List.exists
+             (fun (b : System.interaction) ->
+               String.equal b.System.i_name r.System.high)
+             en)
+      sys.System.priorities
+  in
+  let by_maximality (a : System.interaction) =
+    let pa = port_set a in
+    List.exists
+      (fun (b : System.interaction) ->
+        b.System.i_id <> a.System.i_id
+        &&
+        let pb = port_set b in
+        List.length pb > List.length pa && List.for_all (fun p -> List.mem p pb) pa)
+      en
+  in
+  let kept =
+    List.filter (fun a -> not (by_priority a || by_maximality a)) en
+  in
+  (List.map (fun (i : System.interaction) -> i.System.i_name) kept,
+   List.exists by_maximality en)
+
+(* [Engine.filtered] against the reference on every reachable state;
+   returns the state count and how many states had an interaction
+   inhibited by maximal progress. *)
+let filter_agrees sys =
+  let r = Engine.reachable sys in
+  check "exploration complete" false r.Engine.truncated;
+  let inhibited =
+    List.fold_left
+      (fun n st ->
+        let names, maximal = reference_filtered sys st in
+        Alcotest.(check (list string))
+          (state_string sys st) names
+          (List.map
+             (fun (i : System.interaction) -> i.System.i_name)
+             (Engine.filtered sys st));
+        if maximal then n + 1 else n)
+      0 r.Engine.states
+  in
+  (List.length r.Engine.states, inhibited)
+
+let test_filter_reference_dala5 () =
+  let agree controlled =
+    filter_agrees (Dala.make ~modules:small_modules ~controlled ()).Dala.sys
+  in
+  let states, inhibited = agree true in
+  check_int "controlled states" 771 states;
+  check_int "controlled states with maximal progress" 739 inhibited;
+  let states, inhibited = agree false in
+  check_int "uncontrolled states" 1024 states;
+  check_int "uncontrolled states with maximal progress" 0 inhibited
+
+let test_filter_reference_small () =
+  List.iter
+    (fun (name, sys, states, inhibited) ->
+      let s, i = filter_agrees sys in
+      check_int (name ^ " states") states s;
+      check_int (name ^ " states with maximal progress") inhibited i)
+    [
+      ("broadcast trio", broadcast_trio (), 2, 1);
+      ("broadcast pair", broadcast_pair (), 2, 2);
+      ("priority pair", priority_pair (), 7, 0);
+      ("token ring", token_ring (), 2, 0);
+      ("guarded rendezvous", guarded_rendezvous (), 5, 0);
+    ]
+
+let test_filter_reference_generated () =
+  let inhibited = ref 0 in
+  for i = 0 to 199 do
+    let spec = Gen.Bip_gen.generate Gen.Rng.(child (child (make 20) 1) i) in
+    inhibited := !inhibited + snd (filter_agrees (Gen.Bip_gen.build spec))
+  done;
+  check "some generated state has maximal progress" true (!inhibited > 0)
+
+(* The E5 fault-injection rows and [quantcli bip] at its default seed. *)
+let test_golden_fault_injection () =
+  let row ~controlled ~runs ~steps ~seed =
+    let r = Dala.inject_faults (Dala.make ~controlled ()) ~runs ~steps ~seed in
+    (r.Dala.faults_injected, r.Dala.violations)
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "E5 with R2C" (4185, 0)
+    (row ~controlled:true ~runs:50 ~steps:300 ~seed:11);
+  Alcotest.check pair "E5 without R2C" (4029, 4367)
+    (row ~controlled:false ~runs:50 ~steps:300 ~seed:11);
+  Alcotest.check pair "quantcli bip" (1114, 0)
+    (row ~controlled:true ~runs:20 ~steps:200 ~seed:42)
+
+(* The interactions fired by the E5 campaign's runs, one per line. *)
+let test_golden_interaction_names () =
+  let d = Dala.make ~controlled:true () in
+  let b = Buffer.create 300_000 in
+  for k = 1 to 50 do
+    let rng = Random.State.make [| 11; k |] in
+    List.iter
+      (fun (name, _) ->
+        Buffer.add_string b name;
+        Buffer.add_char b '\n')
+      (Engine.run d.Dala.sys (Engine.Random rng) ~steps:300)
+  done;
+  check_int "bytes" 274_828 (Buffer.length b);
+  Alcotest.(check string) "md5" "b44c8a6b97b72e82484accddd532c9f7"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* ------------------------------------------------------------------ *)
+(* D-Finder reference                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* D-Finder as first written, kept as the reference: the same net,
+   traps and semiflows, and a candidate check that rebuilds every
+   invariant's value from the location vector. *)
+module Dfinder_reference = struct
+  type net = {
+    offsets : int array;
+    n_places : int;
+    transitions : (int list * int list) list;
+  }
+
+  let place net ci loc = net.offsets.(ci) + loc
+
+  let build_net (sys : System.t) =
+    let n = Array.length sys.System.components in
+    let offsets = Array.make n 0 in
+    let total = ref 0 in
+    Array.iteri
+      (fun ci (c : Component.t) ->
+        offsets.(ci) <- !total;
+        total := !total + Array.length c.Component.locations)
+      sys.System.components;
+    let net = { offsets; n_places = !total; transitions = [] } in
+    let transitions = ref [] in
+    Array.iter
+      (fun (i : System.interaction) ->
+        let rec combos acc = function
+          | [] -> [ List.rev acc ]
+          | (ci, (p : Component.port)) :: rest ->
+            let c = sys.System.components.(ci) in
+            let ts =
+              Array.to_list c.Component.transitions
+              |> List.concat
+              |> List.filter (fun (t : Component.transition) ->
+                     t.Component.t_port = p.Component.port_id)
+            in
+            List.concat_map (fun t -> combos ((ci, t) :: acc) rest) ts
+        in
+        List.iter
+          (fun combo ->
+            if combo <> [] then begin
+              let consumed =
+                List.map
+                  (fun (ci, (t : Component.transition)) ->
+                    place net ci t.Component.t_src)
+                  combo
+              in
+              let produced =
+                List.map
+                  (fun (ci, (t : Component.transition)) ->
+                    place net ci t.Component.t_dst)
+                  combo
+              in
+              transitions := (consumed, produced) :: !transitions
+            end)
+          (combos [] i.System.i_ports))
+      sys.System.interactions;
+    { net with transitions = !transitions }
+
+  let trap_closure net seed =
+    let in_set = Array.make net.n_places false in
+    List.iter (fun p -> in_set.(p) <- true) seed;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (consumed, produced) ->
+          if List.exists (fun p -> in_set.(p)) consumed
+             && not (List.exists (fun p -> in_set.(p)) produced)
+          then begin
+            List.iter (fun p -> in_set.(p) <- true) produced;
+            changed := true
+          end)
+        net.transitions
+    done;
+    in_set
+
+  let semiflows net ~max_rows =
+    let transitions = Array.of_list net.transitions in
+    let n_t = Array.length transitions in
+    let incidence p t =
+      let consumed, produced = transitions.(t) in
+      let count x xs = List.length (List.filter (fun q -> q = x) xs) in
+      count p produced - count p consumed
+    in
+    let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+    let normalize (c, y) =
+      let g =
+        Array.fold_left
+          (fun acc v -> gcd acc (abs v))
+          (Array.fold_left (fun acc v -> gcd acc (abs v)) 0 c)
+          y
+      in
+      if g > 1 then (Array.map (fun v -> v / g) c, Array.map (fun v -> v / g) y)
+      else (c, y)
+    in
+    let rows =
+      ref
+        (List.init net.n_places (fun p ->
+             ( Array.init n_t (fun t -> incidence p t),
+               Array.init net.n_places (fun q -> if q = p then 1 else 0) )))
+    in
+    let ok = ref true in
+    (try
+       for t = 0 to n_t - 1 do
+         let zero, pos, neg =
+           List.fold_left
+             (fun (z, p, n) ((c, _) as row) ->
+               if c.(t) = 0 then (row :: z, p, n)
+               else if c.(t) > 0 then (z, row :: p, n)
+               else (z, p, row :: n))
+             ([], [], []) !rows
+         in
+         let combined =
+           List.concat_map
+             (fun (c1, y1) ->
+               List.map
+                 (fun (c2, y2) ->
+                   let a = -c2.(t) and b = c1.(t) in
+                   normalize
+                     ( Array.init n_t (fun k -> (a * c1.(k)) + (b * c2.(k))),
+                       Array.init net.n_places (fun k ->
+                           (a * y1.(k)) + (b * y2.(k))) ))
+                 neg)
+             pos
+         in
+         rows := List.sort_uniq compare (zero @ combined);
+         if List.length !rows > max_rows then begin
+           ok := false;
+           raise Exit
+         end
+       done
+     with Exit -> ());
+    if not !ok then []
+    else
+      List.filter_map
+        (fun (_, y) -> if Array.exists (fun v -> v > 0) y then Some y else None)
+        !rows
+
+  let local_reach (c : Component.t) =
+    let n = Array.length c.Component.locations in
+    let seen = Array.make n false in
+    let rec visit l =
+      if not seen.(l) then begin
+        seen.(l) <- true;
+        List.iter
+          (fun (t : Component.transition) -> visit t.Component.t_dst)
+          c.Component.transitions.(l)
+      end
+    in
+    visit c.Component.initial_loc;
+    seen
+
+  let surely_enabled (sys : System.t) locs (i : System.interaction) =
+    i.System.i_guard = None
+    && List.for_all
+         (fun (ci, (p : Component.port)) ->
+           List.exists
+             (fun (t : Component.transition) ->
+               t.Component.t_port = p.Component.port_id
+               && not t.Component.t_has_guard)
+             sys.System.components.(ci).Component.transitions.(locs.(ci)))
+         i.System.i_ports
+
+  let prove ?(max_candidates = 1_000_000) (sys : System.t) =
+    let net = build_net sys in
+    let init_places =
+      Array.to_list
+        (Array.mapi
+           (fun ci (c : Component.t) -> place net ci c.Component.initial_loc)
+           sys.System.components)
+    in
+    let traps =
+      List.sort_uniq compare
+        (List.map (fun p -> trap_closure net [ p ]) init_places)
+    in
+    let flows = semiflows net ~max_rows:5000 in
+    let init_value y = List.fold_left (fun acc p -> acc + y.(p)) 0 init_places in
+    let flow_consts = List.map (fun y -> (y, init_value y)) flows in
+    let locals = Array.map local_reach sys.System.components in
+    let n = Array.length sys.System.components in
+    let survivors = ref [] in
+    let checked = ref 0 in
+    let exception Too_many in
+    let vec = Array.make n 0 in
+    let report verdict =
+      {
+        Dfinder.verdict;
+        n_traps = List.length traps;
+        n_semiflows = List.length flows;
+        n_candidates_checked = !checked;
+      }
+    in
+    try
+      let rec enum ci =
+        if ci = n then begin
+          incr checked;
+          if !checked > max_candidates then raise Too_many;
+          let locs = Array.copy vec in
+          let trap_ok trap =
+            Array.exists
+              (fun ci' -> trap.(place net ci' locs.(ci')))
+              (Array.init n Fun.id)
+          in
+          let flow_ok (y, v0) =
+            let v =
+              Array.to_list (Array.mapi (fun ci' l -> y.(place net ci' l)) locs)
+              |> List.fold_left ( + ) 0
+            in
+            v = v0
+          in
+          if
+            List.for_all trap_ok traps
+            && List.for_all flow_ok flow_consts
+            && not (Array.exists (surely_enabled sys locs) sys.System.interactions)
+          then survivors := locs :: !survivors
+        end
+        else
+          Array.iteri
+            (fun l ok ->
+              if ok then begin
+                vec.(ci) <- l;
+                enum (ci + 1)
+              end)
+            locals.(ci)
+      in
+      enum 0;
+      report
+        (match !survivors with
+         | [] -> Dfinder.Proved
+         | s -> Dfinder.Inconclusive (List.rev s))
+    with Too_many -> report (Dfinder.Inconclusive [])
+end
+
+let verdict_lines = function
+  | Dfinder.Proved -> [ "proved" ]
+  | Dfinder.Inconclusive vs ->
+    "inconclusive"
+    :: List.map
+         (fun v -> String.concat "," (Array.to_list (Array.map string_of_int v)))
+         vs
+
+(* [Dfinder.prove] against the reference, whole report; returns it. *)
+let same_report ?max_candidates name sys =
+  let want = Dfinder_reference.prove ?max_candidates sys in
+  let got = Dfinder.prove ?max_candidates sys in
+  Alcotest.(check (list string))
+    (name ^ ": verdict and survivors")
+    (verdict_lines want.Dfinder.verdict)
+    (verdict_lines got.Dfinder.verdict);
+  check_int (name ^ ": traps") want.Dfinder.n_traps got.Dfinder.n_traps;
+  check_int (name ^ ": semiflows") want.Dfinder.n_semiflows
+    got.Dfinder.n_semiflows;
+  check_int (name ^ ": candidates") want.Dfinder.n_candidates_checked
+    got.Dfinder.n_candidates_checked;
+  got
+
+let check_dala_report name (r : Dfinder.report) ~traps ~semiflows =
+  check (name ^ ": proved") true (r.Dfinder.verdict = Dfinder.Proved);
+  check_int (name ^ ": traps") traps r.Dfinder.n_traps;
+  check_int (name ^ ": semiflows") semiflows r.Dfinder.n_semiflows;
+  check_int (name ^ ": candidates") 262_144 r.Dfinder.n_candidates_checked
+
+let test_dfinder_reference_dala_controlled () =
+  let sys = (Dala.make ~controlled:true ()).Dala.sys in
+  check_dala_report "controlled" (same_report "controlled" sys) ~traps:10
+    ~semiflows:12
+
+let test_dfinder_reference_dala_uncontrolled () =
+  let sys = (Dala.make ~controlled:false ()).Dala.sys in
+  check_dala_report "uncontrolled" (same_report "uncontrolled" sys) ~traps:9
+    ~semiflows:9
+
+let test_dfinder_reference_small () =
+  let cut =
+    same_report ~max_candidates:1000 "controlled, cut"
+      (Dala.make ~controlled:true ()).Dala.sys
+  in
+  check "cut is inconclusive without survivors" true
+    (cut.Dfinder.verdict = Dfinder.Inconclusive []);
+  check_int "cut counts one past the bound" 1001
+    cut.Dfinder.n_candidates_checked;
+  ignore (same_report "token ring" (token_ring ()));
+  ignore (same_report "guarded rendezvous" (guarded_rendezvous ()))
+
+let test_dfinder_reference_generated () =
+  let with_survivors = ref 0 and cut = ref 0 in
+  for i = 0 to 1199 do
+    let spec = Gen.Bip_gen.generate Gen.Rng.(child (child (make 20) 2) i) in
+    let sys = Gen.Bip_gen.build spec in
+    let name = Printf.sprintf "generated %d" i in
+    (match (same_report name sys).Dfinder.verdict with
+     | Dfinder.Inconclusive (_ :: _) -> incr with_survivors
+     | _ -> ());
+    match (same_report ~max_candidates:3 (name ^ ", cut at 3") sys).Dfinder.verdict with
+    | Dfinder.Inconclusive [] -> incr cut
+    | _ -> ()
+  done;
+  check "some generated system keeps survivors" true (!with_survivors > 0);
+  check "some generated system hits the cut" true (!cut > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Spans                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let test_spans () =
+  Obs.reset ();
+  let sys = token_ring () in
+  ignore (Dfinder.prove sys);
+  ignore (Engine.run sys Engine.First ~steps:3);
+  let names = List.map fst (Obs.Flight.span_totals ()) in
+  check "bip.dfinder timed" true (List.mem "bip.dfinder" names);
+  check "bip.run timed" true (List.mem "bip.run" names)
 
 let () =
   Alcotest.run "bip"
@@ -525,5 +965,26 @@ let () =
             test_golden_deadlocks;
           Alcotest.test_case "truncation contract" `Quick
             test_truncation_contract;
+          Alcotest.test_case "fault injection rows" `Quick
+            test_golden_fault_injection;
+          Alcotest.test_case "interaction names md5" `Quick
+            test_golden_interaction_names;
         ] );
+      ( "reference",
+        [
+          Alcotest.test_case "filter: dala-5" `Quick test_filter_reference_dala5;
+          Alcotest.test_case "filter: small systems" `Quick
+            test_filter_reference_small;
+          Alcotest.test_case "filter: generated" `Quick
+            test_filter_reference_generated;
+          Alcotest.test_case "dfinder: dala controlled" `Slow
+            test_dfinder_reference_dala_controlled;
+          Alcotest.test_case "dfinder: dala uncontrolled" `Slow
+            test_dfinder_reference_dala_uncontrolled;
+          Alcotest.test_case "dfinder: small systems" `Quick
+            test_dfinder_reference_small;
+          Alcotest.test_case "dfinder: generated" `Quick
+            test_dfinder_reference_generated;
+        ] );
+      ("spans", [ Alcotest.test_case "prove and run" `Quick test_spans ]);
     ]

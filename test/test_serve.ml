@@ -208,6 +208,46 @@ let test_registry_eviction_order () =
   check "the least recently used model went" true
     (R.model reg fischer ~n:3 != List.assoc 3 nets)
 
+(* The budget holds after every reply store whatever the mix: model
+   compiles and hits (some models explored, as a served check would),
+   reply hits, replies of random size and shape, replies re-stored
+   under a live fingerprint, and one value cached under two
+   fingerprints. *)
+let test_registry_budget_random () =
+  let rng = Random.State.make [| 20 |] in
+  let int n = Random.State.int rng n in
+  let specs = [| Serve.Models.fischer; Serve.Models.train_gate |] in
+  let probe = R.create () in
+  ignore (R.model probe Serve.Models.fischer ~n:3);
+  let budget = R.words probe + 4_000 in
+  let reg = R.create ~mem_budget_words:budget () in
+  let reply () =
+    match int 3 with
+    | 0 -> Json.Str (String.make (int 4_000) 'r')
+    | 1 -> Json.Arr (List.init (int 200) (fun i -> Json.Int i))
+    | _ ->
+      Json.Obj
+        (List.init (1 + int 20) (fun i ->
+             (string_of_int i, Json.Str (String.make (int 100) 'o'))))
+  in
+  let last = ref (Json.Int 0) and stores = ref 0 in
+  for step = 1 to 3_000 do
+    match int 10 with
+    | 0 ->
+      let net = R.model reg specs.(int 2) ~n:(2 + int 2) in
+      if int 4 = 0 then ignore (Ta.Checker.reachable_states net)
+    | 1 | 2 -> ignore (R.cached_reply reg ~fingerprint:(string_of_int (int 80)))
+    | k ->
+      let value = if k = 3 then !last else reply () in
+      last := value;
+      R.store_reply reg ~fingerprint:(string_of_int (int 80)) value;
+      incr stores;
+      if R.words reg > budget then
+        Alcotest.failf "step %d: %d words over a budget of %d" step
+          (R.words reg) budget
+  done;
+  check "replies were stored" true (!stores > 1_000)
+
 (* ------------------------------------------------------------------ *)
 (* Intern-table lifecycle under warm-query churn                       *)
 (* ------------------------------------------------------------------ *)
@@ -495,6 +535,8 @@ let () =
         [
           Alcotest.test_case "replies, then models, LRU within each" `Quick
             test_registry_eviction_order;
+          Alcotest.test_case "budget holds under a random mix" `Quick
+            test_registry_budget_random;
         ] );
       ( "intern lifecycle",
         [
