@@ -281,5 +281,6 @@ let expand ?time_cap ?(max_states = 5_000_000) (sta : Sta.t) =
 
 let target_of exp pred = Array.map pred exp.states
 
-let pred_of_mprop exp p (st : dstate) =
-  Mprop.eval exp.sta ~locs:st.slocs ~store:st.sstore p
+let pred_of_mprop exp p =
+  let p = Mprop.compile exp.sta p in
+  fun (st : dstate) -> p st.slocs st.sstore

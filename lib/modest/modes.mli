@@ -18,19 +18,22 @@ type observation = {
   steps : int;
 }
 
-(** [run sta ~seed ~horizon ~watch ~monitors] simulates one run until the
-    horizon, a stuck state, or all watches hit. *)
-val run :
-  Sta.t ->
-  seed:int ->
-  horizon:float ->
-  watch:Mprop.t array ->
-  monitors:Mprop.t array ->
-  observation
-
 (** [runs sta ~seed ~n ~horizon ~watch ~monitors] — [n] independent runs
     with derived seeds (run [k] uses [seed + k * 7919]). Sharding across
-    [?pool] changes wall-clock time only, never an observation. *)
+    [?pool] changes wall-clock time only, never an observation.
+
+    A run goes until the horizon passes, the run is stuck, every watch
+    has hit, or 1,000,000 steps have run (counted in
+    [modes.truncated_runs]). The model and the props are compiled once
+    per call ({!Mprop.compile}: an unknown name raises [Not_found]
+    here): per process and location an array of edges with compiled
+    guards ({!Smc.Kernel}) and branch weights, and for each edge that
+    leads a two-party action its partner's edges on that action at each
+    partner location. A run updates one state in place.
+
+    A run's draws are fixed by its seed: one per choice among the moves
+    enabled now (or at the earliest enabling instant), then one per
+    participant's branch, in participant order. *)
 val runs :
   ?pool:Par.Pool.t ->
   Sta.t ->

@@ -6,15 +6,22 @@ type t =
   | P_and of t * t
   | P_or of t * t
 
-let rec eval sta ~locs ~store = function
-  | P_true -> true
+let rec compile sta = function
+  | P_true -> fun _ _ -> true
   | P_loc (pname, lname) ->
     let pi = Sta.proc_index sta pname in
-    locs.(pi) = Sta.loc_index sta pi lname
-  | P_data e -> Ta.Expr.eval_bool store e
-  | P_not p -> not (eval sta ~locs ~store p)
-  | P_and (p, q) -> eval sta ~locs ~store p && eval sta ~locs ~store q
-  | P_or (p, q) -> eval sta ~locs ~store p || eval sta ~locs ~store q
+    let li = Sta.loc_index sta pi lname in
+    fun locs _ -> locs.(pi) = li
+  | P_data e -> fun _ store -> Ta.Expr.eval_bool store e
+  | P_not p ->
+    let p = compile sta p in
+    fun locs store -> not (p locs store)
+  | P_and (p, q) ->
+    let p = compile sta p and q = compile sta q in
+    fun locs store -> p locs store && q locs store
+  | P_or (p, q) ->
+    let p = compile sta p and q = compile sta q in
+    fun locs store -> p locs store || q locs store
 
 let rec to_ta_formula sta net = function
   | P_true -> Ta.Prop.True

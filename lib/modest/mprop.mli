@@ -12,8 +12,13 @@ type t =
   | P_and of t * t
   | P_or of t * t
 
-(** [eval sta ~locs ~store p] evaluates on raw discrete parts. *)
-val eval : Sta.t -> locs:int array -> store:int array -> t -> bool
+(** [compile sta p] resolves every process and location name of [p]
+    once and returns its evaluator on raw discrete parts: [compile sta p
+    locs store]. Evaluating allocates nothing.
+    @raise Not_found when [p] names a process or location that [sta]
+    lacks — at compile time, whether or not evaluation would reach the
+    name. *)
+val compile : Sta.t -> t -> int array -> int array -> bool
 
 (** [to_ta_formula sta net p] translates for the TA overapproximation
     produced by {!Mctau.to_ta} (process indices = automaton indices). *)

@@ -8,16 +8,27 @@ let m_reply_hits = Obs.counter "serve.reply_hits"
 let m_reply_misses = Obs.counter "serve.reply_misses"
 let m_evictions = Obs.counter "serve.evictions"
 
-(* A cached value, the registry clock at its last use, and the words
-   it was charged when added. *)
-type 'a cached = { value : 'a; mutable tick : int; charge : int }
+(* A cached value, the words it was charged when added, and its place
+   in its class's recency list. [self] is the link the neighbours hold,
+   made once with the entry, so a touch relinks without allocating. *)
+type 'a cached = {
+  key : string;
+  value : 'a;
+  charge : int;
+  mutable newer : 'a cached option;
+  mutable older : 'a cached option;
+  self : 'a cached option;
+}
 
-(* One cache class: its table, the bucket count it was created with,
-   and the most entries it has held. Buckets double when the entries
-   exceed twice their number and never shrink, so the bucket array has
-   at most [max buckets peak] slots. *)
+(* One cache class: its table, its entries from most to least recently
+   used, the bucket count it was created with, and the most entries it
+   has held. Buckets double when the entries exceed twice their number
+   and never shrink, so the bucket array has at most
+   [max buckets peak] slots. *)
 type 'a cache = {
   tbl : (string, 'a cached) Hashtbl.t;
+  mutable newest : 'a cached option;
+  mutable oldest : 'a cached option;
   buckets : int;
   mutable peak : int;
 }
@@ -25,13 +36,13 @@ type 'a cache = {
 type t = {
   models : Ta.Model.network cache;
   replies : Obs.Json.t cache;
-  mutable clock : int;
   budget_words : int option;
   mutable charges : int;
       (* the empty registry's words plus every entry's charge *)
 }
 
-let cache buckets = { tbl = Hashtbl.create buckets; buckets; peak = 0 }
+let cache buckets =
+  { tbl = Hashtbl.create buckets; newest = None; oldest = None; buckets; peak = 0 }
 
 (* Retained heap of both caches, shared structure counted once. An
    O(live-cache) walk, for metrics scrapes. It counts what the tables
@@ -47,7 +58,6 @@ let create ?mem_budget_words () =
   {
     models;
     replies;
-    clock = 0;
     budget_words = mem_budget_words;
     charges = words_of models replies;
   }
@@ -62,50 +72,55 @@ let charged t =
   let growth c = max 0 (c.peak - c.buckets) in
   t.charges + growth t.models + growth t.replies
 
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
+let unlink c e =
+  (match e.newer with Some n -> n.older <- e.older | None -> c.newest <- e.older);
+  (match e.older with Some o -> o.newer <- e.newer | None -> c.oldest <- e.newer);
+  e.newer <- None;
+  e.older <- None
 
-let find t c key ~hit ~miss =
+let push_newest c e =
+  e.older <- c.newest;
+  (match c.newest with Some n -> n.newer <- e.self | None -> c.oldest <- e.self);
+  c.newest <- e.self
+
+let find c key ~hit ~miss =
   match Hashtbl.find_opt c.tbl key with
   | Some e ->
     Obs.Metrics.Counter.incr hit;
-    e.tick <- tick t;
+    unlink c e;
+    push_newest c e;
     Some e.value
   | None ->
     Obs.Metrics.Counter.incr miss;
     None
 
-(* A hash bucket cell (key, data, next) and a [cached] record, headers
-   included. *)
-let entry_overhead = 4 + 4
+(* A hash bucket cell (key, data, next), a [cached] record and its
+   [self] link, headers included. *)
+let entry_overhead = 4 + 7 + 2
 
 let add t c key value =
   (match Hashtbl.find_opt c.tbl key with
-   | Some old -> t.charges <- t.charges - old.charge
+   | Some old ->
+     unlink c old;
+     t.charges <- t.charges - old.charge
    | None -> ());
   let charge =
     entry_overhead
     + Obj.reachable_words (Obj.repr key)
     + Obj.reachable_words (Obj.repr value)
   in
-  Hashtbl.replace c.tbl key { value; tick = tick t; charge };
+  let rec e = { key; value; charge; newer = None; older = None; self = Some e } in
+  Hashtbl.replace c.tbl key e;
+  push_newest c e;
   t.charges <- t.charges + charge;
   c.peak <- max c.peak (Hashtbl.length c.tbl)
 
 (* Drop the least recently used entry of [c]; false when it is empty. *)
 let evict t c =
-  let lru =
-    Hashtbl.fold
-      (fun key e acc ->
-        match acc with
-        | Some (_, old) when old.tick <= e.tick -> acc
-        | _ -> Some (key, e))
-      c.tbl None
-  in
-  match lru with
-  | Some (key, e) ->
-    Hashtbl.remove c.tbl key;
+  match c.oldest with
+  | Some e ->
+    unlink c e;
+    Hashtbl.remove c.tbl e.key;
     t.charges <- t.charges - e.charge;
     Obs.Metrics.Counter.incr m_evictions;
     true
@@ -121,7 +136,7 @@ let rec enforce_budget t =
 
 let model t (spec : Models.spec) ~n =
   let key = Printf.sprintf "%s:%d" spec.Models.name n in
-  match find t t.models key ~hit:m_model_hits ~miss:m_model_misses with
+  match find t.models key ~hit:m_model_hits ~miss:m_model_misses with
   | Some net -> net
   | None ->
     let net = spec.Models.make n in
@@ -129,11 +144,18 @@ let model t (spec : Models.spec) ~n =
     net
 
 let cached_reply t ~fingerprint =
-  find t t.replies fingerprint ~hit:m_reply_hits ~miss:m_reply_misses
+  find t.replies fingerprint ~hit:m_reply_hits ~miss:m_reply_misses
 
 let store_reply t ~fingerprint reply =
   add t t.replies fingerprint reply;
   enforce_budget t
+
+let lru_keys t =
+  let rec from_oldest acc = function
+    | Some e -> from_oldest (e.key :: acc) e.newer
+    | None -> List.rev acc
+  in
+  (from_oldest [] t.models.oldest, from_oldest [] t.replies.oldest)
 
 let stats_json t =
   Obs.Json.Obj

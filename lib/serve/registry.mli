@@ -13,6 +13,9 @@
     Everything is droppable: over budget, each {!store_reply} evicts
     replies, then models, LRU within each class — so a budgeted daemon
     degrades to cold-start latency instead of growing without bound.
+    Each class keeps its entries in a doubly linked recency list: a hit
+    moves its entry to the front and the victim is the back, both in
+    O(1), with one link per entry made when it is added.
     The budget is enforced against a running total kept in O(1): each
     entry is charged its reachable words ({!Obj.reachable_words}) once,
     when added, and refunded when it leaves; the tables' own words are
@@ -44,6 +47,11 @@ val store_reply : t -> fingerprint:string -> Obs.Json.t -> unit
 (** Retained heap of the caches, in words: the exact walk, O(cache);
     the budget is enforced against an upper bound of it (see above). *)
 val words : t -> int
+
+(** The cached model keys and reply fingerprints, each class least
+    recently used first: the order eviction takes them in. Touches
+    nothing. *)
+val lru_keys : t -> string list * string list
 
 (** Cache shape + intern-table size, for the [metrics] scrape. *)
 val stats_json : t -> Obs.Json.t

@@ -1,13 +1,13 @@
 (* Root module of the smc library: re-export the engine and the
    estimators, then provide the query facade. *)
 
+module Kernel = Kernel
 module Stochastic = Stochastic
 module Estimate = Estimate
 
 type query = { horizon : float; goal : Ta.Prop.formula }
 
-let stop_of net goal (st : Stochastic.cstate) =
-  Ta.Prop.eval_on net ~locs:st.Stochastic.clocs ~store:st.Stochastic.cstore goal
+let stop_of net goal locs store = Ta.Prop.eval_on net ~locs ~store goal
 
 let default_runs () = Estimate.chernoff_runs ~eps:0.05 ~alpha:0.05
 
@@ -96,7 +96,10 @@ module Batch = struct
       offsets.(i + 1) <- offsets.(i) + items.(i).runs
     done;
     let total = offsets.(n) in
-    (* Pre-resolve each item's stop predicate once, not per run. *)
+    (* Compile each item's network and resolve its stop predicate here,
+       not per run: the compiled tables are immutable and every pool
+       domain reads them. *)
+    let models = Array.map (fun it -> Stochastic.compile it.net) items in
     let stops = Array.map (fun it -> stop_of it.net it.goal) items in
     (* One fused range: global index [g] belongs to item [i] as its
        local run [k = g - offsets.(i)], and draws from
@@ -112,7 +115,7 @@ module Batch = struct
           let k = g - offsets.(i) in
           let rng = Random.State.make [| it.seed; k |] in
           let _, hit =
-            Stochastic.simulate it.net it.config rng ~horizon:it.horizon
+            Stochastic.simulate models.(i) it.config rng ~horizon:it.horizon
               ~stop:stops.(i)
           in
           hit)
@@ -147,10 +150,11 @@ let hypothesis ?pool ?(config = Stochastic.default_config) ?(seed = 42)
     ?(delta = 0.01) net q ~theta =
   assert (Ta.Prop.crisp q.goal);
   Obs.Span.with_ ~name:"smc.sprt" @@ fun () ->
+  let model = Stochastic.compile net in
   let stop = stop_of net q.goal in
   let sample k =
     let rng = Random.State.make [| seed; k |] in
-    let _, hit = Stochastic.simulate net config rng ~horizon:q.horizon ~stop in
+    let _, hit = Stochastic.simulate model config rng ~horizon:q.horizon ~stop in
     match hit with Some h -> h <= q.horizon | None -> false
   in
   let max_samples = 1_000_000 in

@@ -14,6 +14,7 @@
     {!Batch}: fusing several queries into one parallel range is
     invisible in the results. *)
 
+module Kernel = Kernel
 module Stochastic : module type of Stochastic
 module Estimate : module type of Estimate
 

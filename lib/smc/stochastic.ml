@@ -1,311 +1,403 @@
 module Model = Ta.Model
-module Zone_graph = Ta.Zone_graph
 module Expr = Ta.Expr
-module Bound = Zones.Bound
 
 type config = { rates : int -> int -> float }
 
 let default_config = { rates = (fun _ _ -> 1.0) }
 
-type cstate = {
-  clocs : int array;
-  cstore : int array;
-  cclocks : float array;
-  ctime : float;
+(* An edge as the race reads it. [chan] is -1 for an internal edge. *)
+type edge = {
+  guard : Kernel.guard;
+  data : Expr.t option;
+  chan : int;
+  broadcast : bool;
+  urgent : bool;
+  dst : int;
+  updates : Model.update list;
 }
 
-let initial_cstate (net : Model.network) =
-  {
-    clocs = Array.map (fun (a : Model.automaton) -> a.Model.initial) net.automata;
-    cstore = Ta.Store.initial net.layout;
-    cclocks = Array.make (net.n_clocks + 1) 0.0;
-    ctime = 0.0;
-  }
+type compiled = {
+  outs : edge array array array;
+  recvs : edge array array array array;
+  kinds : Model.loc_kind array array;
+  invariants : Kernel.guard array array;
+  initial : int array;
+  layout : Ta.Store.layout;
+  n_clocks : int;
+  max_outs : int;
+  max_recvs : int;
+}
 
-let infinity_ = infinity
-
-(* Delay window [lo, hi] in which the constraint list can be satisfied by
-   waiting from valuation [v]; [None] when a diagonal constraint already
-   fails (differences are invariant under delay). *)
-let guard_window v constrs =
-  let lo = ref 0.0 and hi = ref infinity_ and feasible = ref true in
-  List.iter
-    (fun (c : Model.constr) ->
-      if not (Bound.is_inf c.cb) then begin
-        let m = float_of_int (Bound.constant c.cb) in
-        if c.ci > 0 && c.cj = 0 then
-          (* x + d ≺ m  ⟺  d ≤ m - x *)
-          hi := min !hi (m -. v.(c.ci))
-        else if c.ci = 0 && c.cj > 0 then
-          (* -(x + d) ≺ m  ⟺  d ≥ -m - x *)
-          lo := max !lo (-.m -. v.(c.cj))
-        else if not (Bound.sat c.cb (v.(c.ci) -. v.(c.cj))) then
-          (* Diagonal constraints are delay-invariant. *)
-          feasible := false
-      end)
-    constrs;
-  if (not !feasible) || !lo > !hi then None else Some (!lo, !hi)
-
-(* Upper bound on delay allowed by a location vector's invariants. *)
-let invariant_bound net (st : cstate) =
-  List.fold_left
-    (fun acc (c : Model.constr) ->
-      if (not (Bound.is_inf c.cb)) && c.ci > 0 && c.cj = 0 then
-        min acc (float_of_int (Bound.constant c.cb) -. st.cclocks.(c.ci))
-      else acc)
-    infinity_
-    (Zone_graph.invariant_constrs net st.clocs)
-
-let is_output (s : Model.sync) =
-  match s with Model.Emit _ | Model.Tau -> true | Model.Receive _ -> false
-
-(* Output/internal edges of component [i], data-enabled. *)
-let output_edges net (st : cstate) i =
-  let a = net.Model.automata.(i) in
-  List.filter
-    (fun (e : Model.edge) ->
-      is_output e.sync
-      && (match e.data_guard with
-          | None -> true
-          | Some g -> Expr.eval_bool st.cstore g))
-    a.Model.out.(st.clocs.(i))
-
-(* Sample the delay after which component [i] intends to act. *)
-let component_delay net cfg rng (st : cstate) ~inv_ub i =
-  let edges = output_edges net st i in
-  let windows =
-    List.filter_map (fun (e : Model.edge) -> guard_window st.cclocks e.clock_guard) edges
+let compile_edge (e : Model.edge) =
+  let chan, broadcast, urgent =
+    match e.Model.sync with
+    | Model.Tau -> (-1, false, false)
+    | Model.Emit c | Model.Receive c ->
+      (c.Model.chan_id, c.Model.kind = Model.Broadcast, c.Model.urgent)
   in
-  match windows with
-  | [] -> infinity_
-  | _ ->
-    let lo = List.fold_left (fun acc (l, _) -> min acc l) infinity_ windows in
-    let kind = net.Model.automata.(i).locations.(st.clocs.(i)).Model.kind in
-    if kind <> Model.Normal then (if lo <= 0.0 then 0.0 else infinity_)
-    else if lo > inv_ub then infinity_
-    else if inv_ub < infinity_ then
-      (* Uniform over the actionable window up to the invariant bound. *)
-      lo +. Random.State.float rng (max 0.0 (inv_ub -. lo))
-    else begin
-      let rate = cfg.rates i st.clocs.(i) in
-      lo +. (-.log (max 1e-300 (Random.State.float rng 1.0)) /. rate)
-    end
-
-(* Closure-free: this runs for every enabled edge and, through
-   [invariants_hold], for every component on every fired move. *)
-let rec clock_guard_sat v = function
-  | [] -> true
-  | (c : Model.constr) :: rest ->
-    Bound.sat c.cb (v.(c.ci) -. v.(c.cj)) && clock_guard_sat v rest
-
-let edge_enabled net (st : cstate) i (e : Model.edge) =
-  ignore net;
-  ignore i;
-  (match e.data_guard with
-   | None -> true
-   | Some g -> Expr.eval_bool st.cstore g)
-  && clock_guard_sat st.cclocks e.clock_guard
-
-(* Receivers for a channel among components other than [from]. *)
-let receivers net (st : cstate) ~from (ch : Model.chan) =
-  let acc = ref [] in
-  Array.iteri
-    (fun j (a : Model.automaton) ->
-      if j <> from then
-        List.iter
-          (fun (e : Model.edge) ->
-            match e.sync with
-            | Model.Receive c when c.Model.chan_id = ch.Model.chan_id ->
-              if edge_enabled net st j e then acc := (j, e) :: !acc
-            | Model.Receive _ | Model.Emit _ | Model.Tau -> ())
-          a.Model.out.(st.clocs.(j)))
-    net.Model.automata;
-  List.rev !acc
-
-let pick rng xs =
-  match xs with
-  | [] -> None
-  | _ -> Some (List.nth xs (Random.State.int rng (List.length xs)))
-
-let advance (st : cstate) d =
   {
-    st with
-    cclocks = Array.mapi (fun k x -> if k = 0 then 0.0 else x +. d) st.cclocks;
-    ctime = st.ctime +. d;
+    guard = Kernel.guard e.Model.clock_guard;
+    data = e.Model.data_guard;
+    chan;
+    broadcast;
+    urgent;
+    dst = e.Model.dst;
+    updates = e.Model.updates;
   }
 
-let apply_edges (st : cstate) participants =
-  let store = Array.copy st.cstore in
-  let clocks = Array.copy st.cclocks in
-  let locs = Array.copy st.clocs in
-  List.iter
-    (fun (i, (e : Model.edge)) ->
-      locs.(i) <- e.Model.dst;
-      List.iter
-        (function
-          | Model.Assign (lv, rhs) ->
-            let value = Expr.eval store rhs in
-            store.(Expr.lvalue_offset store lv) <- value
-          | Model.Reset (x, value) -> clocks.(x) <- float_of_int value
-          | Model.Prim (_, f) -> f store)
-        e.Model.updates)
-    participants;
-  { st with clocs = locs; cstore = store; cclocks = clocks }
-
-(* Does every component's location invariant hold at [st]? *)
-let invariants_hold net (st : cstate) =
+let compile (net : Model.network) =
   let autos = net.Model.automata in
+  let per_loc f =
+    Array.map (fun (a : Model.automaton) -> Array.map f a.Model.locations) autos
+  in
+  let outs =
+    Array.map
+      (fun (a : Model.automaton) ->
+        Array.map
+          (fun es ->
+            Array.of_list
+              (List.filter_map
+                 (fun (e : Model.edge) ->
+                   match e.Model.sync with
+                   | Model.Receive _ -> None
+                   | Model.Emit _ | Model.Tau -> Some (compile_edge e))
+                 es))
+          a.Model.out)
+      autos
+  in
+  (* The sync index files each location's receiving edges by channel,
+     in out-list order: the order the race picks receivers in. *)
+  let recvs =
+    Array.map
+      (Array.map (fun (ls : Model.loc_syncs) ->
+           Array.map
+             (fun ses ->
+               Array.of_list
+                 (List.map (fun (se : Model.synced_edge) -> compile_edge (snd se.Model.part)) ses))
+             ls.Model.recvs))
+      net.Model.syncs.Model.by_loc
+  in
+  let most f a = Array.fold_left (fun acc x -> max acc (f x)) 0 a in
+  {
+    outs;
+    recvs;
+    kinds = per_loc (fun (l : Model.location) -> l.Model.kind);
+    invariants = per_loc (fun (l : Model.location) -> Kernel.guard l.Model.invariant);
+    initial = Array.map (fun (a : Model.automaton) -> a.Model.initial) autos;
+    layout = net.Model.layout;
+    n_clocks = net.Model.n_clocks;
+    max_outs = most (most Array.length) outs;
+    max_recvs =
+      Array.fold_left (fun acc r -> acc + most (most Array.length) r) 0 recvs;
+  }
+
+(* One run: its state, the race's arrays and the pick buffers. Nothing
+   here is shared between runs. *)
+type run = {
+  st : Kernel.state;
+  win : Kernel.window;
+  data_ok : bool array;
+  race_comp : int array;
+  race_delay : float array;
+  cands : edge array;
+  recv_comp : int array;
+  recv_edge : edge array;
+}
+
+let dummy =
+  {
+    guard = Kernel.guard [];
+    data = None;
+    chan = -1;
+    broadcast = false;
+    urgent = false;
+    dst = 0;
+    updates = [];
+  }
+
+let start c =
+  let n = Array.length c.initial in
+  {
+    st =
+      Kernel.state ~locs:(Array.copy c.initial)
+        ~store:(Ta.Store.initial c.layout) ~n_clocks:c.n_clocks;
+    win = { Kernel.lo = 0.0; hi = infinity };
+    data_ok = Array.make c.max_outs false;
+    race_comp = Array.make n 0;
+    race_delay = Array.make n 0.0;
+    cands = Array.make c.max_outs dummy;
+    recv_comp = Array.make c.max_recvs 0;
+    recv_edge = Array.make c.max_recvs dummy;
+  }
+
+let data_holds store e =
+  match e.data with None -> true | Some g -> Expr.eval_bool store g
+
+let enabled (st : Kernel.state) e =
+  data_holds st.Kernel.store e && Kernel.sat e.guard st.Kernel.clocks
+
+(* The enabled edges receiving on [chan] in components other than
+   [from], by component then out-list order; returns their number. *)
+let fill_receivers c r ~from chan =
+  let st = r.st in
+  let m = ref 0 in
+  for j = 0 to Array.length c.recvs - 1 do
+    if j <> from then begin
+      let es = c.recvs.(j).(st.Kernel.locs.(j)).(chan) in
+      for k = 0 to Array.length es - 1 do
+        if enabled st es.(k) then begin
+          r.recv_comp.(!m) <- j;
+          r.recv_edge.(!m) <- es.(k);
+          incr m
+        end
+      done
+    end
+  done;
+  !m
+
+let invariants_hold c (st : Kernel.state) =
   let ok = ref true and i = ref 0 in
-  while !ok && !i < Array.length autos do
-    ok :=
-      clock_guard_sat st.cclocks
-        autos.(!i).Model.locations.(st.clocs.(!i)).Model.invariant;
+  let n = Array.length c.invariants in
+  while !ok && !i < n do
+    ok := Kernel.sat c.invariants.(!i).(st.Kernel.locs.(!i)) st.Kernel.clocks;
     incr i
   done;
   !ok
 
-(* Uniform choice among [xs] of one whose [move] leads to a state that
-   satisfies its location invariants. A candidate whose post-state
-   breaks an invariant is not enabled: it is dropped and the pick
-   repeats over the rest. One draw per attempt, so a run that never
-   drops a candidate draws exactly what a plain uniform pick would. *)
-let rec pick_valid net rng xs move =
-  match xs with
-  | [] -> None
-  | _ -> (
-    let k = Random.State.int rng (List.length xs) in
-    match move (List.nth xs k) with
-    | Some st' as r when invariants_hold net st' -> r
-    | _ -> pick_valid net rng (List.filteri (fun j _ -> j <> k) xs) move)
+let remove_at (a : 'a array) k len = Array.blit a (k + 1) a k (len - k - 1)
 
-(* The move the winning component performs at the post-delay state:
-   uniform among its enabled output edges, with uniform receiver choice
-   for binary emissions and mandatory receivers for broadcasts. Returns
-   None when nothing is actually enabled (e.g. the sampled delay fell in
-   a gap between guard windows, or every move breaks a target
-   invariant). *)
-let fire net rng (st : cstate) i =
-  let candidates =
-    List.filter (fun e -> edge_enabled net st i e) (output_edges net st i)
-  in
-  (* Binary emissions need a ready receiver to count as enabled. *)
-  let viable =
-    List.filter
-      (fun (e : Model.edge) ->
-        match e.Model.sync with
-        | Model.Tau -> true
-        | Model.Emit ch ->
-          (match ch.Model.kind with
-           | Model.Broadcast -> true
-           | Model.Binary -> receivers net st ~from:i ch <> [])
-        | Model.Receive _ -> false)
-      candidates
-  in
-  pick_valid net rng viable @@ fun (e : Model.edge) ->
-  match e.Model.sync with
-  | Model.Tau -> Some (apply_edges st [ (i, e) ])
-  | Model.Emit ch ->
-    (match ch.Model.kind with
-     | Model.Binary ->
-       pick_valid net rng (receivers net st ~from:i ch) (fun (j, er) ->
-           Some (apply_edges st [ (i, e); (j, er) ]))
-     | Model.Broadcast ->
-       (* All ready receivers participate; multiple enabled edges in
-          one component resolve uniformly. *)
-       let by_component = Hashtbl.create 8 in
-       List.iter
-         (fun (j, er) ->
-           let existing =
-             try Hashtbl.find by_component j with Not_found -> []
-           in
-           Hashtbl.replace by_component j (er :: existing))
-         (receivers net st ~from:i ch);
-       let rs =
-         Hashtbl.fold
-           (fun j es acc ->
-             match pick rng es with
-             | Some er -> (j, er) :: acc
-             | None -> acc)
-           by_component []
-       in
-       let rs = List.sort (fun (a, _) (b, _) -> compare a b) rs in
-       Some (apply_edges st ((i, e) :: rs)))
-  | Model.Receive _ -> None
-
-let step net cfg rng (st : cstate) =
-  let n = Array.length net.Model.automata in
-  let inv_ub = invariant_bound net st in
-  (* Committed components preempt everyone. *)
-  let committed =
-    List.filter
-      (fun i ->
-        net.Model.automata.(i).locations.(st.clocs.(i)).Model.kind
-        = Model.Committed)
-      (List.init n Fun.id)
-  in
-  let race_candidates =
-    if committed <> [] then List.map (fun i -> (i, 0.0)) committed
+(* A binary emission of [e] by [i]: uniform among the ready receivers,
+   one draw per attempt, and a receiver whose joint post-state breaks
+   an invariant is dropped and the pick repeats. Each attempt starts
+   from the saved state. *)
+let sync_binary c rng r i e =
+  let st = r.st in
+  let rec attempt m =
+    if m = 0 then false
     else begin
-      (* Urgent outputs fire with zero delay. *)
-      let delays =
-        List.init n (fun i ->
-            let urgent_now =
-              List.exists
-                (fun (e : Model.edge) ->
-                  match e.Model.sync with
-                  | Model.Emit ch when ch.Model.urgent ->
-                    edge_enabled net st i e
-                    && (match ch.Model.kind with
-                        | Model.Broadcast -> true
-                        | Model.Binary -> receivers net st ~from:i ch <> [])
-                  | Model.Emit _ | Model.Receive _ | Model.Tau -> false)
-                (output_edges net st i)
-            in
-            if urgent_now then (i, 0.0)
-            else (i, component_delay net cfg rng st ~inv_ub i))
-      in
-      List.filter (fun (_, d) -> d < infinity_) delays
+      let k = Random.State.int rng m in
+      let j = r.recv_comp.(k) and er = r.recv_edge.(k) in
+      Kernel.apply st i ~dst:e.dst e.updates;
+      Kernel.apply st j ~dst:er.dst er.updates;
+      if invariants_hold c st then true
+      else begin
+        Kernel.restore st;
+        remove_at r.recv_comp k m;
+        remove_at r.recv_edge k m;
+        attempt (m - 1)
+      end
     end
   in
-  match race_candidates with
-  | [] -> None
-  | _ ->
-    let d_min =
-      List.fold_left (fun acc (_, d) -> min acc d) infinity_ race_candidates
-    in
-    let winners = List.filter (fun (_, d) -> d = d_min) race_candidates in
-    (match pick rng winners with
-     | None -> None
-     | Some (i, d) ->
-       let st' = advance st d in
-       (match fire net rng st' i with
-        | Some st'' -> Some st''
-        | None ->
-          (* Sampled into a guard gap: time has advanced; retry the race
-             from the new state. *)
-          Some st'))
+  attempt (fill_receivers c r ~from:i e.chan)
+
+(* A broadcast: every ready receiver takes part, a component with
+   several ready edges picks one uniformly. The draws follow the
+   grouping table's fold order, as they always have; broadcasts are
+   rare enough to keep its lists. *)
+let sync_broadcast c rng r i e =
+  let st = r.st in
+  let by_component = Hashtbl.create 8 in
+  for k = 0 to fill_receivers c r ~from:i e.chan - 1 do
+    let j = r.recv_comp.(k) in
+    let existing = try Hashtbl.find by_component j with Not_found -> [] in
+    Hashtbl.replace by_component j (r.recv_edge.(k) :: existing)
+  done;
+  let rs =
+    Hashtbl.fold
+      (fun j es acc ->
+        (j, List.nth es (Random.State.int rng (List.length es))) :: acc)
+      by_component []
+  in
+  let rs = List.sort (fun (a, _) (b, _) -> compare a b) rs in
+  Kernel.apply st i ~dst:e.dst e.updates;
+  List.iter (fun (j, er) -> Kernel.apply st j ~dst:er.dst er.updates) rs
+
+(* The move the winner [i] performs at the post-delay state: uniform
+   among its enabled output edges (a binary emission counts only with a
+   ready receiver). A move whose post-state breaks an invariant is not
+   enabled: it is dropped and the pick repeats over the rest, one draw
+   per attempt. When nothing is enabled (the sampled delay fell into a
+   gap between guard windows, or every move breaks an invariant) the
+   state stays the post-delay state. *)
+let fire c rng r i =
+  let st = r.st in
+  let es = c.outs.(i).(st.Kernel.locs.(i)) in
+  let nc = ref 0 in
+  for k = 0 to Array.length es - 1 do
+    let e = es.(k) in
+    if
+      enabled st e
+      && (e.chan < 0 || e.broadcast || fill_receivers c r ~from:i e.chan > 0)
+    then begin
+      r.cands.(!nc) <- e;
+      incr nc
+    end
+  done;
+  Kernel.save st;
+  let rec attempt m =
+    if m > 0 then begin
+      let k = Random.State.int rng m in
+      let e = r.cands.(k) in
+      let moved =
+        if e.chan < 0 then begin
+          Kernel.apply st i ~dst:e.dst e.updates;
+          true
+        end
+        else if e.broadcast then begin
+          sync_broadcast c rng r i e;
+          true
+        end
+        else sync_binary c rng r i e
+      in
+      if not (moved && invariants_hold c st) then begin
+        if moved then Kernel.restore st;
+        remove_at r.cands k m;
+        attempt (m - 1)
+      end
+    end
+  in
+  attempt !nc
+
+(* Enter component [i] into the race with the delay it draws, unless it
+   cannot act before the bound [inv_ub] the invariants put on waiting.
+   An enabled urgent emission means delay 0; committed and urgent
+   locations act now or never; otherwise the delay is uniform over the
+   window up to [inv_ub] when that is finite, exponential at the
+   location's rate when not. *)
+let enter_race c cfg rng r ~inv_ub i nr =
+  let st = r.st in
+  let l = st.Kernel.locs.(i) in
+  let es = c.outs.(i).(l) in
+  let n = Array.length es in
+  for k = 0 to n - 1 do
+    r.data_ok.(k) <- data_holds st.Kernel.store es.(k)
+  done;
+  let urgent_now = ref false in
+  for k = 0 to n - 1 do
+    let e = es.(k) in
+    if
+      (not !urgent_now) && r.data_ok.(k) && e.urgent
+      && Kernel.sat e.guard st.Kernel.clocks
+      && (e.broadcast || fill_receivers c r ~from:i e.chan > 0)
+    then urgent_now := true
+  done;
+  let any = ref false and lo = ref infinity in
+  if not !urgent_now then
+    for k = 0 to n - 1 do
+      if r.data_ok.(k)
+         && Kernel.window es.(k).guard st.Kernel.clocks ~slack:0.0 r.win
+      then begin
+        any := true;
+        if not (!lo <= r.win.Kernel.lo) then lo := r.win.Kernel.lo
+      end
+    done;
+  let lo = !lo in
+  let d =
+    if !urgent_now then 0.0
+    else if not !any then infinity
+    else if c.kinds.(i).(l) <> Model.Normal then
+      if lo <= 0.0 then 0.0 else infinity
+    else if lo > inv_ub then infinity
+    else if inv_ub < infinity then begin
+      let span = inv_ub -. lo in
+      lo +. Random.State.float rng (if 0.0 >= span then 0.0 else span)
+    end
+    else begin
+      let rate = cfg.rates i l in
+      let u = Random.State.float rng 1.0 in
+      lo +. (-.log (if 1e-300 >= u then 1e-300 else u) /. rate)
+    end
+  in
+  if d < infinity then begin
+    r.race_comp.(nr) <- i;
+    r.race_delay.(nr) <- d;
+    nr + 1
+  end
+  else nr
+
+(* One race: every component draws a delay (committed components
+   preempt everyone with delay 0), one draw picks among the smallest,
+   time advances by it and the winner moves. False when no component
+   can ever act again. *)
+let step c cfg rng r =
+  let st = r.st in
+  let n = Array.length c.initial in
+  let nr = ref 0 in
+  for i = 0 to n - 1 do
+    if c.kinds.(i).(st.Kernel.locs.(i)) = Model.Committed then begin
+      r.race_comp.(!nr) <- i;
+      r.race_delay.(!nr) <- 0.0;
+      incr nr
+    end
+  done;
+  if !nr = 0 then begin
+    r.win.Kernel.hi <- infinity;
+    for i = n - 1 downto 0 do
+      Kernel.bound_delay c.invariants.(i).(st.Kernel.locs.(i)) st.Kernel.clocks
+        r.win
+    done;
+    let inv_ub = r.win.Kernel.hi in
+    for i = 0 to n - 1 do
+      nr := enter_race c cfg rng r ~inv_ub i !nr
+    done
+  end;
+  if !nr = 0 then false
+  else begin
+    let d_min = ref infinity in
+    for k = 0 to !nr - 1 do
+      if not (!d_min <= r.race_delay.(k)) then d_min := r.race_delay.(k)
+    done;
+    let winners = ref 0 in
+    for k = 0 to !nr - 1 do
+      if r.race_delay.(k) = !d_min then incr winners
+    done;
+    (* The [w]-th winner (from 0), in race order. *)
+    let w = ref (Random.State.int rng !winners) and k = ref 0 in
+    while !w > 0 || r.race_delay.(!k) <> !d_min do
+      if r.race_delay.(!k) = !d_min then decr w;
+      incr k
+    done;
+    Kernel.advance st r.race_delay.(!k);
+    fire c rng r r.race_comp.(!k);
+    true
+  end
 
 (* SMC sampler instruments: one sample = one simulated run; accepted
-   means the stop predicate was hit within the horizon. *)
+   means the stop predicate was hit within the horizon. A step is one
+   race; a truncated run used up its fuel before the horizon. *)
 let m_samples = Obs.counter "smc.samples"
 let m_accepted = Obs.counter "smc.accepted"
 let m_rejected = Obs.counter "smc.rejected"
+let m_steps = Obs.counter "smc.steps"
+let m_truncated = Obs.counter "smc.truncated_runs"
 let m_run_wall = Obs.histogram "smc.run_wall_s"
 
-let simulate net cfg rng ~horizon ~stop =
-  let t0 = Unix.gettimeofday () in
-  let rec loop st fuel =
-    if stop st then (st, Some st.ctime)
-    else if st.ctime > horizon || fuel = 0 then (st, None)
-    else
-      match step net cfg rng st with
-      | None -> (st, None)
-      | Some st' -> loop st' (fuel - 1)
-  in
-  let result = loop (initial_cstate net) 100_000 in
+let fuel = 100_000
+
+let simulate c cfg rng ~horizon ~stop =
+  let t0 = Obs.Clock.now () in
+  let r = start c in
+  let st = r.st in
+  let steps = ref 0 and hit = ref None and running = ref true in
+  while !running do
+    if stop st.Kernel.locs st.Kernel.store then begin
+      hit := Some st.Kernel.time;
+      running := false
+    end
+    else if st.Kernel.time > horizon then running := false
+    else if !steps = fuel then begin
+      Obs.Metrics.Counter.incr m_truncated;
+      running := false
+    end
+    else begin
+      incr steps;
+      running := step c cfg rng r
+    end
+  done;
   Obs.Metrics.Counter.incr m_samples;
-  (match snd result with
+  Obs.Metrics.Counter.add m_steps !steps;
+  (match !hit with
    | Some _ -> Obs.Metrics.Counter.incr m_accepted
    | None -> Obs.Metrics.Counter.incr m_rejected);
-  Obs.Metrics.Histogram.observe m_run_wall (Unix.gettimeofday () -. t0);
-  result
+  Obs.Metrics.Histogram.observe m_run_wall (Obs.Clock.to_s (Obs.Clock.now () -. t0));
+  (st, !hit)

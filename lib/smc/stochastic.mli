@@ -7,7 +7,16 @@
     shortest delay moves, choosing uniformly among its enabled output or
     internal edges; receivers are passive and chosen uniformly.
     Committed/urgent locations and enabled urgent synchronisations force
-    zero delay. *)
+    zero delay. A move whose post-state breaks an invariant is not
+    enabled: it is dropped and the pick repeats over the rest.
+
+    A network is compiled once into {!Kernel} tables; a run then reads
+    arrays and updates one {!Kernel.state} in place. The draws of a run
+    are fixed by its stream: at most one per component and race, in
+    component order (none for a committed, urgent or out-of-window
+    component); one over the race's winners, even when there is one;
+    one per pick attempt, for the emitter and for the receiver; and,
+    for a broadcast, one per receiving component. *)
 
 type config = {
   rates : int -> int -> float;
@@ -17,28 +26,25 @@ type config = {
 
 val default_config : config
 
-(** Concrete run state. *)
-type cstate = {
-  clocs : int array;
-  cstore : int array;
-  cclocks : float array; (* index 0 unused *)
-  ctime : float;
-}
+(** A network compiled for simulation: per component and location its
+    output (internal and emitting) edges, per component, location and
+    channel its receiving edges (from {!Ta.Model.sync_index}), location
+    kinds and invariants. Immutable: one compiled network serves every
+    run of a batch, on every domain. *)
+type compiled
 
-val initial_cstate : Ta.Model.network -> cstate
+val compile : Ta.Model.network -> compiled
 
-(** [step net cfg rng st] performs one race: delay + winning action.
-    [None] when no component can ever act again (the run is stuck). *)
-val step :
-  Ta.Model.network -> config -> Random.State.t -> cstate -> cstate option
-
-(** [simulate net cfg rng ~horizon ~stop] runs until [stop] holds, the
-    time horizon passes, or the run gets stuck. Returns the final state
-    and [Some t] with the hitting time when [stop] was reached. *)
+(** [simulate c cfg rng ~horizon ~stop] runs from the initial state
+    until [stop locs store] holds, the time horizon passes, the run gets
+    stuck, or 100,000 races have run (counted in
+    [smc.truncated_runs]). Returns the final state, which belongs to
+    this run, and [Some t] with the hitting time when [stop] was
+    reached. *)
 val simulate :
-  Ta.Model.network ->
+  compiled ->
   config ->
   Random.State.t ->
   horizon:float ->
-  stop:(cstate -> bool) ->
-  cstate * float option
+  stop:(int array -> int array -> bool) ->
+  Kernel.state * float option

@@ -543,6 +543,355 @@ let test_backoff_modes_agrees () =
   let mean, _ = Backoff.simulate_mean_time t ~runs:3000 ~seed:13 in
   check "simulated mean near 4" true (abs_float (mean -. 4.0) < 0.2)
 
+(* ------------------------------------------------------------------ *)
+(* Reference simulator and goldens                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The list-based ASAP simulator that the compiled kernel replaced,
+   kept verbatim as the oracle of the differential tests below: same
+   draws, in the same order, from the same stream, so every observation
+   (hitting times, monitors, end time, step count) must be equal. *)
+module Ref_modes = struct
+  module Model = Ta.Model
+  module Bound = Zones.Bound
+
+  type mstate = {
+    mlocs : int array;
+    mstore : int array;
+    mclocks : float array;
+    mtime : float;
+  }
+
+  let rec eval sta ~locs ~store = function
+    | Mprop.P_true -> true
+    | Mprop.P_loc (pname, lname) ->
+      let pi = Sta.proc_index sta pname in
+      locs.(pi) = Sta.loc_index sta pi lname
+    | Mprop.P_data e -> Expr.eval_bool store e
+    | Mprop.P_not p -> not (eval sta ~locs ~store p)
+    | Mprop.P_and (p, q) -> eval sta ~locs ~store p && eval sta ~locs ~store q
+    | Mprop.P_or (p, q) -> eval sta ~locs ~store p || eval sta ~locs ~store q
+
+  let initial (sta : Sta.t) =
+    {
+      mlocs = Array.map (fun (p : Sta.process) -> p.Sta.p_initial) sta.Sta.processes;
+      mstore = Ta.Store.initial sta.Sta.layout;
+      mclocks = Array.make (sta.Sta.n_clocks + 1) 0.0;
+      mtime = 0.0;
+    }
+
+  let guard_window v constrs =
+    let lo = ref 0.0 and hi = ref infinity and feasible = ref true in
+    List.iter
+      (fun (c : Model.constr) ->
+        if not (Bound.is_inf c.cb) then begin
+          let m = float_of_int (Bound.constant c.cb) in
+          if c.ci > 0 && c.cj = 0 then hi := min !hi (m -. v.(c.ci))
+          else if c.ci = 0 && c.cj > 0 then lo := max !lo (-.m -. v.(c.cj))
+          else if not (Bound.sat c.cb (v.(c.ci) -. v.(c.cj))) then
+            feasible := false
+        end)
+      constrs;
+    if (not !feasible) || !lo > !hi +. 1e-12 then None else Some (!lo, !hi)
+
+  let data_ok store (e : Sta.edge) =
+    match e.Sta.e_guard with None -> true | Some g -> Expr.eval_bool store g
+
+  let candidate_moves (sta : Sta.t) st =
+    let acc = ref [] in
+    let edge_lo (e : Sta.edge) =
+      match guard_window st.mclocks e.Sta.e_clock_guard with
+      | Some (lo, hi) -> Some (max 0.0 lo, hi)
+      | None -> None
+    in
+    Array.iteri
+      (fun pi (p : Sta.process) ->
+        List.iter
+          (fun (e : Sta.edge) ->
+            if data_ok st.mstore e then begin
+              match e.Sta.e_action with
+              | None -> (
+                match edge_lo e with
+                | Some (lo, hi) -> acc := (lo, hi, [ (pi, e) ]) :: !acc
+                | None -> ())
+              | Some a ->
+                (match Hashtbl.find_opt sta.Sta.sync a with
+                 | Some [ _ ] | None -> (
+                   match edge_lo e with
+                   | Some (lo, hi) -> acc := (lo, hi, [ (pi, e) ]) :: !acc
+                   | None -> ())
+                 | Some [ p1; p2 ] ->
+                   if pi = p1 then begin
+                     List.iter
+                       (fun (e2 : Sta.edge) ->
+                         if e2.Sta.e_action = Some a && data_ok st.mstore e2
+                         then
+                           match edge_lo e, edge_lo e2 with
+                           | Some (lo1, hi1), Some (lo2, hi2) ->
+                             let lo = max lo1 lo2 and hi = min hi1 hi2 in
+                             if lo <= hi +. 1e-12 then
+                               acc := (lo, hi, [ (pi, e); (p2, e2) ]) :: !acc
+                           | _, _ -> ())
+                       sta.Sta.processes.(p2).Sta.p_out.(st.mlocs.(p2))
+                   end
+                 | Some _ -> assert false)
+            end)
+          p.Sta.p_out.(st.mlocs.(pi)))
+      sta.Sta.processes;
+    List.rev !acc
+
+  let invariant_ub (sta : Sta.t) st =
+    let ub = ref infinity in
+    Array.iteri
+      (fun pi (p : Sta.process) ->
+        List.iter
+          (fun (c : Model.constr) ->
+            if (not (Bound.is_inf c.cb)) && c.ci > 0 && c.cj = 0 then
+              ub :=
+                min !ub (float_of_int (Bound.constant c.cb) -. st.mclocks.(c.ci)))
+          p.Sta.p_locations.(st.mlocs.(pi)).Sta.l_invariant)
+      sta.Sta.processes;
+    !ub
+
+  let urgent_present (sta : Sta.t) st =
+    let found = ref false in
+    Array.iteri
+      (fun pi (p : Sta.process) ->
+        if p.Sta.p_locations.(st.mlocs.(pi)).Sta.l_kind = Sta.L_urgent then
+          found := true)
+      sta.Sta.processes;
+    !found
+
+  let sample_branch rng (e : Sta.edge) =
+    let total =
+      List.fold_left
+        (fun acc (b : Sta.branch) -> acc + b.Sta.weight)
+        0 e.Sta.e_branches
+    in
+    let roll = Random.State.int rng total in
+    let rec pick acc = function
+      | [] -> assert false
+      | (b : Sta.branch) :: rest ->
+        let acc = acc + b.Sta.weight in
+        if roll < acc then b else pick acc rest
+    in
+    pick 0 e.Sta.e_branches
+
+  let fire rng (st : mstate) participants =
+    let locs = Array.copy st.mlocs in
+    let store = Array.copy st.mstore in
+    let clocks = Array.copy st.mclocks in
+    List.iter
+      (fun (pi, e) ->
+        let b = sample_branch rng e in
+        locs.(pi) <- b.Sta.b_dst;
+        List.iter
+          (function
+            | Model.Assign (lv, rhs) ->
+              let v = Expr.eval store rhs in
+              store.(Expr.lvalue_offset store lv) <- v
+            | Model.Reset (x, v) -> clocks.(x) <- float_of_int v
+            | Model.Prim (_, f) -> f store)
+          b.Sta.b_updates)
+      participants;
+    { st with mlocs = locs; mstore = store; mclocks = clocks }
+
+  let advance st d =
+    {
+      st with
+      mclocks = Array.mapi (fun i x -> if i = 0 then 0.0 else x +. d) st.mclocks;
+      mtime = st.mtime +. d;
+    }
+
+  let step (sta : Sta.t) rng st =
+    let candidates = candidate_moves sta st in
+    let now = List.filter (fun (lo, _, _) -> lo <= 1e-12) candidates in
+    match now with
+    | _ :: _ ->
+      let _, _, participants =
+        List.nth now (Random.State.int rng (List.length now))
+      in
+      Some (fire rng st participants)
+    | [] ->
+      if urgent_present sta st then None
+      else begin
+        let ub = invariant_ub sta st in
+        let earliest =
+          List.fold_left
+            (fun acc (lo, _, _) -> if lo <= ub +. 1e-12 then min acc lo else acc)
+            infinity candidates
+        in
+        if earliest = infinity then None
+        else begin
+          let st' = advance st earliest in
+          let enabled =
+            List.filter
+              (fun (_, _, parts) ->
+                List.for_all
+                  (fun (_, (e : Sta.edge)) ->
+                    match guard_window st'.mclocks e.Sta.e_clock_guard with
+                    | Some (lo, _) -> lo <= 1e-12
+                    | None -> false)
+                  parts)
+              candidates
+          in
+          match enabled with
+          | [] -> Some st'
+          | _ ->
+            let _, _, participants =
+              List.nth enabled (Random.State.int rng (List.length enabled))
+            in
+            Some (fire rng st' participants)
+        end
+      end
+
+  let run (sta : Sta.t) ~seed ~horizon ~watch ~monitors =
+    let rng = Random.State.make [| seed |] in
+    let hits = Array.make (Array.length watch) None in
+    let monitors_ok = Array.make (Array.length monitors) true in
+    let observe (st : mstate) =
+      Array.iteri
+        (fun k p ->
+          if hits.(k) = None && eval sta ~locs:st.mlocs ~store:st.mstore p
+          then hits.(k) <- Some st.mtime)
+        watch;
+      Array.iteri
+        (fun k p ->
+          if monitors_ok.(k) && not (eval sta ~locs:st.mlocs ~store:st.mstore p)
+          then monitors_ok.(k) <- false)
+        monitors
+    in
+    let rec loop st steps =
+      observe st;
+      let all_hit =
+        Array.length hits > 0 && Array.for_all (fun h -> h <> None) hits
+      in
+      if all_hit || st.mtime > horizon || steps > 1_000_000 then (st, steps)
+      else
+        match step sta rng st with
+        | None -> (st, steps)
+        | Some st' -> loop st' (steps + 1)
+    in
+    let final, steps = loop (initial sta) 0 in
+    { Modes.hits; monitors_ok; end_time = final.mtime; steps }
+
+  let runs sta ~seed ~n ~horizon ~watch ~monitors =
+    Array.init n (fun k ->
+        run sta ~seed:(seed + (k * 7919)) ~horizon ~watch ~monitors)
+end
+
+let observations_text obs =
+  let b = Buffer.create 65536 in
+  Array.iter
+    (fun (o : Modes.observation) ->
+      Array.iter
+        (function
+          | Some h -> Printf.bprintf b "%h " h
+          | None -> Buffer.add_string b "- ")
+        o.Modes.hits;
+      Array.iter (fun ok -> Printf.bprintf b "%b " ok) o.Modes.monitors_ok;
+      Printf.bprintf b "%h %d\n" o.Modes.end_time o.Modes.steps)
+    obs;
+  Buffer.contents b
+
+let brp_watch t =
+  [| Brp.pa t; Brp.pb t; Brp.p1 t; Brp.p2 t; Brp.success t; Brp.finished t |]
+
+let brp_monitors t = [| Brp.ta1 t; Brp.ta2 t |]
+
+(* E4's modes column: BRP (16, 2, 1), seed 42, horizon 154, the six
+   watched properties and two monitors of [Brp.run_modes]. *)
+let brp_golden ~runs ~bytes ~steps ~md5 () =
+  let t = Brp.make () in
+  let obs =
+    Modes.runs t.Brp.sta ~seed:42 ~n:runs ~horizon:154.0 ~watch:(brp_watch t)
+      ~monitors:(brp_monitors t)
+  in
+  let text = observations_text obs in
+  Alcotest.(check int) "bytes" bytes (String.length text);
+  Alcotest.(check int) "steps" steps
+    (Array.fold_left (fun acc (o : Modes.observation) -> acc + o.Modes.steps) 0 obs);
+  Alcotest.(check string) "md5" md5 (Digest.to_hex (Digest.string text))
+
+let test_golden_brp_modes_1k () =
+  let truncated = Obs.counter "modes.truncated_runs" in
+  let before = Obs.Metrics.Counter.value truncated in
+  brp_golden ~runs:1_000 ~bytes:45_132 ~steps:82_284
+    ~md5:"66118503a0aaa798091daaf91c13d1f0" ();
+  Alcotest.(check int) "no run truncated" before
+    (Obs.Metrics.Counter.value truncated)
+
+(* Names resolve when a prop is compiled, even in a branch evaluation
+   would never reach. *)
+let test_mprop_compile () =
+  let sta = retry_sta () in
+  let p = Mprop.compile sta (Mprop.P_loc ("P", "done")) in
+  let initial = Array.map (fun (p : Sta.process) -> p.Sta.p_initial) sta.Sta.processes in
+  check "initial location is not done" false (p initial [||]);
+  check "unknown location" true
+    (match Mprop.compile sta (Mprop.P_or (Mprop.P_true, Mprop.P_loc ("P", "nowhere"))) with
+     | (_ : int array -> int array -> bool) -> false
+     | exception Not_found -> true)
+
+(* A run that never lets time pass stops at the step cap, counted as
+   truncated. *)
+let test_modes_truncated () =
+  let b = Sta.builder () in
+  let p = Sta.process b "P" in
+  let l = Sta.location p "L" in
+  Sta.edge p ~src:l ~branches:[ (1, [], l) ] ();
+  let truncated = Obs.counter "modes.truncated_runs" in
+  let before = Obs.Metrics.Counter.value truncated in
+  let obs =
+    Modes.runs (Sta.build b) ~seed:1 ~n:1 ~horizon:10.0 ~watch:[||]
+      ~monitors:[||]
+  in
+  Alcotest.(check int) "one truncated run" (before + 1)
+    (Obs.Metrics.Counter.value truncated);
+  Alcotest.(check int) "steps" 1_000_001 obs.(0).Modes.steps;
+  check "time stood still" true (obs.(0).Modes.end_time = 0.0)
+
+let test_golden_brp_modes_10k =
+  brp_golden ~runs:10_000 ~bytes:452_210 ~steps:823_052
+    ~md5:"3082ffd6b48a4466a3661b3dc567295c"
+
+let agrees_with_reference name sta ~seed ~n ~horizon ~watch ~monitors =
+  let got = Modes.runs sta ~seed ~n ~horizon ~watch ~monitors in
+  let want = Ref_modes.runs sta ~seed ~n ~horizon ~watch ~monitors in
+  Alcotest.(check string) name (observations_text want) (observations_text got)
+
+let test_reference_modes () =
+  List.iter
+    (fun (n, max_retrans, td) ->
+      let t = Brp.make ~n ~max_retrans ~td () in
+      let horizon =
+        float_of_int (n * ((max_retrans + 1) * ((2 * td) + 1))) +. 10.0
+      in
+      agrees_with_reference
+        (Printf.sprintf "brp (%d, %d, %d)" n max_retrans td)
+        t.Brp.sta ~seed:7 ~n:300 ~horizon ~watch:(brp_watch t)
+        ~monitors:(brp_monitors t))
+    [ (16, 2, 1); (4, 1, 2) ];
+  let b = Backoff.make ~slots:3 () in
+  agrees_with_reference "backoff" b.Backoff.sta ~seed:5 ~n:500 ~horizon:400.0
+    ~watch:[| Backoff.resolved b; Backoff.contending b |]
+    ~monitors:[| Mprop.P_not (Backoff.resolved b) |];
+  let channel =
+    Parser.parse_and_compile
+      (In_channel.with_open_text "../examples/models/channel.modest"
+         In_channel.input_all)
+  in
+  let delivered =
+    Mprop.P_data
+      (Expr.Eq (Expr.var (Store.find channel.Sta.layout "delivered"), Expr.Int 1))
+  in
+  agrees_with_reference "channel" channel ~seed:9 ~n:300 ~horizon:30.0
+    ~watch:[| delivered; Mprop.P_loc ("Receiver", "s2") |]
+    ~monitors:[| Mprop.P_not delivered |];
+  agrees_with_reference "retry" (retry_sta ()) ~seed:11 ~n:300 ~horizon:200.0
+    ~watch:[| Mprop.P_loc ("P", "done") |]
+    ~monitors:[||]
+
 let () =
   Alcotest.run "modest"
     [
@@ -594,6 +943,11 @@ let () =
         ] );
       ( "golden",
         [
+          Alcotest.test_case "modes brp 1k" `Quick test_golden_brp_modes_1k;
+          Alcotest.test_case "modes brp 10k" `Slow test_golden_brp_modes_10k;
+          Alcotest.test_case "modes reference" `Quick test_reference_modes;
+          Alcotest.test_case "modes truncated runs" `Quick test_modes_truncated;
+          Alcotest.test_case "mprop compile" `Quick test_mprop_compile;
           Alcotest.test_case "digital brp" `Quick test_golden_brp;
           Alcotest.test_case "digital brp n=4 time-capped" `Quick
             test_golden_brp_time_capped;

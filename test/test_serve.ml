@@ -248,6 +248,67 @@ let test_registry_budget_random () =
   done;
   check "replies were stored" true (!stores > 1_000)
 
+(* The recency list evicts what the old victim search did: a fold over
+   the class's table for the least last-use tick. A random mix of reply
+   stores (new and re-stored fingerprints, random sizes), reply hits
+   and misses, and model hits is replayed against that fold; after
+   every step the registry's reply order, least recently used first,
+   must be the fold's, so every store evicted the fold's victims. *)
+let test_registry_lru_matches_fold () =
+  let rng = Random.State.make [| 21 |] in
+  let int n = Random.State.int rng n in
+  let probe = R.create () in
+  ignore (R.model probe Serve.Models.fischer ~n:3);
+  let budget = R.words probe + 40_000 in
+  let reg = R.create ~mem_budget_words:budget () in
+  let net = R.model reg Serve.Models.fischer ~n:3 in
+  (* The old victim search, over a table of last-use ticks. *)
+  let ticks = Hashtbl.create 64 and clock = ref 0 in
+  let touch key =
+    incr clock;
+    Hashtbl.replace ticks key !clock
+  in
+  let fold_evict () =
+    let lru =
+      Hashtbl.fold
+        (fun key tick acc ->
+          match acc with
+          | Some (_, old) when old <= tick -> acc
+          | _ -> Some (key, tick))
+        ticks None
+    in
+    match lru with Some (key, _) -> Hashtbl.remove ticks key | None -> ()
+  in
+  let fold_order () =
+    Hashtbl.fold (fun key tick acc -> (tick, key) :: acc) ticks []
+    |> List.sort compare |> List.map snd
+  in
+  let evicted = ref 0 in
+  for step = 1 to 4_000 do
+    let key = string_of_int (int 150) in
+    (match int 5 with
+     | 0 | 1 -> (
+       match R.cached_reply reg ~fingerprint:key with
+       | Some _ -> touch key
+       | None ->
+         if Hashtbl.mem ticks key then
+           Alcotest.failf "step %d: %s missing from the registry" step key)
+     | 2 -> check "model kept" true (R.model reg Serve.Models.fischer ~n:3 == net)
+     | _ ->
+       R.store_reply reg ~fingerprint:key (Json.Str (String.make (int 6_000) 'r'));
+       touch key;
+       let _, replies = R.lru_keys reg in
+       while Hashtbl.length ticks > List.length replies do
+         fold_evict ();
+         incr evicted
+       done);
+    let _, replies = R.lru_keys reg in
+    if replies <> fold_order () then
+      Alcotest.failf "step %d: the LRU order differs from the fold's" step
+  done;
+  check "stores evicted" true (!evicted > 500);
+  check "the model stayed" true (fst (R.lru_keys reg) = [ "fischer:3" ])
+
 (* ------------------------------------------------------------------ *)
 (* Intern-table lifecycle under warm-query churn                       *)
 (* ------------------------------------------------------------------ *)
@@ -537,6 +598,8 @@ let () =
             test_registry_eviction_order;
           Alcotest.test_case "budget holds under a random mix" `Quick
             test_registry_budget_random;
+          Alcotest.test_case "LRU order matches the fold" `Quick
+            test_registry_lru_matches_fold;
         ] );
       ( "intern lifecycle",
         [

@@ -1,6 +1,7 @@
 (* Tests for the statistical model checking layer: estimators, the
-   stochastic race semantics (validated against closed-form answers), and
-   the Fig. 4 train-gate experiment's qualitative shape. *)
+   stochastic race semantics (validated against closed-form answers),
+   the Fig. 4 train-gate experiment's qualitative shape, and the
+   simulator against goldens and a reference implementation. *)
 
 module Model = Ta.Model
 module Expr = Ta.Expr
@@ -290,15 +291,525 @@ let test_simulation_progresses () =
   let net = Train_gate.make ~n_trains:2 in
   let rng = Random.State.make [| 1 |] in
   let st, hit =
-    Stochastic.simulate net (fig4_config net) rng ~horizon:50.0
-      ~stop:(fun st ->
-        Ta.Prop.eval_on net ~locs:st.Stochastic.clocs
-          ~store:st.Stochastic.cstore
-          (Train_gate.cross_formula net 0))
+    Stochastic.simulate (Stochastic.compile net) (fig4_config net) rng
+      ~horizon:50.0 ~stop:(fun locs store ->
+        Ta.Prop.eval_on net ~locs ~store (Train_gate.cross_formula net 0))
   in
-  check "time advanced" true (st.Stochastic.ctime > 0.0);
+  check "time advanced" true (st.Smc.Kernel.time > 0.0);
   check "either hit or horizon" true
     (match hit with Some t -> t <= 50.0 | None -> true)
+
+(* ------------------------------------------------------------------ *)
+(* Reference simulator and goldens                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The list-based race simulator that the compiled kernel replaced,
+   kept verbatim as the oracle of the differential tests below: same
+   draws, in the same order, from the same stream, so every hitting
+   time, visited state and end time must be equal, not just close. *)
+module Ref = struct
+  module Bound = Zones.Bound
+
+  type cstate = {
+    clocs : int array;
+    cstore : int array;
+    cclocks : float array;
+    ctime : float;
+  }
+
+  let initial_cstate (net : Model.network) =
+    {
+      clocs = Array.map (fun (a : Model.automaton) -> a.Model.initial) net.automata;
+      cstore = Ta.Store.initial net.layout;
+      cclocks = Array.make (net.n_clocks + 1) 0.0;
+      ctime = 0.0;
+    }
+
+  let guard_window v constrs =
+    let lo = ref 0.0 and hi = ref infinity and feasible = ref true in
+    List.iter
+      (fun (c : Model.constr) ->
+        if not (Bound.is_inf c.cb) then begin
+          let m = float_of_int (Bound.constant c.cb) in
+          if c.ci > 0 && c.cj = 0 then hi := min !hi (m -. v.(c.ci))
+          else if c.ci = 0 && c.cj > 0 then lo := max !lo (-.m -. v.(c.cj))
+          else if not (Bound.sat c.cb (v.(c.ci) -. v.(c.cj))) then
+            feasible := false
+        end)
+      constrs;
+    if (not !feasible) || !lo > !hi then None else Some (!lo, !hi)
+
+  let invariant_bound net (st : cstate) =
+    List.fold_left
+      (fun acc (c : Model.constr) ->
+        if (not (Bound.is_inf c.cb)) && c.ci > 0 && c.cj = 0 then
+          min acc (float_of_int (Bound.constant c.cb) -. st.cclocks.(c.ci))
+        else acc)
+      infinity
+      (Ta.Zone_graph.invariant_constrs net st.clocs)
+
+  let is_output (s : Model.sync) =
+    match s with Model.Emit _ | Model.Tau -> true | Model.Receive _ -> false
+
+  let output_edges net (st : cstate) i =
+    let a = net.Model.automata.(i) in
+    List.filter
+      (fun (e : Model.edge) ->
+        is_output e.sync
+        && (match e.data_guard with
+            | None -> true
+            | Some g -> Expr.eval_bool st.cstore g))
+      a.Model.out.(st.clocs.(i))
+
+  let component_delay net (cfg : Stochastic.config) rng (st : cstate) ~inv_ub
+      i =
+    let edges = output_edges net st i in
+    let windows =
+      List.filter_map
+        (fun (e : Model.edge) -> guard_window st.cclocks e.clock_guard)
+        edges
+    in
+    match windows with
+    | [] -> infinity
+    | _ ->
+      let lo = List.fold_left (fun acc (l, _) -> min acc l) infinity windows in
+      let kind = net.Model.automata.(i).locations.(st.clocs.(i)).Model.kind in
+      if kind <> Model.Normal then (if lo <= 0.0 then 0.0 else infinity)
+      else if lo > inv_ub then infinity
+      else if inv_ub < infinity then
+        lo +. Random.State.float rng (max 0.0 (inv_ub -. lo))
+      else begin
+        let rate = cfg.Stochastic.rates i st.clocs.(i) in
+        lo +. (-.log (max 1e-300 (Random.State.float rng 1.0)) /. rate)
+      end
+
+  let rec clock_guard_sat v = function
+    | [] -> true
+    | (c : Model.constr) :: rest ->
+      Bound.sat c.cb (v.(c.ci) -. v.(c.cj)) && clock_guard_sat v rest
+
+  let edge_enabled (st : cstate) (e : Model.edge) =
+    (match e.data_guard with
+     | None -> true
+     | Some g -> Expr.eval_bool st.cstore g)
+    && clock_guard_sat st.cclocks e.clock_guard
+
+  let receivers net (st : cstate) ~from (ch : Model.chan) =
+    let acc = ref [] in
+    Array.iteri
+      (fun j (a : Model.automaton) ->
+        if j <> from then
+          List.iter
+            (fun (e : Model.edge) ->
+              match e.sync with
+              | Model.Receive c when c.Model.chan_id = ch.Model.chan_id ->
+                if edge_enabled st e then acc := (j, e) :: !acc
+              | Model.Receive _ | Model.Emit _ | Model.Tau -> ())
+            a.Model.out.(st.clocs.(j)))
+      net.Model.automata;
+    List.rev !acc
+
+  let pick rng xs =
+    match xs with
+    | [] -> None
+    | _ -> Some (List.nth xs (Random.State.int rng (List.length xs)))
+
+  let advance (st : cstate) d =
+    {
+      st with
+      cclocks = Array.mapi (fun k x -> if k = 0 then 0.0 else x +. d) st.cclocks;
+      ctime = st.ctime +. d;
+    }
+
+  let apply_edges (st : cstate) participants =
+    let store = Array.copy st.cstore in
+    let clocks = Array.copy st.cclocks in
+    let locs = Array.copy st.clocs in
+    List.iter
+      (fun (i, (e : Model.edge)) ->
+        locs.(i) <- e.Model.dst;
+        List.iter
+          (function
+            | Model.Assign (lv, rhs) ->
+              let value = Expr.eval store rhs in
+              store.(Expr.lvalue_offset store lv) <- value
+            | Model.Reset (x, value) -> clocks.(x) <- float_of_int value
+            | Model.Prim (_, f) -> f store)
+          e.Model.updates)
+      participants;
+    { st with clocs = locs; cstore = store; cclocks = clocks }
+
+  let invariants_hold net (st : cstate) =
+    let autos = net.Model.automata in
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < Array.length autos do
+      ok :=
+        clock_guard_sat st.cclocks
+          autos.(!i).Model.locations.(st.clocs.(!i)).Model.invariant;
+      incr i
+    done;
+    !ok
+
+  let rec pick_valid net rng xs move =
+    match xs with
+    | [] -> None
+    | _ -> (
+      let k = Random.State.int rng (List.length xs) in
+      match move (List.nth xs k) with
+      | Some st' as r when invariants_hold net st' -> r
+      | _ -> pick_valid net rng (List.filteri (fun j _ -> j <> k) xs) move)
+
+  let fire net rng (st : cstate) i =
+    let candidates = List.filter (edge_enabled st) (output_edges net st i) in
+    let viable =
+      List.filter
+        (fun (e : Model.edge) ->
+          match e.Model.sync with
+          | Model.Tau -> true
+          | Model.Emit ch ->
+            (match ch.Model.kind with
+             | Model.Broadcast -> true
+             | Model.Binary -> receivers net st ~from:i ch <> [])
+          | Model.Receive _ -> false)
+        candidates
+    in
+    pick_valid net rng viable @@ fun (e : Model.edge) ->
+    match e.Model.sync with
+    | Model.Tau -> Some (apply_edges st [ (i, e) ])
+    | Model.Emit ch ->
+      (match ch.Model.kind with
+       | Model.Binary ->
+         pick_valid net rng (receivers net st ~from:i ch) (fun (j, er) ->
+             Some (apply_edges st [ (i, e); (j, er) ]))
+       | Model.Broadcast ->
+         let by_component = Hashtbl.create 8 in
+         List.iter
+           (fun (j, er) ->
+             let existing =
+               try Hashtbl.find by_component j with Not_found -> []
+             in
+             Hashtbl.replace by_component j (er :: existing))
+           (receivers net st ~from:i ch);
+         let rs =
+           Hashtbl.fold
+             (fun j es acc ->
+               match pick rng es with
+               | Some er -> (j, er) :: acc
+               | None -> acc)
+             by_component []
+         in
+         let rs = List.sort (fun (a, _) (b, _) -> compare a b) rs in
+         Some (apply_edges st ((i, e) :: rs)))
+    | Model.Receive _ -> None
+
+  let step net cfg rng (st : cstate) =
+    let n = Array.length net.Model.automata in
+    let inv_ub = invariant_bound net st in
+    let committed =
+      List.filter
+        (fun i ->
+          net.Model.automata.(i).locations.(st.clocs.(i)).Model.kind
+          = Model.Committed)
+        (List.init n Fun.id)
+    in
+    let race_candidates =
+      if committed <> [] then List.map (fun i -> (i, 0.0)) committed
+      else begin
+        let delays =
+          List.init n (fun i ->
+              let urgent_now =
+                List.exists
+                  (fun (e : Model.edge) ->
+                    match e.Model.sync with
+                    | Model.Emit ch when ch.Model.urgent ->
+                      edge_enabled st e
+                      && (match ch.Model.kind with
+                          | Model.Broadcast -> true
+                          | Model.Binary -> receivers net st ~from:i ch <> [])
+                    | Model.Emit _ | Model.Receive _ | Model.Tau -> false)
+                  (output_edges net st i)
+              in
+              if urgent_now then (i, 0.0)
+              else (i, component_delay net cfg rng st ~inv_ub i))
+        in
+        List.filter (fun (_, d) -> d < infinity) delays
+      end
+    in
+    match race_candidates with
+    | [] -> None
+    | _ ->
+      let d_min =
+        List.fold_left (fun acc (_, d) -> min acc d) infinity race_candidates
+      in
+      let winners = List.filter (fun (_, d) -> d = d_min) race_candidates in
+      (match pick rng winners with
+       | None -> None
+       | Some (i, d) ->
+         let st' = advance st d in
+         (match fire net rng st' i with
+          | Some st'' -> Some st''
+          | None -> Some st'))
+
+  (* [stop] sees the discrete parts of every visited state, in order;
+     the result is the end time and the hitting time. *)
+  let simulate net cfg rng ~horizon ~stop =
+    let rec loop st fuel =
+      if stop st.clocs st.cstore then (st.ctime, Some st.ctime)
+      else if st.ctime > horizon || fuel = 0 then (st.ctime, None)
+      else
+        match step net cfg rng st with
+        | None -> (st.ctime, None)
+        | Some st' -> loop st' (fuel - 1)
+    in
+    loop (initial_cstate net) 100_000
+end
+
+(* The simulator under test, seen through the reference's signature. *)
+let run_new net config rng ~horizon ~stop =
+  let st, hit = Stochastic.simulate (Stochastic.compile net) config rng ~horizon ~stop in
+  (st.Smc.Kernel.time, hit)
+
+(* Every state a run visits, as the stop predicate sees it, folded into
+   [trace]; the stop fires where [goal] holds. *)
+let recording_stop trace net goal locs store =
+  let h = ref !trace in
+  Array.iter (fun x -> h := (!h * 31) + x) locs;
+  Array.iter (fun x -> h := (!h * 37) + x) store;
+  trace := !h;
+  Ta.Prop.eval_on net ~locs ~store goal
+
+let hits_text times =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (function
+      | Some h -> Printf.bprintf b "%h\n" h
+      | None -> Buffer.add_string b "-\n")
+    times;
+  Buffer.contents b
+
+let ref_times net config ~seed ~runs ~horizon goal =
+  let stop locs store = Ta.Prop.eval_on net ~locs ~store goal in
+  Array.init runs (fun k ->
+      let rng = Random.State.make [| seed; k |] in
+      snd (Ref.simulate net config rng ~horizon ~stop))
+
+(* Run by run against the reference: the same visited states, end time
+   and hit; then the whole hitting-time array of a batch item. *)
+let agrees_with_reference ?(config = Stochastic.default_config) ~seed ~runs
+    ~horizon net goal =
+  let hits = Array.make runs None in
+  let runs_agree =
+    List.for_all
+      (fun k ->
+        let t_new = ref 0 and t_ref = ref 0 in
+        let r_new =
+          run_new net config (Random.State.make [| seed; k |]) ~horizon
+            ~stop:(recording_stop t_new net goal)
+        in
+        let r_ref =
+          Ref.simulate net config (Random.State.make [| seed; k |]) ~horizon
+            ~stop:(recording_stop t_ref net goal)
+        in
+        hits.(k) <- snd r_ref;
+        r_new = r_ref && !t_new = !t_ref)
+      (List.init runs Fun.id)
+  in
+  let item = Smc.Batch.item ~config ~seed ~runs net { Smc.horizon; goal } in
+  runs_agree && Smc.Batch.hitting_times [ item ] = [ hits ]
+
+(* E3 (Fig. 4): train-gate-6, rates 1 + id, one item per train with
+   seed 300 + i and 800 runs. The hitting times, printed exactly, are
+   pinned by their MD5. *)
+let e3_items () =
+  let net = Train_gate.make ~n_trains:6 in
+  let config = fig4_config net in
+  ( net,
+    config,
+    List.init 6 (fun i ->
+        Smc.Batch.item ~config ~seed:(300 + i) ~runs:800 net
+          { Smc.horizon = 100.0; goal = Train_gate.cross_formula net i }) )
+
+let counter name = Obs.Metrics.Counter.value (Obs.counter name)
+
+(* [f ()] and how far it moved each named counter. *)
+let counting names f =
+  let before = List.map counter names in
+  let x = f () in
+  (x, List.map2 (fun name b -> counter name - b) names before)
+
+let test_golden_e3 () =
+  let net, config, items = e3_items () in
+  let times, moved =
+    counting [ "smc.truncated_runs"; "smc.samples" ] (fun () ->
+        Smc.Batch.hitting_times items)
+  in
+  Alcotest.(check (list int)) "no run truncated, 4800 samples" [ 0; 4800 ] moved;
+  let text = String.concat "" (List.map hits_text times) in
+  Alcotest.(check int) "bytes" 99_692 (String.length text);
+  Alcotest.(check string) "md5" "6c56dd7b1adbc2a2f4233e247db702d0"
+    (Digest.to_hex (Digest.string text));
+  List.iteri
+    (fun i t ->
+      check (Printf.sprintf "train %d equals the reference" i) true
+        (t
+         = ref_times net config ~seed:(300 + i) ~runs:800 ~horizon:100.0
+             (Train_gate.cross_formula net i)))
+    times
+
+(* Random networks: urgent locations, invariants, binary channels and
+   data guards, three seeds each, under non-uniform rates. *)
+let test_reference_ta_gen () =
+  let config =
+    {
+      Stochastic.rates =
+        (fun a l -> 0.5 +. float_of_int ((a + (2 * l)) mod 3));
+    }
+  in
+  for c = 0 to 299 do
+    let spec = Gen.Ta_gen.generate Gen.Rng.(child (make 21) c) in
+    let net = Gen.Ta_gen.build spec in
+    let goal = Gen.Ta_gen.target_formula spec in
+    for s = 0 to 2 do
+      if
+        not
+          (agrees_with_reference ~config ~seed:((3 * c) + s) ~runs:1
+             ~horizon:25.0 net goal)
+      then Alcotest.failf "case %d seed %d differs from the reference" c s
+    done
+  done
+
+(* A run that never lets time pass uses up its fuel: 100,000 races,
+   booked as not hit and counted as truncated. *)
+let test_truncated_runs () =
+  let b = Model.builder () in
+  let p = Model.automaton b "P" in
+  let l = Model.location p "L" ~kind:Model.Urgent in
+  Model.edge p ~src:l ~dst:l ();
+  let net = Model.build b in
+  let times, moved =
+    counting [ "smc.truncated_runs"; "smc.steps" ] (fun () ->
+        Smc.Batch.hitting_times
+          [
+            Smc.Batch.item ~runs:2 net
+              { Smc.horizon = 10.0; goal = Prop.Not Prop.True };
+          ])
+  in
+  check "not hit" true (times = [ [| None; None |] ]);
+  Alcotest.(check (list int)) "truncated runs and their races" [ 2; 200_000 ] moved
+
+(* What Ta_gen never generates: a committed location, an urgent
+   channel (emitted from an urgent and from a normal location),
+   broadcasts with several receiving components (one with two receiving
+   edges), moves whose post-state breaks an invariant (so the pick is
+   repeated, by an emitter, a binary receiver and a broadcast), and a
+   [Prim] update on such a move, which must not leak into the state the
+   repeated pick starts from. *)
+let hand_built () =
+  let b = Model.builder () in
+  let x = Model.fresh_clock b "x" in
+  let y = Model.fresh_clock b "y" in
+  let z = Model.fresh_clock b "z" in
+  let u = Model.channel b ~urgent:true "u" in
+  let c = Model.channel b "c" in
+  let bc = Model.channel b ~kind:Model.Broadcast "bc" in
+  let sb = Model.store b in
+  let v = Store.int_var sb "v" in
+  let w = Store.int_var sb "w" in
+  let q = Store.array_var sb "q" 3 in
+  let rotate =
+    Model.Prim
+      ( "rotate",
+        fun store ->
+          let o = q.Store.off in
+          let first = store.(o) in
+          store.(o) <- store.(o + 1) + 1;
+          store.(o + 1) <- store.(o + 2);
+          store.(o + 2) <- first )
+  in
+  let incr var = Model.Assign (Expr.Cell var, Expr.Add (Expr.var var, Expr.Int 1)) in
+  let a = Model.automaton b "A" in
+  let l0 = Model.location a "L0" ~invariant:[ Model.clock_le x 4 ] in
+  let l1 = Model.location a "L1" ~invariant:[ Model.clock_le x 2 ] in
+  let l2 = Model.location a "L2" ~kind:Model.Committed in
+  let l3 = Model.location a "L3" ~kind:Model.Urgent in
+  Model.edge a ~src:l0 ~dst:l1 ~clock_guard:[ Model.clock_ge x 1 ]
+    ~updates:[ rotate; incr v ] ();
+  Model.edge a ~src:l0 ~dst:l2 ~clock_guard:[ Model.clock_ge x 1 ]
+    ~updates:[ Model.Reset (x, 0) ] ();
+  Model.edge a ~src:l0 ~dst:l3 ~clock_guard:[ Model.clock_ge x 2 ]
+    ~sync:(Model.Emit c) ();
+  Model.edge a ~src:l0 ~dst:l0
+    ~guard:(Expr.Lt (Expr.var v, Expr.Int 4))
+    ~sync:(Model.Emit u) ~updates:[ incr v ] ();
+  Model.edge a ~src:l1 ~dst:l0 ~sync:(Model.Emit bc)
+    ~updates:[ Model.Reset (x, 0) ] ();
+  Model.edge a ~src:l1 ~dst:l0 ~clock_guard:[ Model.clock_ge x 2 ]
+    ~updates:[ rotate ] ();
+  Model.edge a ~src:l2 ~dst:l0 ~updates:[ rotate; incr w ] ();
+  Model.edge a ~src:l2 ~dst:l3
+    ~guard:(Expr.Eq (Expr.Mod (Expr.var v, Expr.Int 2), Expr.Int 0)) ();
+  Model.edge a ~src:l3 ~dst:l0
+    ~guard:(Expr.Lt (Expr.var w, Expr.Int 3))
+    ~sync:(Model.Emit u) ();
+  Model.edge a ~src:l3 ~dst:l0 ~updates:[ Model.Reset (x, 0) ] ();
+  let bb = Model.automaton b "B" in
+  let m0 = Model.location bb "M0" in
+  let m1 = Model.location bb "M1" ~invariant:[ Model.clock_le y 1 ] in
+  let m2 = Model.location bb "M2" in
+  Model.edge bb ~src:m0 ~dst:m1 ~sync:(Model.Receive c) ~updates:[ incr w ] ();
+  Model.edge bb ~src:m0 ~dst:m2 ~sync:(Model.Receive c)
+    ~updates:[ Model.Reset (y, 0); rotate ] ();
+  Model.edge bb ~src:m0 ~dst:m0 ~sync:(Model.Receive bc) ~updates:[ incr w ] ();
+  Model.edge bb ~src:m0 ~dst:m1 ~sync:(Model.Receive bc) ();
+  Model.edge bb ~src:m1 ~dst:m0 ~clock_guard:[ Model.clock_ge y 1 ] ();
+  Model.edge bb ~src:m2 ~dst:m0 ~sync:(Model.Receive u)
+    ~updates:[ Model.Reset (y, 0) ] ();
+  Model.edge bb ~src:m2 ~dst:m0 ~clock_guard:[ Model.clock_ge y 3 ]
+    ~updates:[ Model.Reset (y, 0) ] ();
+  let cc = Model.automaton b "C" in
+  let n0 = Model.location cc "N0" in
+  let n1 = Model.location cc "N1" ~invariant:[ Model.clock_le z 3 ] in
+  Model.edge cc ~src:n0 ~dst:n1 ~sync:(Model.Receive bc) ();
+  Model.edge cc ~src:n0 ~dst:n0 ~sync:(Model.Receive bc) ~updates:[ rotate ] ();
+  Model.edge cc ~src:n0 ~dst:n0 ~clock_guard:[ Model.clock_ge z 2 ]
+    ~sync:(Model.Emit bc) ~updates:[ Model.Reset (z, 0) ] ();
+  Model.edge cc ~src:n1 ~dst:n0 ~clock_guard:[ Model.clock_ge z 1 ]
+    ~updates:[ Model.Reset (z, 0) ] ();
+  Model.edge cc ~src:n1 ~dst:n1 ~sync:(Model.Receive u) ~updates:[ incr v ] ();
+  (Model.build b, w)
+
+let test_reference_hand_built () =
+  let net, w = hand_built () in
+  let config =
+    { Stochastic.rates = (fun a l -> 1.0 +. float_of_int (a + l)) }
+  in
+  List.iter
+    (fun (name, goal) ->
+      for seed = 0 to 39 do
+        if
+          not
+            (agrees_with_reference ~config ~seed ~runs:10 ~horizon:40.0 net goal)
+        then Alcotest.failf "goal %s, seed %d differs from the reference" name seed
+      done)
+    [
+      ("B.M2", Prop.loc net "B" "M2");
+      ("w >= 6", Prop.Data (Expr.Ge (Expr.var w, Expr.Int 6)));
+      ("never", Prop.Not Prop.True);
+    ]
+
+(* Train-gate (committed Stopping, urgent go, the dequeue [Prim]) and
+   fischer (data guards on the shared id) against the reference. *)
+let test_reference_case_studies () =
+  let tg = Train_gate.make ~n_trains:3 in
+  let fi = Ta.Fischer.make ~n:3 () in
+  for seed = 0 to 9 do
+    check "train-gate-3" true
+      (agrees_with_reference ~config:(fig4_config tg) ~seed ~runs:10
+         ~horizon:100.0 tg (Train_gate.cross_formula tg 2));
+    check "fischer-3" true
+      (agrees_with_reference ~seed ~runs:10 ~horizon:50.0 fi
+         (Prop.loc fi "P1" "cs"))
+  done
 
 let () =
   Alcotest.run "smc"
@@ -331,5 +842,15 @@ let () =
           Alcotest.test_case "rate ordering" `Slow test_train_gate_rate_order;
           Alcotest.test_case "simulation progresses" `Quick
             test_simulation_progresses;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "E3 hitting times golden" `Quick test_golden_e3;
+          Alcotest.test_case "truncated runs" `Quick test_truncated_runs;
+          Alcotest.test_case "random networks" `Quick test_reference_ta_gen;
+          Alcotest.test_case "hand-built network" `Quick
+            test_reference_hand_built;
+          Alcotest.test_case "train-gate and fischer" `Quick
+            test_reference_case_studies;
         ] );
     ]
