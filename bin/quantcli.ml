@@ -8,9 +8,12 @@
      brp      the MODEST BRP with one of the three backends (Table I)
      modes    BRP discrete-event simulation, sharded across --jobs domains
      modest   parse a MODEST file, classify, report reachable states
+     check    a named model's standard queries (fischer, train-gate)
      bip      DALA verification and fault injection
      mbt      ioco test generation / execution demo
-     fuzz     differential fuzzing of the backends against each other *)
+     fuzz     differential fuzzing of the backends against each other
+     client   the same queries, answered by a running quantd daemon
+     obs      inspect run reports (--report) and flight traces (--flight) *)
 
 open Quantlib
 open Cmdliner
@@ -58,20 +61,12 @@ let jobs_arg =
            Results are identical for every value of $(docv).")
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry flags, shared by every subcommand: --trace streams span
-   events to a JSONL file while the command runs; --report writes one
-   JSON snapshot (metrics + span timings + GC) when it finishes, even
-   if the analysis raised; --flight turns the flight recorder on and
-   writes the drained timeline as a Chrome trace_event file on exit
-   (load it in chrome://tracing or https://ui.perfetto.dev),
-   --flight-otlp as a minimal OTLP/JSON document. *)
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Write span trace events to $(docv), one JSON object per line.")
+(* Telemetry flags, shared by every subcommand: --report writes one
+   JSON snapshot (metrics + span timings + GC) when the command
+   finishes, even if the analysis raised; --flight turns the flight
+   recorder on and writes the drained timeline (engine phases, and every
+   span as a slice) as a Chrome trace_event file on exit (load it in
+   chrome://tracing or https://ui.perfetto.dev). *)
 
 let report_arg =
   Arg.(
@@ -89,18 +84,9 @@ let flight_arg =
     & info [ "flight" ] ~docv:"FILE"
         ~doc:
           "Record engine phase events (dbm.seal, codec.encode, store.probe, \
-           ...) in the in-memory flight recorder and write them to $(docv) \
-           as Chrome trace_event JSON on exit — loadable in chrome://tracing \
-           and Perfetto.")
-
-let flight_otlp_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "flight-otlp" ] ~docv:"FILE"
-        ~doc:
-          "Like $(b,--flight), but write the timeline as a minimal \
-           OTLP-shaped JSON document (resourceSpans/scopeSpans/spans).")
+           ...) and spans (engine.run, ...) in the in-memory flight recorder \
+           and write them to $(docv) as Chrome trace_event JSON on exit — \
+           loadable in chrome://tracing and Perfetto.")
 
 let flight_events_arg =
   Arg.(
@@ -115,39 +101,41 @@ let flight_events_arg =
 
 let obs_term =
   Term.(
-    const (fun t r fl fo fe -> (t, r, fl, fo, fe))
-    $ trace_arg $ report_arg $ flight_arg $ flight_otlp_arg
+    const (fun r fl fe -> (r, fl, fe)) $ report_arg $ flight_arg
     $ flight_events_arg)
 
-let with_obs (trace, report, flight, flight_otlp, flight_events) f =
-  (match trace with
-   | Some file -> Obs.Sink.set (Obs.Sink.jsonl file)
-   | None -> ());
-  if flight <> None || flight_otlp <> None then
-    Obs.Flight.enable ?capacity:flight_events ();
-  Fun.protect
-    ~finally:(fun () ->
-      (match flight with
-       | Some file -> Obs.Flight.write_chrome file
-       | None -> ());
-      (match flight_otlp with
-       | Some file -> Obs.Flight.write_otlp file
-       | None -> ());
-      Obs.Flight.disable ();
-      (* The report snapshots flight phase totals too, so it comes after
-         the drain (drains are non-destructive; order is for clarity). *)
-      (match report with
-       | Some file -> Obs.Report.to_file file ()
-       | None -> ());
-      (* Restore (and flush/close) the sink. *)
-      Obs.Sink.set Obs.Sink.null)
-    (fun () ->
-      (* Commands return their exit code so the telemetry finalizers
-         above still run on a violation (plain [exit] would skip them). *)
-      try (f () : int)
-      with e ->
-        Printf.eprintf "quantcli: internal error: %s\n" (Printexc.to_string e);
-        3)
+(* Open (create or truncate) an artifact path before the command runs,
+   so an unwritable one is a usage error up front, not an exception
+   after the analysis. *)
+let writable path =
+  match close_out (open_out path) with
+  | () -> true
+  | exception Sys_error msg ->
+    Printf.eprintf "quantcli: cannot write %s\n" msg;
+    false
+
+let with_obs (report, flight, flight_events) f =
+  if not (List.for_all writable (List.filter_map Fun.id [ report; flight ]))
+  then 2
+  else begin
+    if flight <> None then Obs.Flight.enable ?capacity:flight_events ();
+    Fun.protect
+      ~finally:(fun () ->
+        Option.iter Obs.Flight.write_chrome flight;
+        Obs.Flight.disable ();
+        (* The report snapshots flight phase totals too, so it comes
+           after the drain (drains are non-destructive; order is for
+           clarity). *)
+        Option.iter (fun file -> Obs.Report.to_file file ()) report)
+      (fun () ->
+        (* Commands return their exit code so the telemetry finalizers
+           above still run on a violation (plain [exit] would skip
+           them). *)
+        try (f () : int)
+        with e ->
+          Printf.eprintf "quantcli: internal error: %s\n" (Printexc.to_string e);
+          3)
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -362,19 +350,6 @@ let modest_cmd =
   in
   Cmd.v (Cmd.info "modest" ~doc:"Parse, classify or export a MODEST model.")
     Term.(const modest_check $ obs_term $ file $ xml $ dot)
-
-let fischer obs n stats_json =
-  with_obs obs @@ fun () ->
-  let net = Ta.Fischer.make ~n () in
-  let show = show_query ~stats_json in
-  let mutex = show "mutual exclusion" (Ta.Checker.check net (Ta.Fischer.mutex net)) in
-  let dlf = show "deadlock-free" (Ta.Checker.check net Ta.Fischer.no_deadlock) in
-  if mutex && dlf then 0 else 1
-
-let fischer_cmd =
-  let n = Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Processes.") in
-  Cmd.v (Cmd.info "fischer" ~doc:"Verify Fischer's mutual exclusion.")
-    Term.(const fischer $ obs_term $ n $ stats_json_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -743,26 +718,12 @@ let obs_diff file_a file_b =
     exit 2
   end;
   let pct dv v0 = if v0 = 0.0 then "" else Printf.sprintf " (%+.1f%%)" (100.0 *. dv /. v0) in
-  if is_trace a then begin
-    let sa = trace_slices a and sb = trace_slices b in
-    let names =
-      List.sort_uniq String.compare (List.map fst sa @ List.map fst sb)
-    in
-    Printf.printf "%-28s %14s %14s %14s\n" "slice" "a_total_ms" "b_total_ms" "delta";
-    List.iter
-      (fun name ->
-        let tot l = match List.assoc_opt name l with Some (_, t) -> t | None -> 0.0 in
-        let ta = tot sa *. 1e3 and tb = tot sb *. 1e3 in
-        Printf.printf "%-28s %14.3f %14.3f %+13.3f%s\n" name ta tb (tb -. ta)
-          (pct (tb -. ta) ta))
-      names
-  end
-  else begin
-    let metrics j =
-      obj_fields
-        (Option.value ~default:(Obs.Json.Obj []) (Obs.Json.member "metrics" j))
-    in
-    let ma = metrics a and mb = metrics b in
+  let metrics j =
+    obj_fields
+      (Option.value ~default:(Obs.Json.Obj []) (Obs.Json.member "metrics" j))
+  in
+  let ma = metrics a and mb = metrics b in
+  if ma <> [] || mb <> [] then begin
     let names =
       List.sort_uniq String.compare (List.map fst ma @ List.map fst mb)
     in
@@ -774,21 +735,21 @@ let obs_diff file_a file_b =
         if va <> vb then
           Printf.printf "%-30s %14g %14g %+13g%s\n" name va vb (vb -. va)
             (pct (vb -. va) va))
-      names;
-    let ta = timed_entries a and tb = timed_entries b in
-    let names =
-      List.sort_uniq String.compare (List.map fst ta @ List.map fst tb)
-    in
-    if names <> [] then begin
-      Printf.printf "%-30s %14s %14s %14s\n" "timing" "a_total_ms" "b_total_ms" "delta";
-      List.iter
-        (fun name ->
-          let tot l = match List.assoc_opt name l with Some (_, t) -> t | None -> 0.0 in
-          let va = tot ta *. 1e3 and vb = tot tb *. 1e3 in
-          Printf.printf "%-30s %14.3f %14.3f %+13.3f%s\n" name va vb (vb -. va)
-            (pct (vb -. va) va))
-        names
-    end
+      names
+  end;
+  let ta = timed_entries a and tb = timed_entries b in
+  let names =
+    List.sort_uniq String.compare (List.map fst ta @ List.map fst tb)
+  in
+  if names <> [] then begin
+    Printf.printf "%-30s %14s %14s %14s\n" "timing" "a_total_ms" "b_total_ms" "delta";
+    List.iter
+      (fun name ->
+        let tot l = match List.assoc_opt name l with Some (_, t) -> t | None -> 0.0 in
+        let va = tot ta *. 1e3 and vb = tot tb *. 1e3 in
+        Printf.printf "%-30s %14.3f %14.3f %+13.3f%s\n" name va vb (vb -. va)
+          (pct (vb -. va) va))
+      names
   end
 
 let obs_tool_cmd =
@@ -993,6 +954,6 @@ let () =
        (Cmd.group info
           [
             verify_cmd; smc_cmd; synth_cmd; wcet_cmd; brp_cmd; modes_cmd;
-            modest_cmd; fischer_cmd; check_cmd; bip_cmd; mbt_cmd; fuzz_cmd;
+            modest_cmd; check_cmd; bip_cmd; mbt_cmd; fuzz_cmd;
             client_cmd; obs_tool_cmd;
           ]))

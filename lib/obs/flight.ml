@@ -1,5 +1,5 @@
-(* The flight recorder: a per-domain ring buffer of phase events, cheap
-   enough to leave on in the engine hot path.
+(* The flight recorder: a per-domain ring buffer of phase and span
+   events, cheap enough to leave on in the engine hot path.
 
    Each domain owns a fixed-capacity ring ({!Shard}): appending an event
    is a few plain array stores at [head land (cap-1)] plus a head bump —
@@ -23,12 +23,10 @@
    Draining merges all rings into one list sorted by timestamp and is
    non-destructive: drain twice, get the same events. Drain at a
    quiescent point (after joins); a drain racing a writer may see a
-   half-written slot, like any cross-shard read. Exports: Chrome
-   [trace_event] JSON (loadable in chrome://tracing and Perfetto; phase
-   slices as "X" complete events, [mark]s as "i" instants, [sample]s as
-   "C" counter tracks, one row per domain) and a minimal OTLP-shaped
-   JSON document (resourceSpans/scopeSpans/spans with unix-nano times,
-   Complete events only). *)
+   half-written slot, like any cross-shard read. The one export is
+   Chrome [trace_event] JSON (loadable in chrome://tracing and Perfetto;
+   phase and span slices as "X" complete events, [mark]s as "i"
+   instants, [sample]s as "C" counter tracks, one row per domain). *)
 
 type kind = Complete | Instant | Counter
 
@@ -363,74 +361,7 @@ let to_chrome evs =
       ("displayTimeUnit", Json.Str "ms");
     ]
 
-(* Minimal OTLP/JSON shape (trace service ExportTraceServiceRequest):
-   Complete events only, one scope span per event, µs-precision times
-   widened to unix nanos. *)
-let to_otlp evs =
-  let nano t = Json.Int (Int64.to_int (Int64.of_float (t *. 1e9))) in
-  let spans =
-    List.filter_map
-      (fun e ->
-        match e.kind with
-        | Complete ->
-          Some
-            (Json.Obj
-               [
-                 ("name", Json.Str e.name);
-                 ("startTimeUnixNano", nano e.ts);
-                 ("endTimeUnixNano", nano (e.ts +. e.dur));
-                 ( "attributes",
-                   Json.Arr
-                     [
-                       Json.Obj
-                         [
-                           ("key", Json.Str "domain");
-                           ( "value",
-                             Json.Obj [ ("intValue", Json.Int e.domain) ] );
-                         ];
-                     ] );
-               ])
-        | Instant | Counter -> None)
-      evs
-  in
-  Json.Obj
-    [
-      ( "resourceSpans",
-        Json.Arr
-          [
-            Json.Obj
-              [
-                ( "resource",
-                  Json.Obj
-                    [
-                      ( "attributes",
-                        Json.Arr
-                          [
-                            Json.Obj
-                              [
-                                ("key", Json.Str "service.name");
-                                ( "value",
-                                  Json.Obj
-                                    [ ("stringValue", Json.Str "quantcli") ] );
-                              ];
-                          ] );
-                    ] );
-                ( "scopeSpans",
-                  Json.Arr
-                    [
-                      Json.Obj
-                        [
-                          ( "scope",
-                            Json.Obj [ ("name", Json.Str "obs.flight") ] );
-                          ("spans", Json.Arr spans);
-                        ];
-                    ] );
-              ];
-          ] );
-    ]
-
 let write_chrome path = Json.to_file path (to_chrome (drain ()))
-let write_otlp path = Json.to_file path (to_otlp (drain ()))
 
 (* Per-request capture for a serving loop: persist the timeline recorded
    so far, then clear the rings so the next request starts from an empty

@@ -1,6 +1,6 @@
-(** The flight recorder: per-domain ring buffers of engine phase events
-    with overwrite-oldest semantics, drained into Chrome [trace_event]
-    JSON (chrome://tracing / Perfetto) or a minimal OTLP-shaped export.
+(** The flight recorder: per-domain ring buffers of engine phase and
+    span events with overwrite-oldest semantics, drained into Chrome
+    [trace_event] JSON (chrome://tracing / Perfetto).
 
     Appending is lock-free and allocation-free: the calling domain owns
     its ring and writes with plain stores. When the recorder is off,
@@ -101,14 +101,8 @@ val span_domain_totals : unit -> (int * (string * (int * float)) list) list
     timestamps relative to the earliest event. *)
 val to_chrome : event list -> Json.t
 
-(** Minimal OTLP/JSON (ExportTraceServiceRequest shape): [Complete]
-    events only, unix-nano times at µs precision. *)
-val to_otlp : event list -> Json.t
-
-(** [drain] + convert + write, one JSON document per file. *)
+(** [drain] + {!to_chrome} + write, one JSON document per file. *)
 val write_chrome : string -> unit
-
-val write_otlp : string -> unit
 
 (** [capture_chrome path] — {!write_chrome}, then empty the rings: the
     slow-request hook of a serving loop. The drained window becomes one

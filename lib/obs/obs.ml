@@ -1,17 +1,18 @@
 (** Telemetry for every analysis backend: a metrics registry
-    ({!Metrics}: counters, gauges, log-scale histograms), span-based
-    tracing to pluggable sinks ({!Span}, {!Sink}), the flight recorder
-    ({!Flight}: a phase timeline, and the per-domain totals that are the
-    one timing source for spans and phases alike), run reports
-    ({!Report}) and the shared escaping-correct JSON builder ({!Json}).
+    ({!Metrics}: counters, gauges, log-scale histograms), nestable timed
+    spans ({!Span}), the flight recorder ({!Flight}: one timeline of
+    phases and spans, exported as a Chrome trace, and the per-domain
+    totals that are the one timing source for spans and phases alike),
+    run reports ({!Report}) and the shared escaping-correct JSON builder
+    ({!Json}).
 
     Conventions: metric and span names are dotted lower-case paths
     prefixed with the owning subsystem ([engine.visited],
     [smc.run_wall_s], [bip.interactions_fired]); durations are in
     seconds. Instruments resolve their handles once at module
     initialisation and update them with plain stores into the calling
-    domain's own {!Shard} slot, summed on read, so the null sink (the
-    default) keeps hot loops at full speed. The whole layer is
+    domain's own {!Shard} slot, summed on read, so hot loops stay
+    instrumented at full speed. The whole layer is
     domain-safe: the [Par] worker pool updates metrics and records spans
     concurrently, and run reports break span time out per domain. *)
 
@@ -19,7 +20,6 @@ module Json = Json
 module Clock = Clock
 module Shard = Shard
 module Metrics = Metrics
-module Sink = Sink
 module Span = Span
 module Flight = Flight
 module Report = Report
