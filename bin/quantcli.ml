@@ -137,9 +137,20 @@ let with_obs (report, flight, flight_events) f =
           3)
   end
 
+(* A size or run count below 1 is a usage error, caught before the
+   command runs: one line on stderr, nothing on stdout, exit 2. [args]
+   pairs each flag with its value; [k] runs the command. *)
+let at_least_one args k =
+  match List.find_opt (fun (_, v) -> v < 1) args with
+  | Some (flag, _) ->
+    Printf.eprintf "quantcli: %s must be >= 1\n" flag;
+    2
+  | None -> k ()
+
 (* ------------------------------------------------------------------ *)
 
 let verify obs trains stats_json =
+  at_least_one [ ("--trains", trains) ] @@ fun () ->
   with_obs obs @@ fun () ->
   let net = Ta.Train_gate.make ~n_trains:trains in
   let show = show_query ~stats_json in
@@ -160,6 +171,7 @@ let verify_cmd =
 (* ------------------------------------------------------------------ *)
 
 let smc obs model trains runs seed jobs =
+  at_least_one [ ("--trains", trains); ("--runs", runs) ] @@ fun () ->
   with_obs obs @@ fun () ->
   Par.Pool.with_pool ~jobs @@ fun pool ->
   match model with
@@ -213,6 +225,7 @@ let smc_cmd =
 (* ------------------------------------------------------------------ *)
 
 let synth obs trains =
+  at_least_one [ ("--trains", trains) ] @@ fun () ->
   with_obs obs @@ fun () ->
   let net = Games.Train_game.make ~n_trains:trains () in
   let safe = Games.Train_game.safe net in
@@ -280,6 +293,7 @@ let brp obs backend =
    the run batch sharded across --jobs domains. Same output line as
    `brp --backend modes`. *)
 let modes obs runs seed jobs =
+  at_least_one [ ("--runs", runs) ] @@ fun () ->
   with_obs obs @@ fun () ->
   Par.Pool.with_pool ~jobs @@ fun pool ->
   let t = Modest.Brp.make () in
@@ -358,6 +372,7 @@ let modest_cmd =
    `quantcli check --model fischer --flight t.json` is the documented
    way to get a phase trace out of the zone engine. *)
 let check_impl obs model n stats_json mem_budget_mb jobs =
+  at_least_one [ ("-n", n) ] @@ fun () ->
   with_obs obs @@ fun () ->
   match Serve.Models.find model with
   | None ->

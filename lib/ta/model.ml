@@ -35,7 +35,13 @@ type automaton = {
 
 type move = { mv_label : string; participants : (int * edge) list }
 
-type synced_edge = { part : int * edge; frag : string; alone : move }
+type synced_edge = {
+  part : int * edge;
+  frag : string;
+  alone : move;
+  rid : int;
+  pairs : move array;
+}
 
 type loc_syncs = {
   taus : synced_edge list;
@@ -81,13 +87,22 @@ let fragment (a : automaton) (e : edge) =
       a.locations.(e.dst).loc_name; sync;
     ]
 
+(* Fills a pair-table slot whose receiver sits in the emitter's own
+   component; [moves] never reads one. *)
+let no_pair = { mv_label = ""; participants = [] }
+
 (* Groups every location's out-edges by sync once per network, in
    out-list order, and records which components emit and receive on each
-   channel (ascending). Built eagerly, never lazily: explorations read it
+   channel (ascending). Then prebuilds every binary move: each receiving
+   edge on a binary channel gets its [rid] in component, location,
+   out-list order, and each emitting edge on one the [pairs] table over
+   those receivers. Built eagerly, never lazily: explorations read it
    from several domains at once. *)
 let index_syncs automata (channels : chan array) =
   let n_chans = Array.length channels in
   let emitters = Array.make n_chans [] and receivers = Array.make n_chans [] in
+  (* The receiving edges on each binary channel so far, reversed. *)
+  let binary_recvs = Array.make n_chans [] in
   let note tbl ch i =
     match tbl.(ch) with
     | j :: _ when j = i -> ()
@@ -104,18 +119,33 @@ let index_syncs automata (channels : chan array) =
                 (fun e ->
                   let frag = fragment a e in
                   let part = (i, e) in
-                  let se =
-                    { part; frag; alone = { mv_label = frag; participants = [ part ] } }
+                  let synced rid =
+                    {
+                      part;
+                      frag;
+                      alone = { mv_label = frag; participants = [ part ] };
+                      rid;
+                      pairs = [||];
+                    }
                   in
                   match e.sync with
-                  | Tau -> Some se
+                  | Tau -> Some (synced (-1))
                   | Emit c ->
-                    emits.(c.chan_id) <- se :: emits.(c.chan_id);
+                    emits.(c.chan_id) <- synced (-1) :: emits.(c.chan_id);
                     note emitters c.chan_id i;
                     None
                   | Receive c ->
-                    recvs.(c.chan_id) <- se :: recvs.(c.chan_id);
-                    note receivers c.chan_id i;
+                    let c = c.chan_id in
+                    let se =
+                      match channels.(c).kind with
+                      | Broadcast -> synced (-1)
+                      | Binary ->
+                        let se = synced (List.length binary_recvs.(c)) in
+                        binary_recvs.(c) <- se :: binary_recvs.(c);
+                        se
+                    in
+                    recvs.(c) <- se :: recvs.(c);
+                    note receivers c i;
                     None)
                 edges
             in
@@ -128,8 +158,19 @@ let index_syncs automata (channels : chan array) =
       automata
   in
   let ascending l = Array.of_list (List.rev l) in
+  let binary_recvs = Array.map ascending binary_recvs in
+  let with_pairs c (e1 : synced_edge) =
+    let pair (e2 : synced_edge) =
+      if fst e2.part = fst e1.part then no_pair
+      else { mv_label = e1.frag ^ " " ^ e2.frag; participants = [ e1.part; e2.part ] }
+    in
+    { e1 with pairs = Array.map pair binary_recvs.(c) }
+  in
+  let loc_with_pairs ls =
+    { ls with emits = Array.mapi (fun c l -> List.map (with_pairs c) l) ls.emits }
+  in
   {
-    by_loc;
+    by_loc = Array.map (Array.map loc_with_pairs) by_loc;
     emitters = Array.map ascending emitters;
     receivers = Array.map ascending receivers;
     urgent_chans =

@@ -61,8 +61,23 @@ type move = { mv_label : string; participants : (int * edge) list }
 (** An edge as the sync index files it: its participant pair [part],
     its label fragment [frag] ([Comp.src->dst], plus [[c!]] or [[c?]]
     for a synchronising edge), and [alone], the move of the edge firing
-    by itself (label [frag], participants [[part]]). *)
-type synced_edge = { part : int * edge; frag : string; alone : move }
+    by itself (label [frag], participants [[part]]).
+
+    On a binary channel [c] the index also prebuilds every pair move. A
+    receiving edge's [rid] is its position among all receiving edges on
+    [c], ordered by component, then location, then out-list. An
+    emitting edge's [pairs.(e2.rid)] is its move with receiving edge
+    [e2]: label [frag ^ " " ^ e2.frag], participants [[part; e2.part]].
+    A slot whose receiver is in the emitter's own component holds a
+    placeholder that is never read. Elsewhere [rid] is [-1] and [pairs]
+    is [[||]]. *)
+type synced_edge = {
+  part : int * edge;
+  frag : string;
+  alone : move;
+  rid : int;
+  pairs : move array;
+}
 
 (** One location's out-edges by sync, each list in out-list order:
     internal edges, and emitting / receiving edges by [chan_id]. *)
@@ -76,7 +91,13 @@ type loc_syncs = {
     [by_loc.(a).(l)] groups the out-edges of location [l] of component
     [a]; [emitters.(c)] / [receivers.(c)] list, ascending, the components
     with an edge emitting / receiving on channel [c] anywhere;
-    [urgent_chans] holds the urgent channels' ids, ascending. *)
+    [urgent_chans] holds the urgent channels' ids, ascending.
+
+    The binary pair tables hold Σ_c (emitting edges on c) × (receiving
+    edges on c) slots over the binary channels: 25 on the 5-train
+    train-gate, 80 on the 16-train one, 0 on Fischer. The index is
+    immutable once {!build} or {!union} returns, so pool domains may
+    read it concurrently. *)
 type sync_index = {
   by_loc : loc_syncs array array;
   emitters : int array array;

@@ -55,11 +55,11 @@ let data_enabled store (e : Model.edge) =
 let loc_kind (net : Model.network) locs i =
   net.automata.(i).locations.(locs.(i)).Model.kind
 
-let committed_present net locs =
-  let rec from i =
-    i < Array.length locs && (loc_kind net locs i = Model.Committed || from (i + 1))
-  in
-  from 0
+let rec committed_from net locs i =
+  i < Array.length locs
+  && (loc_kind net locs i = Model.Committed || committed_from net locs (i + 1))
+
+let committed_present net locs = committed_from net locs 0
 
 let urgent_present net locs =
   let rec from i =
@@ -78,6 +78,104 @@ let rec enabled store = function
     end
     else enabled store rest
 
+(* Flight phases: move enumeration, and the apply loop of one expanded
+   state ([dbm.extrapolate] and [dbm.seal] nest inside it). *)
+let ph_moves = Obs.Flight.intern "zone.moves"
+let ph_apply = Obs.Flight.intern "zone.apply"
+
+(* The enumeration below allocates nothing but the move list: internal
+   and binary moves are the index's prebuilt records, and every helper
+   is a top-level function applied in full, so no closure is built per
+   call. [acc] is the move list so far, reversed. Each guard is
+   evaluated before [keep] is consulted, so committed filtering never
+   changes which guards run. *)
+
+(* The data-enabled internal edges of [taus]. *)
+let rec push_taus store keep (taus : Model.synced_edge list) acc =
+  match taus with
+  | [] -> acc
+  | se :: rest ->
+    let acc =
+      if data_enabled store (snd se.part) && keep then se.alone :: acc else acc
+    in
+    push_taus store keep rest acc
+
+(* Emitting edge [e1] paired with each data-enabled edge of [recvs]. *)
+let rec push_pairs store keep (e1 : Model.synced_edge)
+    (recvs : Model.synced_edge list) acc =
+  match recvs with
+  | [] -> acc
+  | e2 :: rest ->
+    let acc =
+      if data_enabled store (snd e2.part) && keep then e1.pairs.(e2.rid) :: acc
+      else acc
+    in
+    push_pairs store keep e1 rest acc
+
+(* Binary moves of component [i]'s emitting edges [emits] on channel
+   [c]: each data-enabled one with the receiving edges of every other
+   component, ascending. *)
+let rec binary_moves (net : Model.network) locs store committed i c
+    (emits : Model.synced_edge list) acc =
+  match emits with
+  | [] -> acc
+  | e1 :: rest ->
+    let out = ref acc in
+    if data_enabled store (snd e1.part) then begin
+      let rcv = net.syncs.receivers.(c) in
+      for k = 0 to Array.length rcv - 1 do
+        let j = rcv.(k) in
+        if j <> i then begin
+          let keep =
+            (not committed)
+            || loc_kind net locs i = Model.Committed
+            || loc_kind net locs j = Model.Committed
+          in
+          let recvs = net.syncs.by_loc.(j).(locs.(j)).recvs.(c) in
+          out := push_pairs store keep e1 recvs !out
+        end
+      done
+    end;
+    binary_moves net locs store committed i c rest !out
+
+(* Broadcast moves of component [i]'s enabled emitting edges [emits] on
+   channel [c]: one per choice of an enabled receiving edge in every
+   other component that has one, choices branching in component order.
+   Receiver sets vary by state, so these moves are built here. *)
+let broadcast_moves (net : Model.network) locs store committed i c emits acc =
+  let syncs = net.syncs in
+  let rcv = syncs.receivers.(c) in
+  let committed_at j = loc_kind net locs j = Model.Committed in
+  let out = ref acc in
+  (* [parts] holds the participants so far, reversed. *)
+  let rec expand k parts keep =
+    if k = Array.length rcv then begin
+      if keep then begin
+        let parts = List.rev parts in
+        out :=
+          {
+            mv_label =
+              String.concat " "
+                (List.map (fun (se : Model.synced_edge) -> se.frag) parts);
+            participants = List.map (fun (se : Model.synced_edge) -> se.part) parts;
+          }
+          :: !out
+      end
+    end
+    else begin
+      let j = rcv.(k) in
+      if j = i then expand (k + 1) parts keep
+      else
+        match enabled store syncs.by_loc.(j).(locs.(j)).recvs.(c) with
+        | [] -> expand (k + 1) parts keep
+        | choices ->
+          let keep = keep || committed_at j in
+          List.iter (fun e2 -> expand (k + 1) (e2 :: parts) keep) choices
+    end
+  in
+  List.iter (fun e1 -> expand 0 [ e1 ] ((not committed) || committed_at i)) emits;
+  !out
+
 (* Move order: internal moves by component, then channels by id; per
    channel, emitters ascending, each enabled emitting edge in out-list
    order, combined with the receivers ascending (binary: one enabled
@@ -87,79 +185,31 @@ let rec enabled store = function
    moves with a committed participant are kept. Receivers' data guards
    are evaluated only once an emitter's edge is enabled. *)
 let moves (net : Model.network) locs store =
+  let fl = Obs.Flight.start () in
   let syncs = net.syncs in
   let committed = committed_present net locs in
-  let committed_at i = loc_kind net locs i = Model.Committed in
-  let out = ref [] in
-  let push mv = out := mv :: !out in
+  let acc = ref [] in
   for i = 0 to Array.length locs - 1 do
-    let keep = (not committed) || committed_at i in
-    List.iter
-      (fun (se : Model.synced_edge) ->
-        if data_enabled store (snd se.part) && keep then push se.alone)
-      syncs.by_loc.(i).(locs.(i)).taus
+    let keep = (not committed) || loc_kind net locs i = Model.Committed in
+    acc := push_taus store keep syncs.by_loc.(i).(locs.(i)).taus !acc
   done;
-  let channel (ch : Model.chan) =
-    let c = ch.chan_id in
-    let rcv = syncs.receivers.(c) in
-    let recv j = enabled store syncs.by_loc.(j).(locs.(j)).recvs.(c) in
-    let emitter i =
-      match enabled store syncs.by_loc.(i).(locs.(i)).emits.(c) with
-      | [] -> ()
-      | emits ->
-        let binary (e1 : Model.synced_edge) =
-          Array.iter
-            (fun j ->
-              if j <> i then
-                List.iter
-                  (fun (e2 : Model.synced_edge) ->
-                    if (not committed) || committed_at i || committed_at j then
-                      push
-                        {
-                          mv_label = String.concat " " [ e1.frag; e2.frag ];
-                          participants = [ e1.part; e2.part ];
-                        })
-                  (recv j))
-            rcv
-        in
-        (* [acc] holds the participants so far, reversed. *)
-        let rec broadcast k acc keep =
-          if k = Array.length rcv then begin
-            if keep then begin
-              let parts = List.rev acc in
-              push
-                {
-                  mv_label =
-                    String.concat " "
-                      (List.map (fun (se : Model.synced_edge) -> se.frag) parts);
-                  participants =
-                    List.map (fun (se : Model.synced_edge) -> se.part) parts;
-                }
-            end
-          end
-          else begin
-            let j = rcv.(k) in
-            if j = i then broadcast (k + 1) acc keep
-            else
-              match recv j with
-              | [] -> broadcast (k + 1) acc keep
-              | choices ->
-                let keep = keep || committed_at j in
-                List.iter (fun e2 -> broadcast (k + 1) (e2 :: acc) keep) choices
-          end
-        in
-        List.iter
-          (fun e1 ->
-            match ch.kind with
-            | Model.Binary -> binary e1
-            | Model.Broadcast ->
-              broadcast 0 [ e1 ] ((not committed) || committed_at i))
-          emits
-    in
-    Array.iter emitter syncs.emitters.(c)
-  in
-  Array.iter channel net.channels;
-  List.rev !out
+  for c = 0 to Array.length net.channels - 1 do
+    let ems = syncs.emitters.(c) in
+    for k = 0 to Array.length ems - 1 do
+      let i = ems.(k) in
+      let emits = syncs.by_loc.(i).(locs.(i)).emits.(c) in
+      acc :=
+        match net.channels.(c).kind with
+        | Model.Binary -> binary_moves net locs store committed i c emits !acc
+        | Model.Broadcast -> (
+          match enabled store emits with
+          | [] -> !acc
+          | emits -> broadcast_moves net locs store committed i c emits !acc)
+    done
+  done;
+  let mvs = List.rev !acc in
+  Obs.Flight.stop ph_moves fl;
+  mvs
 
 (* Per urgent channel in id order, until one synchronisation is enabled:
    every emitting edge's data guard, then, for each enabled emitter, the
@@ -204,8 +254,11 @@ let move_resets mv =
   tbl
 
 (* Weakest precondition of constraint [c] under the reset map: substitute
-   reset clocks by their constants. Returns [None] when the constraint is
-   unconditionally true, [Some (Error ())] pattern avoided: use variant. *)
+   reset clocks by their constants. When both sides are then constants
+   (a reset clock or the reference clock 0), the constraint is decided:
+   [Wp_true] if they satisfy it, [Wp_false] if not (the move can never
+   fire). Otherwise [Wp_constr] carries what it still asks of the clocks
+   the move does not reset. *)
 type wp = Wp_true | Wp_false | Wp_constr of Model.constr
 
 let wp_constr resets (c : Model.constr) =
@@ -287,12 +340,18 @@ let apply_move net ~extra st mv =
   end
 
 let successors net ~extra st =
-  List.filter_map
-    (fun mv ->
-      match apply_move net ~extra st mv with
-      | Some st' -> Some (mv.mv_label, st')
-      | None -> None)
-    (moves net st.locs st.store)
+  let mvs = moves net st.locs st.store in
+  let fl = Obs.Flight.start () in
+  let succs =
+    List.filter_map
+      (fun mv ->
+        match apply_move net ~extra st mv with
+        | Some st' -> Some (mv.mv_label, st')
+        | None -> None)
+      mvs
+  in
+  Obs.Flight.stop ph_apply fl;
+  succs
 
 let initial net ~extra =
   let locs =

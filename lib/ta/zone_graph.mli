@@ -48,7 +48,14 @@ val initial : Model.network -> extra:Zones.Dbm.extrapolation -> state
     moves by component, then channels by id, emitters ascending,
     receivers ascending, each component's edges in out-list order. A
     receiver's data guard is evaluated only once some emitter on its
-    channel is enabled. Internal moves are shared, prebuilt values. *)
+    channel is enabled.
+
+    Internal and binary moves are the index's prebuilt records, shared
+    by every state that fires them; only the list is allocated.
+    Broadcast moves are built fresh per call, since their receiver sets
+    vary. So [==] identifies a move only within one call's list, where
+    no record occurs twice; across states it says only that the same
+    edges fire. *)
 val moves : Model.network -> int array -> int array -> move list
 
 (** [delay_allowed net locs store] is false in committed/urgent locations

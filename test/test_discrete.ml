@@ -784,6 +784,15 @@ let test_reference_random_games () =
 
 let test_e2_golden_safety3 () =
   let net = Games.Train_game.make ~constants:`Compact ~n_trains:3 () in
+  (* The game graph's moves are the sync index's shared records; a fresh
+     move per edge took 111.1M minor words. *)
+  let before = Gc.minor_words () in
+  let g = Digital.explore net in
+  let words = Gc.minor_words () -. before in
+  check_int "explored states" 105_527 (Array.length g.Digital.states);
+  check
+    (Printf.sprintf "explore allocates <= 55M minor words (%.1fM)" (words /. 1e6))
+    true (words <= 55e6);
   let safe = Games.Train_game.safe net in
   let s = Games.solve net (Games.Safety safe) in
   check_golden ~states:105_527 ~edges:377_014 ~winning:67_165 ~entries:56_939

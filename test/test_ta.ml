@@ -895,6 +895,53 @@ let test_moves_match_reference () =
         (reachable_discrete net))
     (reference_nets ())
 
+(* [moves] allocates its result list and nothing else on internal and
+   binary moves, which are all train-gate-4 has: 6 words a move under
+   this loop. Building a record, label and participant list per binary
+   move per state cost 339.1. *)
+let test_moves_allocation () =
+  let net = Train_gate.make ~n_trains:4 in
+  let states = reachable_discrete net in
+  let n_moves =
+    List.fold_left
+      (fun n (locs, store) -> n + List.length (Zone_graph.moves net locs store))
+      0 states
+  in
+  let before = Gc.minor_words () in
+  List.iter
+    (fun (locs, store) ->
+      ignore (Sys.opaque_identity (Zone_graph.moves net locs store)))
+    states;
+  let per_move = (Gc.minor_words () -. before) /. float_of_int n_moves in
+  check
+    (Printf.sprintf "<= 50 minor words per move (%.1f)" per_move)
+    true (per_move <= 50.0)
+
+(* A binary move is the sync index's prebuilt record: every state that
+   fires the pair returns the same physical record, with the label and
+   participants the reference enumeration builds afresh. *)
+let test_pair_moves_shared () =
+  let net = Train_gate.make ~n_trains:3 in
+  let first = Hashtbl.create 16 and repeats = ref 0 in
+  List.iter
+    (fun (locs, store) ->
+      List.iter2
+        (fun (got : Zone_graph.move) (want : Zone_graph.move) ->
+          if List.length got.participants = 2 then begin
+            Alcotest.(check string) "pair label" want.mv_label got.mv_label;
+            check (got.mv_label ^ " participants") true
+              (same_participants got want);
+            match Hashtbl.find_opt first got.mv_label with
+            | None -> Hashtbl.add first got.mv_label got
+            | Some mv ->
+              incr repeats;
+              check (got.mv_label ^ " shared across states") true (mv == got)
+          end)
+        (Zone_graph.moves net locs store)
+        (Reference.moves net locs store))
+    (reachable_discrete net);
+  check "a pair move fires in two states" true (!repeats > 0)
+
 let test_deadlocked_matches_reference () =
   let nets =
     [
@@ -1056,6 +1103,10 @@ let () =
           Alcotest.test_case "deadlocked direct" `Quick test_deadlocked_direct;
           Alcotest.test_case "moves match the reference enumeration" `Quick
             test_moves_match_reference;
+          Alcotest.test_case "moves allocate only the list" `Quick
+            test_moves_allocation;
+          Alcotest.test_case "pair moves shared across states" `Quick
+            test_pair_moves_shared;
           Alcotest.test_case "deadlocked matches the reference formula" `Quick
             test_deadlocked_matches_reference;
         ] );
