@@ -478,13 +478,17 @@ let ablations () =
 
 let engine () =
   header "Exploration engine (stats + extrapolation ablations)";
+  (* Every row records the machine's core count, so a nodes/s figure
+     is never read apart from the hardware it was taken on. *)
+  let cores = Domain.recommended_domain_count () in
   (* Each row: one checker run on the shared engine core, across three
      configurations. "packed-lu" is the default (packed-codec fused
-     store keys + sealed zones under LU extrapolation); "extra-k" and
-     "extra-none" seal under classic Extra-M / no extrapolation instead,
-     exposing how much LU shrinks the zone graph. "extra-none" may hit
-     the state limit on models whose raw zone graph is infinite; it then
-     reports a truncated row instead of aborting the bench. *)
+     store keys + sealed zones under per-location LU extrapolation);
+     "extra-k" and "extra-none" seal under per-location Extra-M / no
+     extrapolation instead, exposing how much the abstraction shrinks
+     the zone graph. "extra-none" may hit the state limit on models
+     whose raw zone graph is infinite; it then reports a truncated row
+     instead of aborting the bench. *)
   let runs =
     [
       ("fischer-5/mutex", lazy (Ta.Fischer.make ~n:5 ()),
@@ -657,7 +661,6 @@ let engine () =
   header "Parallel zone exploration (fischer-6, sharded engine)";
   let net6 = Ta.Fischer.make ~n:6 () in
   let q6 = Ta.Fischer.mutex net6 in
-  let cores = Domain.recommended_domain_count () in
   let par_rows =
     List.map
       (fun jobs ->
@@ -726,6 +729,7 @@ let engine () =
              [
                ("run", Obs.Json.Str tag);
                ("holds", Obs.Json.Bool holds);
+               ("cores", Obs.Json.Int cores);
                ("nodes_per_s", Obs.Json.Float nodes_per_s);
                ("phys_eq_hit_rate", Obs.Json.Float hit_rate);
                ("dbm_full_cmp", Obs.Json.Int full);

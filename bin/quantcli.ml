@@ -171,7 +171,8 @@ let verify_cmd =
 (* ------------------------------------------------------------------ *)
 
 let smc obs model trains runs seed jobs =
-  at_least_one [ ("--trains", trains); ("--runs", runs) ] @@ fun () ->
+  at_least_one [ ("--trains", trains); ("--runs", runs); ("--jobs", jobs) ]
+  @@ fun () ->
   with_obs obs @@ fun () ->
   Par.Pool.with_pool ~jobs @@ fun pool ->
   match model with
@@ -293,7 +294,7 @@ let brp obs backend =
    the run batch sharded across --jobs domains. Same output line as
    `brp --backend modes`. *)
 let modes obs runs seed jobs =
-  at_least_one [ ("--runs", runs) ] @@ fun () ->
+  at_least_one [ ("--runs", runs); ("--jobs", jobs) ] @@ fun () ->
   with_obs obs @@ fun () ->
   Par.Pool.with_pool ~jobs @@ fun pool ->
   let t = Modest.Brp.make () in
@@ -372,7 +373,9 @@ let modest_cmd =
    `quantcli check --model fischer --flight t.json` is the documented
    way to get a phase trace out of the zone engine. *)
 let check_impl obs model n stats_json mem_budget_mb jobs =
-  at_least_one [ ("-n", n) ] @@ fun () ->
+  at_least_one
+    (("-n", n) :: Option.fold ~none:[] ~some:(fun j -> [ ("--jobs", j) ]) jobs)
+  @@ fun () ->
   with_obs obs @@ fun () ->
   match Serve.Models.find model with
   | None ->

@@ -57,17 +57,28 @@ let check_ta ~extrapolation ?jobs spec =
      across harness pool sizes (a hard fuzz-report property). *)
   let jobs = Option.map (fun _ -> 1) jobs in
   let net = Ta_gen.build spec in
-  let zres =
-    Ta.Checker.check ~extrapolation ~max_states:ta_max_states ?jobs net
-      (Ta.Prop.Possibly (Ta_gen.target_formula spec))
+  let zone net =
+    (Ta.Checker.check ~extrapolation ~max_states:ta_max_states ?jobs net
+       (Ta.Prop.Possibly (Ta_gen.target_formula spec)))
+      .Ta.Checker.holds
+  in
+  let local = zone net in
+  (* Extrapolation agreement: the same query with every clock kept
+     active, i.e. under one bound per clock for the whole network. *)
+  let global =
+    zone (Ta.Model.keep_active net (List.init net.Ta.Model.n_clocks succ))
   in
   let g = Discrete.Digital.explore ~max_states:ta_max_states ?jobs net in
   let digital = Array.exists (Ta_gen.target_pred spec) g.Discrete.Digital.states in
-  if zres.Ta.Checker.holds = digital then Agree
+  if local <> global then
+    Diverge
+      (Printf.sprintf
+         "ta-reach: per-location bounds say %b, global bounds %b" local global)
+  else if local = digital then Agree
   else
     Diverge
       (Printf.sprintf "ta-reach: zone engine says %b, digital exploration %b"
-         zres.Ta.Checker.holds digital)
+         local digital)
 
 (* Independent min-cost: Bellman–Ford relaxation to a fixpoint over the
    explicit digital graph (all costs are non-negative, so it converges;

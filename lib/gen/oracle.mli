@@ -4,7 +4,10 @@
 
     - [Ta_reach]: zone-based reachability ({!Ta.Checker.check}) vs
       exhaustive digital-clocks exploration — exact on the closed,
-      diagonal-free models {!Ta_gen} emits.
+      diagonal-free models {!Ta_gen} emits. The zone verdict under
+      per-location clock bounds must also equal the one with every
+      clock kept active ({!Ta.Model.keep_active}), the extrapolation
+      agreement check.
     - [Priced]: {!Priced.min_cost_reach} (Dijkstra on a best-cost store)
       vs Bellman–Ford relaxation over the explicit digital graph.
     - [Mdp_vi]: value iteration vs exact backward induction (the

@@ -40,8 +40,18 @@ let state_zone (st : Zone_graph.state) = st.Zone_graph.zone
    zone graph. Reachability-style queries default to the coarser Extra-LU
    (fewer distinct zones, location reachability preserved); [`K] keeps
    classic maximal-constant Extra-M as an ablation; [`None] disables
-   extrapolation (the zone graph may then be infinite). *)
+   extrapolation (the zone graph may then be infinite). [Zone_graph]
+   narrows [`Lu] and [`K] to each state's own locations, from the
+   network's clock scopes. *)
 type extrapolation = [ `None | `K | `Lu ]
+
+(* The clocks a formula's clock atoms mention. *)
+let rec formula_clocks acc = function
+  | Prop.True | Prop.False | Prop.Loc _ | Prop.Data _ -> acc
+  | Prop.Clock c -> c.Model.ci :: c.Model.cj :: acc
+  | Prop.Not g -> formula_clocks acc g
+  | Prop.And (g, h) | Prop.Or (g, h) | Prop.Imply (g, h) ->
+    formula_clocks (formula_clocks acc g) h
 
 let reach_extra (extrapolation : extrapolation) net f =
   match extrapolation with
@@ -254,8 +264,12 @@ let trace_in_graph graph id =
 (* Top-level check                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* A clock the formula tests must keep its bounds wherever the formula
+   is evaluated, i.e. everywhere: [keep_active] makes it [Global], and
+   [reach_extra]'s arrays already carry the formula's constants. *)
 let check_reach ?subsumption ?max_states ?stop ?mem_budget_words
     ?rich_trace ?jobs ?pool ?(extrapolation = `Lu) net f =
+  let net = Model.keep_active net (formula_clocks [] f) in
   let extra = reach_extra extrapolation net f in
   let on_state st = if Prop.holds_somewhere net st f then Some () else None in
   explore ?subsumption ?max_states ?stop ?mem_budget_words ?rich_trace
@@ -267,7 +281,10 @@ let check_liveness ?max_states ?stop ?mem_budget_words
     invalid_arg "Checker: leads-to operands must not contain clock atoms";
   (* The exact graph needs zone-precise nodes; LU would merge states the
      divergence analysis must keep apart, so liveness always uses
-     Extra-M on the network constants. *)
+     Extra-M on the network constants. It also keeps every clock active:
+     per-location bounds are not yet checked against a leads-to oracle,
+     so the graph stays the one the global bounds give. *)
+  let net = Model.keep_active net (List.init net.Model.n_clocks succ) in
   let extra = Dbm.Extra_m (Array.copy net.Model.max_consts) in
   let graph, gstats =
     build_graph ?max_states ?stop ?mem_budget_words net ~extra
@@ -312,7 +329,10 @@ let check ?subsumption ?max_states ?stop ?mem_budget_words
      | None -> { holds = true; trace = None; stats; par })
   | Prop.NoDeadlock ->
     (* The deadlock predicate inspects exact zones, for which LU is too
-       coarse: always explore under Extra-M on the network constants. *)
+       coarse: always explore under Extra-M on the network constants,
+       narrowed per location by [Zone_graph]. That is sound: an escape
+       zone constrains only clocks active at the source, with no
+       constant above their per-location bound there. *)
     let extra = Dbm.Extra_m (Array.copy net.Model.max_consts) in
     let escapes_of = memo_escapes net in
     let on_state (st : Zone_graph.state) =

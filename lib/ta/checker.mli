@@ -59,11 +59,15 @@ exception
     seals a successor. [`Lu] (the default) is coarse lower/upper-bound
     extrapolation from {!Prop.merge_lu} — fewest distinct zones, sound
     for reachability and safety. [`K] is classic maximal-constant
-    Extra-M (ablation row). [`None] disables extrapolation: the zone
-    graph may then be infinite and the exploration can hit
-    [max_states]. Deadlock and liveness queries ignore the option and
-    always explore under Extra-M, which their zone-precise analyses
-    require. *)
+    Extra-M (ablation row). Both are per location: {!Zone_graph} seals
+    each state under its own locations' bounds and frees the clocks
+    inactive there, while the clocks the query formula mentions keep
+    the global bound ({!Model.keep_active}). [`None] disables
+    extrapolation: the zone graph may then be infinite and the
+    exploration can hit [max_states]. Deadlock queries ignore the
+    option and explore under per-location Extra-M; liveness queries
+    ignore it too and explore under global Extra-M, every clock kept
+    active. Their zone-precise analyses require Extra-M. *)
 type extrapolation = [ `None | `K | `Lu ]
 
 (** [check net q] verifies query [q]. [subsumption] (default true) turns

@@ -56,6 +56,10 @@ type sync_index = {
   urgent_chans : int list;
 }
 
+type clock_scope =
+  | Global
+  | Owned of { owner : int; lower : int array; upper : int array }
+
 type network = {
   automata : automaton array;
   n_clocks : int;
@@ -64,6 +68,7 @@ type network = {
   layout : Store.layout;
   max_consts : int array;
   syncs : sync_index;
+  scopes : clock_scope array;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -178,6 +183,132 @@ let index_syncs automata (channels : chan array) =
         (fun c -> if c.urgent then Some c.chan_id else None)
         (Array.to_list channels);
   }
+
+(* ------------------------------------------------------------------ *)
+(* Per-location clock bounds                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Static guard analysis (Behrmann, Bouyer, Fleury & Larsen, TACAS 2003)
+   with lower and upper bounds kept apart (Behrmann, Bouyer, Larsen &
+   Pelánek, TACAS 2004). A clock that one component alone mentions in
+   invariants, guards or resets is owned by it. Its bound at location [l]
+   of the owner is the larger of the constants on it in [l]'s invariant
+   and out-guards, taken as [lu_bounds] takes them, and its bound at the
+   target of every out-edge that does not reset it; [-1] where neither
+   exists: the clock is inactive there, reset before any further test.
+   Once activity is known, a reset to [v > 0] feeds [v] at the edge's
+   target where the clock is active, and the fixpoint runs again, which
+   leaves activity as it is. Each component walks its own clocks only.
+   Built eagerly, like the sync index, so domains read it concurrently. *)
+let clock_scopes automata n_clocks =
+  (* [owner.(x)]: -1 unmentioned, -2 mentioned by several components. *)
+  let owner = Array.make (n_clocks + 1) (-1) in
+  let mention a x =
+    if x > 0 then
+      if owner.(x) = -1 then owner.(x) <- a
+      else if owner.(x) <> a then owner.(x) <- -2
+  in
+  Array.iteri
+    (fun a au ->
+      let constr c = mention a c.ci; mention a c.cj in
+      Array.iter (fun l -> List.iter constr l.invariant) au.locations;
+      Array.iter
+        (List.iter (fun e ->
+             List.iter constr e.clock_guard;
+             List.iter
+               (function Reset (x, _) -> mention a x | Assign _ | Prim _ -> ())
+               e.updates))
+        au.out)
+    automata;
+  (* Each component's own clocks, and each clock's slot among them. *)
+  let own = Array.make (Array.length automata) [] in
+  let slot = Array.make (n_clocks + 1) (-1) in
+  for x = 1 to n_clocks do
+    let a = owner.(x) in
+    if a >= 0 then begin
+      slot.(x) <- List.length own.(a);
+      own.(a) <- x :: own.(a)
+    end
+  done;
+  let scopes = Array.make (n_clocks + 1) Global in
+  Array.iteri
+    (fun a au ->
+      match own.(a) with
+      | [] -> ()
+      | xs ->
+        let own = Array.of_list (List.rev xs) in
+        let k = Array.length own and n_locs = Array.length au.locations in
+        let lower = Array.init k (fun _ -> Array.make n_locs (-1)) in
+        let upper = Array.init k (fun _ -> Array.make n_locs (-1)) in
+        let bump side i l v =
+          v > side.(i).(l)
+          && begin
+            side.(i).(l) <- v;
+            true
+          end
+        in
+        let record l c =
+          if not (Bound.is_inf c.cb) then begin
+            let v = abs (Bound.constant c.cb) in
+            if c.ci > 0 && owner.(c.ci) = a then
+              ignore (bump upper slot.(c.ci) l v);
+            if c.cj > 0 && owner.(c.cj) = a then
+              ignore (bump lower slot.(c.cj) l v)
+          end
+        in
+        Array.iteri
+          (fun l loc -> List.iter (record l) loc.invariant)
+          au.locations;
+        Array.iteri
+          (fun l -> List.iter (fun e -> List.iter (record l) e.clock_guard))
+          au.out;
+        let resets e x =
+          List.exists
+            (function Reset (y, _) -> y = x | Assign _ | Prim _ -> false)
+            e.updates
+        in
+        (* Backward to the fixpoint: a pass per propagation step. *)
+        let propagate () =
+          let changed = ref true in
+          while !changed do
+            changed := false;
+            Array.iter
+              (List.iter (fun e ->
+                   for i = 0 to k - 1 do
+                     if not (resets e own.(i)) then begin
+                       if bump lower i e.src lower.(i).(e.dst) then
+                         changed := true;
+                       if bump upper i e.src upper.(i).(e.dst) then
+                         changed := true
+                     end
+                   done))
+              au.out
+          done
+        in
+        propagate ();
+        let fed = ref false in
+        Array.iter
+          (List.iter (fun e ->
+               List.iter
+                 (function
+                   | Reset (x, v) when v > 0 && owner.(x) = a ->
+                     let i = slot.(x) in
+                     if lower.(i).(e.dst) >= 0 || upper.(i).(e.dst) >= 0
+                     then begin
+                       if bump lower i e.dst v then fed := true;
+                       if bump upper i e.dst v then fed := true
+                     end
+                   | Reset _ | Assign _ | Prim _ -> ())
+                 e.updates))
+          au.out;
+        if !fed then propagate ();
+        Array.iteri
+          (fun i x ->
+            scopes.(x) <-
+              Owned { owner = a; lower = lower.(i); upper = upper.(i) })
+          own)
+    automata;
+  scopes
 
 (* ------------------------------------------------------------------ *)
 (* Constraint helpers                                                  *)
@@ -341,6 +472,7 @@ let build b =
     layout = Store.freeze b.b_store;
     max_consts;
     syncs = index_syncs automata channels;
+    scopes = clock_scopes automata n_clocks;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -502,7 +634,20 @@ let union a b =
     max_consts =
       Array.append a.max_consts (Array.sub b.max_consts 1 b.n_clocks);
     syncs = index_syncs automata channels;
+    scopes = clock_scopes automata (a.n_clocks + b.n_clocks);
   }
+
+let keep_active net clocks =
+  let owned x =
+    x > 0 && x <= net.n_clocks
+    && match net.scopes.(x) with Owned _ -> true | Global -> false
+  in
+  if not (List.exists owned clocks) then net
+  else begin
+    let scopes = Array.copy net.scopes in
+    List.iter (fun x -> if owned x then scopes.(x) <- Global) clocks;
+    { net with scopes }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Lookup and printing                                                 *)

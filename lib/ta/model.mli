@@ -8,7 +8,8 @@
 
     Models are constructed through the builder API below, which assigns
     indices, validates the model, and computes the per-clock maximal
-    constants used for zone extrapolation. *)
+    constants and the per-location clock bounds used for zone
+    extrapolation. *)
 
 type clock = int
 (** Clock index, [1..n]. Index 0 is the DBM reference clock. *)
@@ -105,6 +106,26 @@ type sync_index = {
   urgent_chans : int list;
 }
 
+(** Where a clock's extrapolation bounds come from: the static guard
+    analysis of Behrmann, Bouyer, Fleury & Larsen ("Static Guard
+    Analysis in Timed Automata Verification", TACAS 2003), with lower
+    and upper bounds apart as in Behrmann, Bouyer, Larsen & Pelánek
+    (TACAS 2004).
+
+    A clock that exactly one component mentions in its invariants,
+    guards or resets is [Owned] by it. [lower.(l)] / [upper.(l)] are its
+    bounds at location [l] of the owner: the larger of the constants on
+    it in [l]'s invariant and out-guards (taken as {!lu_bounds} takes
+    them) and its bounds at the target of every out-edge that does not
+    reset it. A reset to [v > 0] feeds [v] at the edge's target where
+    the clock is active. [-1] on both sides means the clock is inactive
+    at [l]: it is reset before any further test, so {!Zone_graph} frees
+    it there. A clock that several components mention, or none, is
+    [Global]: it keeps the network-wide bound everywhere. *)
+type clock_scope =
+  | Global
+  | Owned of { owner : int; lower : int array; upper : int array }
+
 type network = {
   automata : automaton array;
   n_clocks : int;
@@ -113,6 +134,9 @@ type network = {
   layout : Store.layout;
   max_consts : int array; (* per clock, for extrapolation *)
   syncs : sync_index; (* derived from [automata] and [channels] *)
+  scopes : clock_scope array;
+      (* per clock, entry 0 unused; derived from [automata] by {!build}
+         and {!union}, immutable once built *)
 }
 
 (** {1 Constraint helpers} *)
@@ -179,7 +203,8 @@ val build : builder -> network
 (** [union a b] — parallel composition of two independently built
     networks: components, clocks and variables are concatenated (b's
     clock indices and store offsets shift); channels merge by name, so
-    the two halves synchronise on their shared channels.
+    the two halves synchronise on their shared channels. The sync index
+    and the clock scopes are recomputed on the merged components.
     @raise Invalid_argument on duplicate component or variable names,
     channels declared with different kinds, or [Prim] updates in [b]
     (their closures capture old store offsets). *)
@@ -192,6 +217,13 @@ val union : network -> network -> network
     scan is on demand so composed ({!union}) and observer-extended
     networks need no extra bookkeeping. *)
 val lu_bounds : network -> int array * int array
+
+(** [keep_active net clocks] is [net] with each of [clocks] made
+    [Global], so that it keeps the network-wide bound at every location
+    and is never freed. The checker applies it to the clocks a query
+    formula mentions, and to every clock for liveness. [net] itself
+    comes back when none of [clocks] is owned. *)
+val keep_active : network -> clock list -> network
 
 (** {1 Lookup and printing} *)
 

@@ -1,7 +1,8 @@
 (* Adding the observer clock at the highest index leaves every existing
    clock reference valid; no edge resets it, so it tracks global time.
    Its max-constant entry is 0 — the property's own constant is merged in
-   by the checker (Prop.merge_constants). *)
+   by the checker (Prop.merge_constants). No component mentions it, so
+   it is [Global]: it keeps that bound at every location. *)
 
 let add_global_clock (net : Model.network) =
   let fresh = net.Model.n_clocks + 1 in
@@ -10,6 +11,7 @@ let add_global_clock (net : Model.network) =
       Model.n_clocks = fresh;
       clock_names = Array.append net.Model.clock_names [| "t_obs" |];
       max_consts = Array.append net.Model.max_consts [| 0 |];
+      scopes = Array.append net.Model.scopes [| Model.Global |];
     },
     fresh )
 

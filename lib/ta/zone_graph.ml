@@ -316,6 +316,64 @@ let apply_updates ~store ~zone mv =
     mv.participants;
   (store', !zone)
 
+(* [extra] narrowed to the location vector [locs]. An owned clock takes
+   its owner's bounds at [locs], never above [extra]'s entries; under
+   Extra-M its bound there is the larger of the two. A clock inactive at
+   [locs] thus gets negative entries, which [Dbm.seal] reads as "free
+   it". [Global] clocks keep [extra]'s entries, and [extra] itself comes
+   back when no clock is owned, so [Model.keep_active] over every clock
+   gives the global abstraction exactly. *)
+let rec any_owned (scopes : Model.clock_scope array) x =
+  x < Array.length scopes
+  && match scopes.(x) with
+     | Model.Owned _ -> true
+     | Model.Global -> any_owned scopes (x + 1)
+
+(* A copy of [k] where each owned clock's entry is capped by [pick] of
+   its lower and upper bound at [locs]. *)
+let narrow (scopes : Model.clock_scope array) locs k pick =
+  let k = Array.copy k in
+  for x = 1 to Array.length scopes - 1 do
+    match scopes.(x) with
+    | Model.Global -> ()
+    | Model.Owned { owner; lower; upper } ->
+      let l = locs.(owner) in
+      k.(x) <- Int.min k.(x) (pick lower.(l) upper.(l))
+  done;
+  k
+
+let local_extra (net : Model.network) extra locs =
+  let scopes = net.Model.scopes in
+  if not (any_owned scopes 1) then extra
+  else
+    match extra with
+    | Dbm.No_extrapolation -> extra
+    | Dbm.Extra_m k -> Dbm.Extra_m (narrow scopes locs k Int.max)
+    | Dbm.Extra_lu { lower; upper } ->
+      Dbm.Extra_lu
+        {
+          lower = narrow scopes locs lower (fun l _ -> l);
+          upper = narrow scopes locs upper (fun _ u -> u);
+        }
+
+(* [Dbm.seal] is the identity on a sealed zone, and a successor's zone
+   is one exactly when the move left the source zone untouched: no guard
+   or target invariant tightened it, nothing was reset, and the target
+   lets no time pass (a committed target, say). That zone was sealed
+   under the source's bounds; where the target's differ, it is
+   extrapolated again under the target's, so every state's zone is
+   sealed under its own locations' bounds. *)
+let seal_at net ~extra ~src locs z =
+  let extra' = local_extra net extra locs in
+  if Dbm.is_sealed z && extra' != extra && extra' <> local_extra net extra src
+  then
+    Dbm.seal
+      (match extra' with
+       | Dbm.No_extrapolation -> z
+       | Dbm.Extra_m k -> Dbm.extrapolate z k
+       | Dbm.Extra_lu { lower; upper } -> Dbm.extrapolate_lu z ~lower ~upper)
+  else Dbm.seal ~extra:extra' z
+
 let apply_move net ~extra st mv =
   let zone = ref (st.zone :> Dbm.t) in
   List.iter
@@ -333,7 +391,7 @@ let apply_move net ~extra st mv =
         z := Dbm.up !z;
         z := constrain_all !z inv'
       end;
-      let z = Dbm.seal ~extra !z in
+      let z = seal_at net ~extra ~src:st.locs locs' !z in
       if Dbm.is_empty (z :> Dbm.t) then None
       else Some { locs = locs'; store = store'; zone = z }
     end
@@ -366,7 +424,7 @@ let initial net ~extra =
     z := Dbm.up !z;
     z := constrain_all !z inv
   end;
-  { locs; store; zone = Dbm.seal ~extra !z }
+  { locs; store; zone = Dbm.seal ~extra:(local_extra net extra locs) !z }
 
 let pp_state net ppf st =
   let locs =

@@ -38,7 +38,16 @@ val pack : Engine.Codec.spec -> state -> Engine.Codec.packed
     extrapolation {!Dbm.seal} applies at the sealing boundary — usually
     {!Zones.Dbm.Extra_lu} from {!Prop.merge_lu} or {!Zones.Dbm.Extra_m}
     from the network's [max_consts] merged with the property's
-    constants. *)
+    constants.
+
+    Every state is sealed under [extra] narrowed to its own location
+    vector, from the network's {!Model.clock_scope}s: an [Owned] clock
+    takes its owner's bounds at the vector's location, never above
+    [extra]'s entry (under [Extra_m], the larger of its lower and upper
+    bound there), so a clock inactive there is freed. [Global] clocks
+    keep [extra]'s entries, and [No_extrapolation] stays exact. On a
+    network whose clocks are all [Global] ({!Model.keep_active}) the
+    states are those of [extra] itself. *)
 val initial : Model.network -> extra:Zones.Dbm.extrapolation -> state
 
 (** [moves net locs store] enumerates data-enabled moves, respecting
@@ -72,7 +81,11 @@ val move_enabling_zone :
 (** [apply_move net ~extra st mv] is the symbolic successor, or [None]
     when the clock guards or target invariants make the move impossible
     from [st.zone]. The result is delay-closed (unless urgent/committed)
-    and sealed: extrapolated, interned and carrying a memoized hash. *)
+    and sealed under the target vector's bounds (see {!initial}):
+    extrapolated, interned and carrying a memoized hash. A move that
+    leaves [st.zone] untouched, into a committed target say, still has
+    its zone extrapolated again where the target's bounds differ from
+    the source's. *)
 val apply_move :
   Model.network -> extra:Zones.Dbm.extrapolation -> state -> move -> state option
 

@@ -466,12 +466,27 @@ let relation t1 t2 =
 
 (* Shared body of Extra-M and Extra-LU: an entry [x_i - x_j ≺ c] is
    dropped when [c > lo.(i)] and raised to [< -up.(j)] when [c < -up.(j)]
-   (both bounds clamped at 0, index 0 bounded by 0). *)
+   (both bounds clamped at 0, index 0 bounded by 0). A clock whose [lo]
+   and [up] entries are both negative is inactive and freed first, in
+   place, as [free] does: its row becomes unbounded and [m[j][x] :=
+   m[j][0]]. Freeing keeps the matrix closed, so the one re-closure
+   after the pass still covers everything. *)
 let extrapolate_with t ~lo ~up =
   if is_empty t then t
   else begin
     let t' = copy t in
     let d = t'.dim and m = t'.m in
+    for x = 1 to d - 1 do
+      if lo.(x) < 0 && up.(x) < 0 then begin
+        let xd = x * d in
+        for j = 0 to d - 1 do
+          if j <> x then begin
+            m.(xd + j) <- inf;
+            m.((j * d) + x) <- m.(j * d)
+          end
+        done
+      end
+    done;
     let lo_of i = if i = 0 then 0 else nonneg lo.(i) in
     let up_of j = if j = 0 then 0 else nonneg up.(j) in
     let changed = ref false in

@@ -95,7 +95,12 @@ val relation : t -> t -> [ `Equal | `Subset | `Superset | `Incomparable ]
     lower/upper-bound extrapolation of Behrmann, Bouyer, Larsen &
     Pelánek ({e Lower and upper bounds in zone-based abstractions of
     timed automata}, 2004/06) — it produces fewer distinct zones while
-    preserving location reachability. *)
+    preserving location reachability.
+
+    A negative entry marks an inactive clock: under [Extra_m] a
+    negative [k.(x)], under [Extra_lu] negative [lower.(x)] and
+    [upper.(x)] both. Such a clock is freed, as by {!free}, inside the
+    same pass. A single negative side of [Extra_lu] is read as 0. *)
 type extrapolation =
   | No_extrapolation
   | Extra_m of int array  (** per-clock maximal constants *)
@@ -104,15 +109,16 @@ type extrapolation =
 
 (** [extrapolate z k] applies classic maximal-constant extrapolation
     (Extra-M): [k.(i)] is the largest constant compared against clock [i]
-    in the model (entry 0 is ignored; negative entries are clamped to 0).
+    in the model (entry 0 is ignored; a negative entry frees clock [i]).
     Guarantees a finite zone graph. *)
 val extrapolate : t -> int array -> t
 
 (** [extrapolate_lu z ~lower ~upper] applies Extra-LU: an entry
     [x_i - x_j ≺ c] becomes unbounded when [c > lower.(i)] and weakens to
-    [< -upper.(j)] when [c < -upper.(j)]. Coarser than (or equal to)
-    Extra-M with [k.(i) = max lower.(i) upper.(i)]; only widens, so a
-    non-empty zone stays non-empty. *)
+    [< -upper.(j)] when [c < -upper.(j)]; a clock negative in both arrays
+    is freed. Coarser than (or equal to) Extra-M with [k.(i) = max
+    lower.(i) upper.(i)]; only widens, so a non-empty zone stays
+    non-empty. *)
 val extrapolate_lu : t -> lower:int array -> upper:int array -> t
 
 (** [seal ?extra z] is the sealing boundary: it applies [extra] (default

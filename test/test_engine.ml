@@ -19,6 +19,12 @@ let ikey n = Codec.encode ispec (fun _ -> n)
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Most zone goldens here were taken under one bound per clock for the
+   whole network; [all_active] keeps every clock [Global], which gives
+   that abstraction exactly. *)
+let all_active (net : Ta.Model.network) =
+  Ta.Model.keep_active net (List.init net.Ta.Model.n_clocks succ)
+
 (* ------------------------------------------------------------------ *)
 (* Hand-built zones over two clocks                                    *)
 (* ------------------------------------------------------------------ *)
@@ -668,7 +674,7 @@ let test_sharded_checker_identity () =
    point — and therefore the whole reported prefix — must not depend on
    the pool size. *)
 let test_sharded_mem_budget_identity () =
-  let net = Ta.Fischer.make ~n:4 () in
+  let net = all_active (Ta.Fischer.make ~n:4 ()) in
   let q = Ta.Fischer.mutex net in
   let run jobs =
     match Ta.Checker.check ~jobs ~mem_budget_words:60_000 net q with
@@ -705,7 +711,7 @@ let check_counts name (s : Stats.t) ~visited ~stored ~subsumed ~dropped ~peak
   check_int (name ^ " phys hits") phys s.Stats.dbm_phys_eq
 
 let test_golden_fischer4 () =
-  let net = Ta.Fischer.make ~n:4 () in
+  let net = all_active (Ta.Fischer.make ~n:4 ()) in
   List.iter
     (fun (name, q) ->
       let r = Ta.Checker.check net q in
@@ -716,7 +722,7 @@ let test_golden_fischer4 () =
     [ ("mutex", Ta.Fischer.mutex net); ("no-deadlock", Ta.Fischer.no_deadlock) ]
 
 let test_golden_broken_fischer3 () =
-  let net = Ta.Fischer.make ~strict_wait:false ~n:3 () in
+  let net = all_active (Ta.Fischer.make ~strict_wait:false ~n:3 ()) in
   let r = Ta.Checker.check net (Ta.Fischer.mutex net) in
   check "mutex violated" false r.Ta.Checker.holds;
   check_counts "broken fischer-3" r.Ta.Checker.stats ~visited:86 ~stored:128
@@ -733,7 +739,7 @@ let test_golden_broken_fischer3 () =
 (* Fischer's moves are all tau; train-gate adds binary channels, a
    committed gate location and urgent [go] channels. *)
 let test_golden_train_gate4 () =
-  let net = Ta.Train_gate.make ~n_trains:4 in
+  let net = all_active (Ta.Train_gate.make ~n_trains:4) in
   let run name q ~visited ~stored ~subsumed ~dropped ~peak ~lattice ~phys =
     let r = Ta.Checker.check net q in
     check (name ^ " holds") true r.Ta.Checker.holds;
@@ -748,7 +754,8 @@ let test_golden_train_gate4 () =
 (* The four queries of perfbench's zone-seq workload, sequential: the
    counts a store or deadlock-predicate speed-up must keep. *)
 let test_golden_zone_seq () =
-  let f5 = Ta.Fischer.make ~n:5 () and tg5 = Ta.Train_gate.make ~n_trains:5 in
+  let f5 = all_active (Ta.Fischer.make ~n:5 ())
+  and tg5 = all_active (Ta.Train_gate.make ~n_trains:5) in
   let run name net q ~visited ~stored ~subsumed ~dropped ~peak ~lattice ~phys =
     let r = Ta.Checker.check net q in
     check (name ^ " holds") true r.Ta.Checker.holds;
@@ -770,6 +777,60 @@ let test_golden_zone_seq () =
     ~stored:76576 ~subsumed:60785 ~dropped:1080 ~peak:7080 ~lattice:5564190
     ~phys:9140
 
+(* The same queries on the default path: each state is extrapolated
+   under its own locations' bounds, so a process's clock is free in
+   Fischer's [idle] and [cs] and a train's in [Safe] and [Stop]. *)
+let test_golden_local_zone_seq () =
+  let f5 = Ta.Fischer.make ~n:5 () and tg5 = Ta.Train_gate.make ~n_trains:5 in
+  let run name net q ~visited ~stored ~subsumed ~dropped ~peak ~lattice ~phys =
+    let r = Ta.Checker.check net q in
+    check (name ^ " holds") true r.Ta.Checker.holds;
+    check_counts name r.Ta.Checker.stats ~visited ~stored ~subsumed ~dropped
+      ~peak ~lattice ~phys
+  in
+  run "fischer-5 mutex" f5 (Ta.Fischer.mutex f5) ~visited:12001 ~stored:12001
+    ~subsumed:19505 ~dropped:0 ~peak:1083 ~lattice:1152494 ~phys:19505;
+  run "fischer-5 deadlock-free" f5 Ta.Fischer.no_deadlock ~visited:12001
+    ~stored:12001 ~subsumed:19505 ~dropped:0 ~peak:1083 ~lattice:1077230
+    ~phys:19505;
+  (* One zone per discrete state. *)
+  List.iter
+    (fun (name, q) ->
+      run name tg5 q ~visited:2141 ~stored:2141 ~subsumed:965 ~dropped:0
+        ~peak:360 ~lattice:0 ~phys:965)
+    [
+      ("train-gate-5 safety", Ta.Train_gate.safety tg5);
+      ("train-gate-5 no-deadlock", Ta.Train_gate.no_deadlock);
+    ]
+
+let test_golden_local_train_gate4 () =
+  let net = Ta.Train_gate.make ~n_trains:4 in
+  List.iter
+    (fun (name, q) ->
+      let r = Ta.Checker.check net q in
+      check (name ^ " holds") true r.Ta.Checker.holds;
+      check_counts name r.Ta.Checker.stats ~visited:413 ~stored:413
+        ~subsumed:184 ~dropped:0 ~peak:72 ~lattice:0 ~phys:184)
+    [
+      ("safety", Ta.Train_gate.safety net);
+      ("no-deadlock", Ta.Train_gate.no_deadlock);
+    ]
+
+let test_golden_local_broken_fischer3 () =
+  let net = Ta.Fischer.make ~strict_wait:false ~n:3 () in
+  let r = Ta.Checker.check net (Ta.Fischer.mutex net) in
+  check "mutex violated" false r.Ta.Checker.holds;
+  check_counts "broken fischer-3" r.Ta.Checker.stats ~visited:69 ~stored:96
+    ~subsumed:48 ~dropped:1 ~peak:32 ~lattice:75 ~phys:34;
+  Alcotest.(check (option (list string)))
+    "witness"
+    (Some
+       [
+         "P1.idle->req"; "P2.idle->req"; "P1.req->wait"; "P1.wait->cs";
+         "P2.req->wait"; "P2.wait->cs";
+       ])
+    r.Ta.Checker.trace
+
 let test_golden_train_gate2_witness () =
   let net = Ta.Train_gate.make ~n_trains:2 in
   let r =
@@ -787,7 +848,7 @@ let test_golden_train_gate2_witness () =
     r.Ta.Checker.trace
 
 let truncated_stats ?stop ?mem_budget_words () =
-  let net = Ta.Fischer.make ~n:4 () in
+  let net = all_active (Ta.Fischer.make ~n:4 ()) in
   match Ta.Checker.check ?stop ?mem_budget_words net (Ta.Fischer.mutex net) with
   | (_ : Ta.Checker.result) -> Alcotest.fail "the run must be truncated"
   | exception Ta.Checker.Truncated { stats; _ } -> stats
@@ -875,6 +936,12 @@ let () =
           Alcotest.test_case "train-gate-4 safety and no-deadlock" `Quick
             test_golden_train_gate4;
           Alcotest.test_case "zone-seq queries" `Slow test_golden_zone_seq;
+          Alcotest.test_case "per-location zone-seq queries" `Quick
+            test_golden_local_zone_seq;
+          Alcotest.test_case "per-location train-gate-4" `Quick
+            test_golden_local_train_gate4;
+          Alcotest.test_case "per-location broken fischer-3 witness" `Quick
+            test_golden_local_broken_fischer3;
           Alcotest.test_case "train-gate-2 channel witness" `Quick
             test_golden_train_gate2_witness;
           Alcotest.test_case "stop hook truncation" `Quick test_golden_stop;

@@ -385,7 +385,9 @@ let test_subsumption_drops_weaker () =
   Model.edge p ~src:la ~dst:lb ~clock_guard:[ Model.clock_ge x 1 ] ();
   Model.edge p ~src:la ~dst:lb ~clock_guard:[ Model.clock_ge x 2 ] ();
   Model.edge p ~src:la ~dst:lb ~clock_guard:[ Model.clock_ge x 3 ] ();
-  let net = Model.build b in
+  (* [x] is inactive in [B], where its own bounds would free it: keep
+     it active so the three zones differ there. *)
+  let net = Model.keep_active (Model.build b) [ x ] in
   (* Under Extra-M the three zones stay distinct; the default LU seal
      would collapse them (no upper guards, so every lower bound widens
      to x>0) and nothing would need evicting. *)
@@ -487,7 +489,9 @@ let test_dot_export () =
 
 
 let test_rich_trace () =
-  let net, _ = single_automaton () in
+  (* [x] is inactive in [B], so keep it: the rendered zone names it. *)
+  let net, x = single_automaton () in
+  let net = Model.keep_active net [ x ] in
   let r =
     Checker.check ~rich_trace:true net (Prop.Possibly (Prop.loc net "P" "B"))
   in
@@ -1011,6 +1015,168 @@ let test_observer_train_gate () =
     (Observer.possibly_within net cross ~bound:10).Checker.holds
 
 (* ------------------------------------------------------------------ *)
+(* Per-location clock bounds                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [(owner, lower, upper)] of an owned clock. *)
+let owned (net : Model.network) x =
+  match net.Model.scopes.(x) with
+  | Model.Owned { owner; lower; upper } -> (owner, lower, upper)
+  | Model.Global -> Alcotest.failf "clock %d must be owned" x
+
+let check_global name (net : Model.network) x =
+  check name true (net.Model.scopes.(x) = Model.Global)
+
+(* Bounds of clock [x] at location [loc] of its owner, by name. *)
+let bounds_at net x loc =
+  let owner, lower, upper = owned net x in
+  let l = Model.loc_index net owner loc in
+  (lower.(l), upper.(l))
+
+(* Fischer's process compares its clock in [req] (x <= k) and [wait]
+   (x > k) only, and every edge into either resets it: it is inactive
+   in [idle] and [cs]. *)
+let test_scopes_fischer () =
+  let net = Fischer.make ~n:3 () in
+  for pid = 1 to 3 do
+    let owner, _, _ = owned net pid in
+    check_int "owned by its process" (pid - 1) owner;
+    let at = bounds_at net pid in
+    check "inactive in idle" true (at "idle" = (-1, -1));
+    check "inactive in cs" true (at "cs" = (-1, -1));
+    check "req: upper k only" true (at "req" = (-1, 2));
+    check "wait: lower k only" true (at "wait" = (2, -1))
+  done
+
+(* A train's clock is reset on leaving [Safe] and [Stop]; [Cross]'s
+   bounds do not flow back into [Safe] across the reset-free edge,
+   since [Safe] resets before any test. *)
+let test_scopes_train_gate () =
+  let net = Train_gate.make ~n_trains:2 in
+  for i = 0 to 1 do
+    let x = Train_gate.clock_of_train net i in
+    let owner, _, _ = owned net x in
+    check_int "owned by its train" i owner;
+    let at = bounds_at net x in
+    check "inactive in Safe" true (at "Safe" = (-1, -1));
+    check "inactive in Stop" true (at "Stop" = (-1, -1));
+    check "Appr" true (at "Appr" = (10, 20));
+    check "Cross" true (at "Cross" = (3, 5))
+  done
+
+(* A clock that two components mention, or none, keeps the global
+   bound; so do the observer's clock and the clocks [keep_active]
+   names. *)
+let test_scopes_global () =
+  let b = Model.builder () in
+  let x = Model.fresh_clock b "x" in
+  let y = Model.fresh_clock b "y" in
+  let idle = Model.fresh_clock b "idle" in
+  let p = Model.automaton b "P" in
+  let p0 = Model.location p "P0" in
+  let p1 = Model.location p "P1" in
+  Model.edge p ~src:p0 ~dst:p1 ~clock_guard:[ Model.clock_ge x 2 ]
+    ~updates:[ Model.Reset (y, 0) ] ();
+  let q = Model.automaton b "Q" in
+  let q0 = Model.location q "Q0" ~invariant:[ Model.clock_le x 4 ] in
+  Model.edge q ~src:q0 ~dst:q0 ~updates:[ Model.Reset (x, 0) ] ();
+  let net = Model.build b in
+  check_global "x, mentioned by P and Q" net x;
+  check_global "idle, mentioned by none" net idle;
+  let owner, _, _ = owned net y in
+  check_int "y, reset by P alone" 0 owner;
+  let net', t = Ta.Observer.add_global_clock net in
+  check_global "observer clock" net' t;
+  let owner', _, _ = owned net' y in
+  check_int "y still owned" 0 owner';
+  check_global "y kept active" (Model.keep_active net [ y ]) y;
+  check "no owned clock named: the same network" true
+    (Model.keep_active net [ x; idle ] == net);
+  (* Composition recomputes ownership on the merged components. *)
+  let net, _ = single_automaton () in
+  let u = Model.union net (half_receiver "R") in
+  let owner, _, _ = owned u 1 in
+  check_int "union keeps P's clock owned" 0 owner
+
+(* A move that leaves the source zone untouched (no guard, no reset, no
+   invariant, a committed target that lets no time pass) hands [seal]
+   an already-sealed zone. It is sealed again under the target's bounds:
+   [x] is inactive in [B], so [A]'s invariant x <= 5 is gone there. *)
+let test_seal_identity_target_bounds () =
+  let b = Model.builder () in
+  let x = Model.fresh_clock b "x" in
+  let p = Model.automaton b "P" in
+  let la = Model.location p "A" ~invariant:[ Model.clock_le x 5 ] in
+  let lb = Model.location p "B" ~kind:Model.Committed in
+  let lc = Model.location p "C" in
+  Model.edge p ~src:la ~dst:lb ();
+  (* The guard x >= 5 keeps A's invariant under Extra-LU too. *)
+  Model.edge p ~src:la ~dst:lc ~clock_guard:[ Model.clock_ge x 5 ] ();
+  Model.edge p ~src:lb ~dst:lc ~updates:[ Model.Reset (x, 0) ] ();
+  let net = Model.build b in
+  check "x inactive in B" true (bounds_at net x "B" = (-1, -1));
+  check "x active in A" true (bounds_at net x "A" = (5, 5));
+  List.iter
+    (fun extra ->
+      let init = Zone_graph.initial net ~extra in
+      check "x <= 5 in A" false (Dbm.satisfies (init.zone :> Dbm.t) [| 0.; 7. |]);
+      let mv =
+        List.find
+          (fun (mv : Zone_graph.move) -> mv.mv_label = "P.A->B")
+          (Zone_graph.moves net init.locs init.store)
+      in
+      match Zone_graph.apply_move net ~extra init mv with
+      | Some st ->
+        check "in B" true (st.locs = [| lb |]);
+        check "x freed in B" true (Dbm.satisfies (st.zone :> Dbm.t) [| 0.; 7. |]);
+        check "sealed" true (Dbm.is_sealed (st.zone :> Dbm.t))
+      | None -> Alcotest.fail "A -> B must fire")
+    [
+      Dbm.Extra_m net.Model.max_consts;
+      (let lower, upper = Model.lu_bounds net in
+       Dbm.Extra_lu { lower; upper });
+    ];
+  (* Under all-global bounds the same move keeps the source zone. *)
+  let net = Model.keep_active net [ x ] in
+  let extra = Dbm.Extra_m net.Model.max_consts in
+  let init = Zone_graph.initial net ~extra in
+  match List.assoc_opt "P.A->B" (Zone_graph.successors net ~extra init) with
+  | Some st -> check "global: the same handle" true (st.zone == init.zone)
+  | None -> Alcotest.fail "A -> B must fire"
+
+(* Per-location bounds must not change a verdict: NoDeadlock and a
+   safety query on random closed networks, each at [`Lu] and [`K],
+   against the same network with every clock kept active (one bound
+   per clock for the whole network). *)
+let test_scopes_agree_with_global () =
+  let owned_nets = ref 0 and smaller = ref 0 in
+  for i = 0 to 1999 do
+    let spec = Gen.Ta_gen.generate Gen.Rng.(child (make 24) i) in
+    let net = Gen.Ta_gen.build spec in
+    let global =
+      Model.keep_active net (List.init net.Model.n_clocks succ)
+    in
+    if global != net then incr owned_nets;
+    List.iter
+      (fun (extrapolation, q) ->
+        let r = Checker.check ~extrapolation ~max_states:50_000 net q in
+        let g = Checker.check ~extrapolation ~max_states:50_000 global q in
+        if r.Checker.holds <> g.Checker.holds then
+          Alcotest.failf "network %d: per-location %b, global %b" i
+            r.Checker.holds g.Checker.holds;
+        if r.Checker.stats.Checker.visited < g.Checker.stats.Checker.visited
+        then incr smaller)
+      [
+        (`Lu, Prop.NoDeadlock);
+        (`K, Prop.NoDeadlock);
+        (`Lu, Prop.Invariant (Prop.Not (Gen.Ta_gen.target_formula spec)));
+        (`K, Prop.Invariant (Prop.Not (Gen.Ta_gen.target_formula spec)));
+      ]
+  done;
+  check "some networks own a clock" true (!owned_nets > 100);
+  check "some checks explore fewer states" true (!smaller > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Random-network properties                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1094,6 +1260,16 @@ let () =
         ] );
       ( "rich-trace",
         [ Alcotest.test_case "annotated witness" `Quick test_rich_trace ] );
+      ( "clock-scopes",
+        [
+          Alcotest.test_case "fischer" `Quick test_scopes_fischer;
+          Alcotest.test_case "train-gate" `Quick test_scopes_train_gate;
+          Alcotest.test_case "global clocks" `Quick test_scopes_global;
+          Alcotest.test_case "seal identity under target bounds" `Quick
+            test_seal_identity_target_bounds;
+          Alcotest.test_case "agree with global bounds" `Quick
+            test_scopes_agree_with_global;
+        ] );
       ( "zone-graph",
         [
           Alcotest.test_case "wp of target invariant" `Quick

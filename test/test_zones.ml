@@ -322,6 +322,28 @@ let prop_lu_widens =
       && Dbm.equal (Dbm.extrapolate_lu a ~lower:kmax ~upper:kmax)
            (Dbm.extrapolate a kmax))
 
+(* A negative entry frees its clock inside the extrapolation pass: the
+   result equals freeing first and extrapolating with that entry at 0,
+   and stays canonical. Under Extra-LU both sides must be negative; one
+   negative side alone reads as 0. *)
+let prop_negative_entry_frees =
+  QCheck.Test.make ~name:"negative extrapolation entries free the clock"
+    ~count:500 dbm_pair_arb (fun (n, a, _) ->
+      let x = 1 + (Dbm.hash a land max_int) mod n in
+      let k = Array.init (n + 1) (fun i -> i * 3 mod 7) in
+      let neg = Array.copy k and zero = Array.copy k in
+      neg.(x) <- -1;
+      zero.(x) <- 0;
+      let freed = Dbm.extrapolate (Dbm.free a x) zero in
+      let m = Dbm.extrapolate a neg in
+      let lu = Dbm.extrapolate_lu a ~lower:neg ~upper:neg in
+      Dbm.equal m freed
+      && is_canonical n m
+      && Dbm.equal lu (Dbm.extrapolate_lu (Dbm.free a x) ~lower:zero ~upper:zero)
+      && Dbm.equal
+           (Dbm.extrapolate_lu a ~lower:neg ~upper:k)
+           (Dbm.extrapolate_lu a ~lower:zero ~upper:k))
+
 let prop_ops_preserve_canonical =
   QCheck.Test.make ~name:"up/reset/intersect preserve canonical form"
     ~count:500 dbm_pair_arb (fun (n, a, b) ->
@@ -526,6 +548,7 @@ let () =
         prop_seal_idempotent;
         prop_lu_widens;
         prop_lu_simulates_k_verdict;
+        prop_negative_entry_frees;
         prop_ops_preserve_canonical;
         prop_fed_union_inter;
         prop_fed_diff;
