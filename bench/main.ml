@@ -347,19 +347,21 @@ let e6 () =
 
 let ablations () =
   header "Ablations (design choices called out in DESIGN.md)";
-  let net = Ta.Train_gate.make ~n_trains:4 in
-  let with_sub, dt1 =
-    timed (fun () ->
-        Ta.Checker.check ~subsumption:true net (Ta.Train_gate.safety net))
+  (* Fischer-5 mutex: under per-location bounds inclusion never fires
+     on the bench models, so both sides visit the same states and the
+     row shows what the inclusion scans cost in time and store words. *)
+  let net = Ta.Fischer.make ~n:5 () in
+  let side subsumption =
+    let r, dt =
+      timed (fun () -> Ta.Checker.check ~subsumption net (Ta.Fischer.mutex net))
+    in
+    let s = r.Ta.Checker.stats in
+    Printf.sprintf "%6d states %8d store words %.2fs" s.Ta.Checker.visited
+      s.Ta.Checker.store_words dt
   in
-  let without, dt2 =
-    timed (fun () ->
-        Ta.Checker.check ~subsumption:false net (Ta.Train_gate.safety net))
-  in
-  Printf.printf
-    "zone subsumption (train-gate 4): on  %6d states %.2fs | off %6d states %.2fs\n"
-    with_sub.Ta.Checker.stats.Ta.Checker.visited dt1
-    without.Ta.Checker.stats.Ta.Checker.visited dt2;
+  let on = side true in
+  let off = side false in
+  Printf.printf "zone subsumption (fischer-5 mutex): on %s | off %s\n" on off;
   let t = Modest.Brp.make ~n:8 () in
   let exp = Modest.Digital_sta.expand t.Modest.Brp.sta in
   let target =
@@ -531,7 +533,7 @@ let engine () =
           let r =
             match Ta.Checker.check ~extrapolation net (query net) with
             | r -> Some r
-            | exception Failure _ -> None
+            | exception Ta.Checker.Truncated _ -> None
           in
           let cmp1 = Zones.Dbm.cmp_stats () in
           let g = Gc.stat () in
@@ -569,7 +571,7 @@ let engine () =
           let p =
             match Ta.Checker.check ~extrapolation:`Lu net (query net) with
             | r -> r.Ta.Checker.stats.Ta.Checker.phases
-            | exception Failure _ -> []
+            | exception Ta.Checker.Truncated _ -> []
           in
           Obs.Flight.disable ();
           p
@@ -1058,14 +1060,14 @@ let micro () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* Service layer: cold vs warm daemon queries, smc request batching.
+(* Service layer: cold vs warm daemon queries.
    Forks a quantd child — so this bench must run before anything that
    spawns domains (OCaml 5 forbids fork afterwards); it is registered
    first in the dispatch list below.                                   *)
 (* ------------------------------------------------------------------ *)
 
 let serve_bench () =
-  header "quantd service (cold vs warm caches, smc request batching)";
+  header "quantd service (cold vs warm caches)";
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "quantd-bench-%d.sock" (Unix.getpid ()))
@@ -1105,31 +1107,6 @@ let serve_bench () =
         Float.min acc s)
       infinity [ 1; 2; 3; 4; 5 ]
   in
-  (* Four smc requests answered one by one (a read round each) vs the
-     same four pipelined in one write, which the daemon fuses into a
-     single sample range on the shared pool. Distinct seeds everywhere
-     keep the reply cache out of the measurement. *)
-  let smc_params seed =
-    [
-      ("model", Obs.Json.Str "fischer"); ("trains", Obs.Json.Int 2);
-      ("runs", Obs.Json.Int 500); ("seed", Obs.Json.Int seed);
-    ]
-  in
-  let _, seq_s =
-    timed (fun () ->
-        List.iter
-          (fun seed ->
-            ignore (must (Serve.Client.call c ~meth:"smc" (smc_params seed))))
-          [ 1000; 2000; 3000; 4000 ])
-  in
-  let batched, batched_s =
-    timed (fun () ->
-        Serve.Client.call_many c
-          (List.map
-             (fun seed -> ("smc", None, smc_params seed))
-             [ 5000; 6000; 7000; 8000 ]))
-  in
-  List.iter (fun r -> ignore (must r)) batched;
   let metrics = must (Serve.Client.call c ~meth:"metrics" []) in
   let counter name =
     match
@@ -1150,15 +1127,10 @@ let serve_bench () =
   Printf.printf "%-36s %10.4f s\n" "cold check (fischer n=5)" cold_s;
   Printf.printf "%-36s %10.4f s  (x%.0f)\n" "warm repeat (reply cache)" warm_s
     (cold_s /. warm_s);
-  Printf.printf "%-36s %10.4f s\n" "4 smc requests, sequential" seq_s;
-  Printf.printf "%-36s %10.4f s  (x%.2f)\n" "4 smc requests, one fused batch"
-    batched_s (seq_s /. batched_s);
   Printf.printf
-    "reply cache %d hits / %d misses, model cache %d/%d, %d requests fused \
-     in %d batches, graceful exit %b\n"
+    "reply cache %d hits / %d misses, model cache %d/%d, graceful exit %b\n"
     (counter "serve.reply_hits") (counter "serve.reply_misses")
     (counter "serve.model_hits") (counter "serve.model_misses")
-    (counter "serve.smc_fused_requests") (counter "serve.smc_batches")
     graceful;
   let j =
     Obs.Json.Obj
@@ -1166,9 +1138,6 @@ let serve_bench () =
         ("cold_check_s", Obs.Json.Float cold_s);
         ("warm_check_s", Obs.Json.Float warm_s);
         ("warm_speedup", Obs.Json.Float (cold_s /. warm_s));
-        ("seq_smc_s", Obs.Json.Float seq_s);
-        ("batched_smc_s", Obs.Json.Float batched_s);
-        ("batch_speedup", Obs.Json.Float (seq_s /. batched_s));
         ( "cache",
           Obs.Json.Obj
             [
@@ -1176,9 +1145,6 @@ let serve_bench () =
               ("reply_misses", Obs.Json.Int (counter "serve.reply_misses"));
               ("model_hits", Obs.Json.Int (counter "serve.model_hits"));
               ("model_misses", Obs.Json.Int (counter "serve.model_misses"));
-              ("smc_batches", Obs.Json.Int (counter "serve.smc_batches"));
-              ( "smc_fused_requests",
-                Obs.Json.Int (counter "serve.smc_fused_requests") );
             ] );
         ("graceful_exit", Obs.Json.Bool graceful);
       ]

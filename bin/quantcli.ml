@@ -174,38 +174,19 @@ let smc obs model trains runs seed jobs =
   at_least_one [ ("--trains", trains); ("--runs", runs); ("--jobs", jobs) ]
   @@ fun () ->
   with_obs obs @@ fun () ->
-  Par.Pool.with_pool ~jobs @@ fun pool ->
-  match model with
-  | "train-gate" ->
-    let net = Ta.Train_gate.make ~n_trains:trains in
-    let config =
-      { Smc.Stochastic.rates = (fun auto _ -> 1.0 +. float_of_int auto) }
-    in
-    let grid = List.init 8 (fun k -> 10.0 +. (12.0 *. float_of_int k)) in
-    for i = 0 to trains - 1 do
-      let series =
-        Smc.cdf ~pool ~config ~runs ~seed:(seed + i) net
-          ~goal:(Ta.Train_gate.cross_formula net i) ~horizon:100.0 ~grid
-      in
-      print_string (Serve.Render.smc_train_line i series)
-    done;
-    0
-  | "fischer" ->
-    let net = Ta.Fischer.make ~n:trains () in
-    for i = 0 to trains - 1 do
-      let itv =
-        Smc.probability ~pool ~runs ~seed:(seed + i) net
-          {
-            Smc.horizon = 30.0;
-            goal = Ta.Prop.Loc (i, Ta.Model.loc_index net i "cs");
-          }
-      in
-      print_string (Serve.Render.smc_fischer_line i itv)
-    done;
-    0
-  | other ->
-    Printf.eprintf "unknown model %s (train-gate|fischer)\n" other;
+  match Serve.Models.find model with
+  | None ->
+    Printf.eprintf "unknown model %s (train-gate|fischer)\n" model;
     2
+  | Some spec ->
+    Par.Pool.with_pool ~jobs @@ fun pool ->
+    let q = spec.Serve.Models.smc in
+    let times =
+      Smc.Batch.hitting_times ~pool
+        (q.Serve.Models.items ~n:trains ~runs ~seed (spec.Serve.Models.make trains))
+    in
+    print_string (fst (q.Serve.Models.reply ~runs times));
+    0
 
 let smc_model_arg =
   Arg.(
@@ -920,8 +901,8 @@ let client_cmd =
     Cmd.v
       (Cmd.info "smc"
          ~doc:
-           "Statistical query on the daemon; concurrent smc requests are \
-            fused into one sample batch without changing any result.")
+           "Statistical query on the daemon (warm reply cache); the reply \
+            is byte-identical to one-shot $(b,quantcli smc).")
       Term.(
         const client_smc $ socket_arg $ deadline_arg $ smc_model_arg
         $ trains_arg $ runs_arg 500 $ seed_arg)

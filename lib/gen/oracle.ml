@@ -227,6 +227,10 @@ let check ?(extrapolation = `Lu) ?jobs case =
     | Bi spec -> check_bip spec
   with
   | Failure msg -> Skip ("truncated: " ^ msg)
+  | Ta.Checker.Truncated { stats; _ } ->
+    Skip
+      (Printf.sprintf "truncated: zone state limit (%d states)"
+         stats.Ta.Checker.visited)
   | e ->
     Diverge
       (Printf.sprintf "%s: backend raised %s"

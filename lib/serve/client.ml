@@ -86,8 +86,7 @@ let call t ~meth ?deadline_ms params =
   read_reply t ~id
 
 (* Pipelining: all request lines leave in one write so they land in one
-   daemon read round — which is what makes the server fuse concurrent
-   smc sampling. Replies come back in request order. *)
+   daemon read round. Replies come back in request order. *)
 let call_many t reqs =
   let lines =
     List.map

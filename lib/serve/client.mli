@@ -26,8 +26,7 @@ val call :
 
 (** [call_many t [(meth, deadline_ms, params); ...]] — pipelined: every
     request leaves in a single write, so the daemon sees them in one
-    read round and fuses the smc sampling among them; replies return in
-    request order. *)
+    read round; replies return in request order. *)
 val call_many :
   t ->
   (string * float option * (string * Obs.Json.t) list) list ->

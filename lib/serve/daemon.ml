@@ -1,8 +1,7 @@
 (* quantd's event loop: a single-threaded [Unix.select] server over a
    Unix-domain stream socket. One domain owns every connection and runs
    the handlers; parallelism lives inside the handlers (the shared
-   [Par] pool), not in the connection handling — which is what lets one
-   read round's smc requests fuse into one sample batch. *)
+   [Par] pool), not in the connection handling. *)
 
 let m_conns = Obs.gauge "serve.connections"
 let m_accepted = Obs.counter "serve.accepted"

@@ -3,10 +3,9 @@
 
     One domain owns connection handling and runs the {!Service}
     handlers synchronously; the shared [Par] pool inside the handlers
-    provides the parallelism. Because a read round collects every
-    complete line across all ready connections before dispatching,
-    concurrent smc requests land in one {!Service.handle_batch} call
-    and fuse into one sample batch.
+    provides the parallelism. A read round collects every complete
+    line across all ready connections and answers them in order
+    through one {!Service.handle_batch} call.
 
     Lifecycle: binds (replacing a stale socket file), serves until
     SIGTERM/SIGINT, then drains — in-flight handlers observe the

@@ -1,8 +1,20 @@
 (** The named-model table the CLI and the daemon share.
 
-    [quantcli check] and the daemon's [check] method both resolve the
-    model name and its standard query list here — the only way the two
-    paths can stay byte-identical is for neither to own the list. *)
+    [quantcli check]/[smc] and the daemon's [check]/[smc] methods both
+    resolve the model name, its standard query list and its SMC query
+    here — the only way the two paths can stay byte-identical is for
+    neither to own them. *)
+
+(** A model's standard SMC query at size [n]: one {!Smc.Batch} item per
+    process or train, sampled together with {!Smc.Batch.hitting_times},
+    and the reduction of their hitting times to the reply. *)
+type smc = {
+  items : n:int -> runs:int -> seed:int -> Ta.Model.network -> Smc.Batch.item list;
+      (** item [i] samples with seed [seed + i] *)
+  reply : runs:int -> float option array list -> string * (string * Obs.Json.t) list;
+      (** the reply text, one {!Render} line per item, and any further
+          reply fields *)
+}
 
 type spec = {
   name : string;
@@ -10,6 +22,7 @@ type spec = {
   make : int -> Ta.Model.network;  (** compile at size [n] *)
   queries : Ta.Model.network -> (string * Ta.Prop.query) list;
       (** the model's standard queries, in reporting order *)
+  smc : smc;
 }
 
 val fischer : spec

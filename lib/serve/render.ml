@@ -23,6 +23,7 @@ let truncated_line name (stats : Ta.Checker.stats) ~reason =
   Printf.sprintf "%-34s %-9s (%d states, %s)\n" name "TRUNCATED"
     stats.Ta.Checker.visited
     (match reason with
+     | `Max_states -> "state limit"
      | `Mem_budget -> "mem budget"
      | `Stop -> "stopped")
 

@@ -12,10 +12,14 @@
     [--stats-json] JSON object. *)
 val query_line : stats_json:bool -> string -> Ta.Checker.result -> string
 
-(** Graceful degradation under [--mem-budget] / a deadline: the verdict
-    slot reads [TRUNCATED] and the line reports the explored prefix. *)
+(** Graceful degradation under the state limit, [--mem-budget] or a
+    deadline: the verdict slot reads [TRUNCATED] and the line reports
+    the explored prefix. *)
 val truncated_line :
-  string -> Ta.Checker.stats -> reason:[ `Mem_budget | `Stop ] -> string
+  string ->
+  Ta.Checker.stats ->
+  reason:[ `Max_states | `Mem_budget | `Stop ] ->
+  string
 
 (** ["process <i>: p=... [...,...] (<n> runs)"] — `smc --model fischer`. *)
 val smc_fischer_line : int -> Smc.Estimate.interval -> string

@@ -6,8 +6,6 @@ let ( let* ) = Result.bind
 let m_requests = Obs.counter "serve.requests"
 let m_errors = Obs.counter "serve.errors"
 let m_deadline = Obs.counter "serve.deadline_expired"
-let m_smc_batches = Obs.counter "serve.smc_batches"
-let m_smc_fused = Obs.counter "serve.smc_fused_requests"
 let m_slow_captures = Obs.counter "serve.slow_captures"
 let m_wall = Obs.histogram "serve.request_wall_s"
 
@@ -56,6 +54,10 @@ let stop_hook t ~deadline =
    hook answered true for that reason regardless of any deadline. *)
 let truncation_error t reason (stats : Ta.Checker.stats) =
   match reason with
+  | `Max_states ->
+    ( P.Resource_exhausted,
+      Printf.sprintf "state limit exceeded after %d states"
+        stats.Ta.Checker.visited )
   | `Mem_budget ->
     ( P.Resource_exhausted,
       Printf.sprintf
@@ -69,6 +71,17 @@ let truncation_error t reason (stats : Ta.Checker.stats) =
         Printf.sprintf "deadline expired after %d states"
           stats.Ta.Checker.visited )
     end
+
+(* The reply cache in front of a handler: a repeat of [fingerprint] is
+   answered from the registry; a miss runs [compute] and caches its
+   reply. Errors are never cached. *)
+let cached t ~fingerprint compute =
+  match Registry.cached_reply t.registry ~fingerprint with
+  | Some r -> Ok r
+  | None ->
+    let* result = compute () in
+    Registry.store_reply t.registry ~fingerprint result;
+    Ok result
 
 (* ------------------------------------------------------------------ *)
 (* check                                                                *)
@@ -95,71 +108,59 @@ let handle_check t (req : P.request) ~now =
     if n < 1 || n > 16 then Error (P.Bad_request, "n must be in 1..16")
     else if jobs < 0 || jobs > 64 then
       Error (P.Bad_request, "jobs must be in 0..64")
-    else begin
+    else
       let fingerprint =
         Printf.sprintf "check model=%s n=%d stats_json=%b jobs=%d" model n
           stats_json jobs
       in
-      match Registry.cached_reply t.registry ~fingerprint with
-      | Some r -> Ok r
-      | None ->
-        let net = Registry.model t.registry spec ~n in
-        let deadline = deadline_at ~now req in
-        let stop = stop_hook t ~deadline in
-        let mem_budget_words = Registry.mem_budget_words t.registry in
-        let jobs, pool =
-          if jobs >= 1 then (Some jobs, Some t.pool) else (None, None)
-        in
-        let run (name, q) =
-          match Ta.Checker.check ~stop ?mem_budget_words ?jobs ?pool net q with
-          | r ->
-            Ok
-              ( Render.query_line ~stats_json name r,
-                Json.Obj
-                  [
-                    ("name", Json.Str name);
-                    ("holds", Json.Bool r.Ta.Checker.holds);
-                    ("visited", Json.Int r.Ta.Checker.stats.Ta.Checker.visited);
-                  ],
-                r.Ta.Checker.holds )
-          | exception Ta.Checker.Truncated { reason; stats } ->
-            Error (truncation_error t reason stats)
-        in
-        let rec run_all acc = function
-          | [] -> Ok (List.rev acc)
-          | q :: tl ->
-            let* r = run q in
-            run_all (r :: acc) tl
-        in
-        let* results = run_all [] (spec.Models.queries net) in
-        let text = String.concat "" (List.map (fun (l, _, _) -> l) results) in
-        let all_hold = List.for_all (fun (_, _, h) -> h) results in
-        let result =
-          Json.Obj
-            [
-              ("text", Json.Str text);
-              ("all_hold", Json.Bool all_hold);
-              ("queries", Json.Arr (List.map (fun (_, j, _) -> j) results));
-            ]
-        in
-        Registry.store_reply t.registry ~fingerprint result;
-        Ok result
-    end
+      cached t ~fingerprint @@ fun () ->
+      let net = Registry.model t.registry spec ~n in
+      let deadline = deadline_at ~now req in
+      let stop = stop_hook t ~deadline in
+      let mem_budget_words = Registry.mem_budget_words t.registry in
+      let jobs, pool =
+        if jobs >= 1 then (Some jobs, Some t.pool) else (None, None)
+      in
+      let run (name, q) =
+        match Ta.Checker.check ~stop ?mem_budget_words ?jobs ?pool net q with
+        | r ->
+          Ok
+            ( Render.query_line ~stats_json name r,
+              Json.Obj
+                [
+                  ("name", Json.Str name);
+                  ("holds", Json.Bool r.Ta.Checker.holds);
+                  ("visited", Json.Int r.Ta.Checker.stats.Ta.Checker.visited);
+                ],
+              r.Ta.Checker.holds )
+        | exception Ta.Checker.Truncated { reason; stats } ->
+          Error (truncation_error t reason stats)
+      in
+      let rec run_all acc = function
+        | [] -> Ok (List.rev acc)
+        | q :: tl ->
+          let* r = run q in
+          run_all (r :: acc) tl
+      in
+      let* results = run_all [] (spec.Models.queries net) in
+      let text = String.concat "" (List.map (fun (l, _, _) -> l) results) in
+      let all_hold = List.for_all (fun (_, _, h) -> h) results in
+      Ok
+        (Json.Obj
+           [
+             ("text", Json.Str text);
+             ("all_hold", Json.Bool all_hold);
+             ("queries", Json.Arr (List.map (fun (_, j, _) -> j) results));
+           ])
 
 (* ------------------------------------------------------------------ *)
-(* smc — batchable                                                      *)
+(* smc / modes / fuzz / metrics / ping                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A prepared smc request: its sample items (to be fused with other
-   concurrent smc requests into one [Smc.Batch] range) and the pure
-   reduction from the per-item hitting-time arrays to the reply. *)
-type smc_plan = {
-  plan_fingerprint : string;
-  items : Smc.Batch.item list;
-  finish : float option array list -> Json.t;
-}
-
-let plan_smc (req : P.request) ~registry =
+(* One request's per-train items run as one sample range; the request's
+   own deadline cancels it mid-batch ([Par.Cancelled], mapped by
+   [guarded]). *)
+let handle_smc t (req : P.request) ~now =
   let params = req.P.params in
   let* model = bad (P.param_string params ~key:"model" ~default:"train-gate") in
   let* trains = bad (P.param_int params ~key:"trains" ~default:3) in
@@ -168,79 +169,27 @@ let plan_smc (req : P.request) ~registry =
   if trains < 1 || trains > 16 then Error (P.Bad_request, "trains must be in 1..16")
   else if runs < 1 || runs > 1_000_000 then
     Error (P.Bad_request, "runs must be in 1..1000000")
-  else begin
-    let fingerprint =
-      Printf.sprintf "smc model=%s trains=%d runs=%d seed=%d" model trains runs
-        seed
-    in
-    match model with
-    | "train-gate" ->
-      let spec = Models.train_gate in
-      let net = Registry.model registry spec ~n:trains in
-      let config =
-        { Smc.Stochastic.rates = (fun auto _ -> 1.0 +. float_of_int auto) }
-      in
-      let grid = List.init 8 (fun k -> 10.0 +. (12.0 *. float_of_int k)) in
-      let items =
-        List.init trains (fun i ->
-            Smc.Batch.item ~config ~seed:(seed + i) ~runs net
-              {
-                Smc.horizon = 100.0;
-                goal = Ta.Train_gate.cross_formula net i;
-              })
-      in
-      let finish times_list =
-        let lines =
-          List.mapi
-            (fun i times ->
-              Render.smc_train_line i (Smc.cdf_of_times ~runs ~grid times))
-            times_list
-        in
-        Json.Obj [ ("text", Json.Str (String.concat "" lines)) ]
-      in
-      Ok { plan_fingerprint = fingerprint; items; finish }
-    | "fischer" ->
-      let spec = Models.fischer in
-      let net = Registry.model registry spec ~n:trains in
-      let items =
-        List.init trains (fun i ->
-            Smc.Batch.item ~seed:(seed + i) ~runs net
-              {
-                Smc.horizon = 30.0;
-                goal = Ta.Prop.Loc (i, Ta.Model.loc_index net i "cs");
-              })
-      in
-      let finish times_list =
-        let intervals =
-          List.map (Smc.interval_of_times ~runs ~horizon:30.0) times_list
-        in
-        let lines = List.mapi Render.smc_fischer_line intervals in
-        Json.Obj
-          [
-            ("text", Json.Str (String.concat "" lines));
-            ( "intervals",
-              Json.Arr
-                (List.map
-                   (fun (itv : Smc.Estimate.interval) ->
-                     Json.Obj
-                       [
-                         ("p", Json.Float itv.Smc.Estimate.p_hat);
-                         ("low", Json.Float itv.Smc.Estimate.low);
-                         ("high", Json.Float itv.Smc.Estimate.high);
-                       ])
-                   intervals) );
-          ]
-      in
-      Ok { plan_fingerprint = fingerprint; items; finish }
-    | other ->
+  else
+    match Models.find model with
+    | None ->
       Error
         ( P.Bad_request,
-          Printf.sprintf "unknown model %s (train-gate|fischer)" other )
-  end
-
-(* ------------------------------------------------------------------ *)
-(* modes / fuzz / metrics / ping                                        *)
-(* ------------------------------------------------------------------ *)
+          Printf.sprintf "unknown model %s (train-gate|fischer)" model )
+    | Some spec ->
+      let fingerprint =
+        Printf.sprintf "smc model=%s trains=%d runs=%d seed=%d" model trains
+          runs seed
+      in
+      cached t ~fingerprint @@ fun () ->
+      let net = Registry.model t.registry spec ~n:trains in
+      let q = spec.Models.smc in
+      let cancel = Par.Cancel.create ?deadline_at:(deadline_at ~now req) () in
+      let times =
+        Smc.Batch.hitting_times ~pool:t.pool ~cancel
+          (q.Models.items ~n:trains ~runs ~seed net)
+      in
+      let text, fields = q.Models.reply ~runs times in
+      Ok (Json.Obj (("text", Json.Str text) :: fields))
 
 let handle_modes t (req : P.request) =
   let params = req.P.params in
@@ -248,16 +197,11 @@ let handle_modes t (req : P.request) =
   let* seed = bad (P.param_int params ~key:"seed" ~default:42) in
   if runs < 1 || runs > 1_000_000 then
     Error (P.Bad_request, "runs must be in 1..1000000")
-  else begin
+  else
     let fingerprint = Printf.sprintf "modes runs=%d seed=%d" runs seed in
-    match Registry.cached_reply t.registry ~fingerprint with
-    | Some r -> Ok r
-    | None ->
-      let row = Modest.Brp.run_modes ~pool:t.pool ~runs ~seed (Modest.Brp.make ()) in
-      let result = Json.Obj [ ("text", Json.Str (Render.modes_line row)) ] in
-      Registry.store_reply t.registry ~fingerprint result;
-      Ok result
-  end
+    cached t ~fingerprint @@ fun () ->
+    let row = Modest.Brp.run_modes ~pool:t.pool ~runs ~seed (Modest.Brp.make ()) in
+    Ok (Json.Obj [ ("text", Json.Str (Render.modes_line row)) ])
 
 let handle_fuzz t (req : P.request) =
   let params = req.P.params in
@@ -312,33 +256,28 @@ let handle_fuzz t (req : P.request) =
         (String.concat "," (List.map Gen.Oracle.family_name families))
         extrapolation_name
     in
-    match Registry.cached_reply t.registry ~fingerprint with
-    | Some r -> Ok r
-    | None ->
-      let cfg =
-        {
-          Gen.Harness.default with
-          seed;
-          cases;
-          jobs = 1;
-          families;
-          shrink = not no_shrink;
-          extrapolation;
-        }
-      in
-      let report = Gen.Harness.run cfg in
-      let result =
-        Json.Obj
-          [
-            ("text", Json.Str (Gen.Harness.render report));
-            ( "divergences",
-              Json.Int (List.length report.Gen.Harness.r_divergences) );
-            ("agreed", Json.Int report.Gen.Harness.r_agreed);
-            ("skipped", Json.Int (List.length report.Gen.Harness.r_skipped));
-          ]
-      in
-      Registry.store_reply t.registry ~fingerprint result;
-      Ok result
+    cached t ~fingerprint @@ fun () ->
+    let cfg =
+      {
+        Gen.Harness.default with
+        seed;
+        cases;
+        jobs = 1;
+        families;
+        shrink = not no_shrink;
+        extrapolation;
+      }
+    in
+    let report = Gen.Harness.run cfg in
+    Ok
+      (Json.Obj
+         [
+           ("text", Json.Str (Gen.Harness.render report));
+           ( "divergences",
+             Json.Int (List.length report.Gen.Harness.r_divergences) );
+           ("agreed", Json.Int report.Gen.Harness.r_agreed);
+           ("skipped", Json.Int (List.length report.Gen.Harness.r_skipped));
+         ])
   end
 
 let handle_metrics t ~now =
@@ -359,18 +298,6 @@ let handle_ping _t =
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)
 (* ------------------------------------------------------------------ *)
-
-(* A line after the prepare pass: either its reply is settled, or it is
-   an smc request whose sampling still has to run (fused with the other
-   pending smc requests of the same read round). *)
-type sampling = {
-  req : P.request;
-  plan : smc_plan;
-  deadline : float option;
-  t0 : float;
-}
-
-type pending = Settled of string | Sampling of sampling
 
 let observe_wall t ~meth ~t0 =
   let wall = Unix.gettimeofday () -. t0 in
@@ -409,147 +336,37 @@ let guarded t (req : P.request) f =
     end
   | exception e -> Error (P.Internal, Printexc.to_string e)
 
-let prepare t ~now line =
+(* One line, one handler call. [now] is the start of the daemon's read
+   round: deadlines and [uptime_s] count from it. *)
+let dispatch t ~now line =
   Obs.Metrics.Counter.incr m_requests;
   match P.parse_request line with
   | Error (id, code, msg) ->
     Obs.Metrics.Counter.incr m_errors;
-    Settled (P.error_line ~id code msg)
+    P.error_line ~id code msg
+  | Ok req when t.shutting_down () ->
+    P.error_line ~id:req.P.id P.Shutting_down "server is draining"
   | Ok req ->
-    if t.shutting_down () then
-      Settled (P.error_line ~id:req.P.id P.Shutting_down "server is draining")
-    else begin
-      let t0 = Unix.gettimeofday () in
+    let t0 = Unix.gettimeofday () in
+    let run f = guarded t req f in
+    let result =
       match req.P.meth with
-      | "ping" -> Settled (reply_of t req (guarded t req (fun () -> handle_ping t)) ~t0)
-      | "metrics" ->
-        Settled (reply_of t req (guarded t req (fun () -> handle_metrics t ~now)) ~t0)
-      | "check" ->
-        Settled (reply_of t req (guarded t req (fun () -> handle_check t req ~now)) ~t0)
-      | "modes" ->
-        Settled (reply_of t req (guarded t req (fun () -> handle_modes t req)) ~t0)
-      | "fuzz" ->
-        Settled (reply_of t req (guarded t req (fun () -> handle_fuzz t req)) ~t0)
-      | "smc" -> begin
-        match guarded t req (fun () -> plan_smc req ~registry:t.registry) with
-        | Error _ as e -> Settled (reply_of t req e ~t0)
-        | Ok plan -> begin
-          match Registry.cached_reply t.registry ~fingerprint:plan.plan_fingerprint with
-          | Some r -> Settled (reply_of t req (Ok r) ~t0)
-          | None ->
-            Sampling { req; plan; deadline = deadline_at ~now req; t0 }
-        end
-      end
+      | "ping" -> run (fun () -> handle_ping t)
+      | "metrics" -> run (fun () -> handle_metrics t ~now)
+      | "check" -> run (fun () -> handle_check t req ~now)
+      | "smc" -> run (fun () -> handle_smc t req ~now)
+      | "modes" -> run (fun () -> handle_modes t req)
+      | "fuzz" -> run (fun () -> handle_fuzz t req)
       | other ->
-        Settled
-          (reply_of t req
-             (Error
-                ( P.Unknown_method,
-                  Printf.sprintf
-                    "unknown method %s (ping|metrics|check|smc|modes|fuzz)"
-                    other ))
-             ~t0)
-    end
-
-(* Run one smc plan on its own (the re-run path after a fused batch was
-   cancelled, and the singleton fast path). *)
-let run_plan_alone t { req; plan; deadline; t0 } =
-  let result =
-    guarded t req (fun () ->
-        let cancel = Par.Cancel.create ?deadline_at:deadline () in
-        let times = Smc.Batch.hitting_times ~pool:t.pool ~cancel plan.items in
-        let result = plan.finish times in
-        Registry.store_reply t.registry ~fingerprint:plan.plan_fingerprint
-          result;
-        Ok result)
-  in
-  reply_of t req result ~t0
+        Error
+          ( P.Unknown_method,
+            Printf.sprintf
+              "unknown method %s (ping|metrics|check|smc|modes|fuzz)" other )
+    in
+    reply_of t req result ~t0
 
 let handle_batch t lines =
   let now = Unix.gettimeofday () in
-  let pendings = List.map (prepare t ~now) lines in
-  let sampling =
-    List.filter_map (function Sampling s -> Some s | Settled _ -> None) pendings
-  in
-  match sampling with
-  | [] ->
-    List.map
-      (function Settled l -> l | Sampling _ -> assert false)
-      pendings
-  | [ _one ] ->
-    List.map
-      (function Settled l -> l | Sampling s -> run_plan_alone t s)
-      pendings
-  | several ->
-    (* Fuse all concurrent smc requests of this round into one sample
-       range under the earliest member deadline; on expiry fall back to
-       per-request runs so one tight deadline cannot starve the rest. *)
-    Obs.Metrics.Counter.incr m_smc_batches;
-    Obs.Metrics.Counter.add m_smc_fused (List.length several);
-    let min_deadline =
-      List.fold_left
-        (fun acc s ->
-          match (acc, s.deadline) with
-          | None, d | d, None -> d
-          | Some a, Some b -> Some (Float.min a b))
-        None several
-    in
-    let fused =
-      match
-        Obs.Span.with_ ~name:"serve.smc_fused" (fun () ->
-            let cancel = Par.Cancel.create ?deadline_at:min_deadline () in
-            Smc.Batch.hitting_times ~pool:t.pool ~cancel
-              (List.concat_map (fun s -> s.plan.items) several))
-      with
-      | times -> Some times
-      | exception Par.Cancelled -> None
-    in
-    let replies =
-      match fused with
-      | Some all_times ->
-        (* Split the concatenated per-item arrays back per request. *)
-        let rec take n l =
-          if n = 0 then ([], l)
-          else
-            match l with
-            | [] -> assert false
-            | x :: tl ->
-              let xs, l' = take (n - 1) tl in
-              (x :: xs, l')
-        in
-        let rest = ref all_times in
-        List.map
-          (fun s ->
-            let mine, rest' = take (List.length s.plan.items) !rest in
-            rest := rest';
-            let result =
-              guarded t s.req (fun () ->
-                  let result = s.plan.finish mine in
-                  Registry.store_reply t.registry
-                    ~fingerprint:s.plan.plan_fingerprint result;
-                  Ok result)
-            in
-            reply_of t s.req result ~t0:s.t0)
-          several
-      | None ->
-        (* The fused batch hit the earliest deadline (or shutdown): each
-           request gets an individual run under its own token, so only
-           the genuinely expired ones fail. *)
-        List.map (run_plan_alone t) several
-    in
-    (* [several] filtered [pendings] in order, so hand the computed
-       replies back out positionally. *)
-    let rest = ref replies in
-    List.map
-      (function
-        | Settled l -> l
-        | Sampling _ -> (
-          match !rest with
-          | x :: tl ->
-            rest := tl;
-            x
-          | [] -> assert false))
-      pendings
+  List.map (dispatch t ~now) lines
 
-let handle_line t line =
-  match handle_batch t [ line ] with [ r ] -> r | _ -> assert false
+let handle_line t line = dispatch t ~now:(Unix.gettimeofday ()) line

@@ -6,24 +6,24 @@
     CLI), [smc], [modes] and [fuzz] (which rejects fault injection —
     process-global mutation has no place in a shared server).
 
-    {b Batching.} {!handle_batch} takes every complete line one daemon
-    read round produced — possibly from several connections — and fuses
-    the sampling work of all concurrent [smc] requests into a single
-    {!Smc.Batch} range on the shared pool, under the earliest member
-    deadline (expiry falls back to per-request runs). Per-item results
-    are byte-identical to sequential handling, so batching is invisible
-    in the replies and {!handle_line} is literally a singleton batch.
+    {b One request, one handler.} Every request line is answered by
+    one handler call; [check], [smc], [modes] and [fuzz] answer a
+    repeated request from the registry's reply cache. {!handle_batch}
+    maps the lines one daemon read round produced over that dispatch,
+    all with the round's start time, so deadlines and [uptime_s] count
+    from the start of the round. An [smc] request samples its per-train
+    items as one {!Smc.Batch} range on the shared pool, under its own
+    deadline.
 
     {b Failure containment.} Every handler runs guarded: malformed
-    params, truncated explorations ([deadline_ms], [--mem-budget],
-    SIGTERM) and unexpected exceptions each map to a structured error
+    params, truncated explorations (the state limit, [deadline_ms],
+    [--mem-budget], SIGTERM) and unexpected exceptions each map to a structured error
     reply ({!Protocol.error_code}) — no request can take the process
     down. Long explorations poll a stop hook once per visited state, so
     deadlines and shutdown interrupt mid-query.
 
     Instrumented: [serve.requests], [serve.errors],
-    [serve.deadline_expired], [serve.smc_batches],
-    [serve.smc_fused_requests], [serve.slow_captures], and the
+    [serve.deadline_expired], [serve.slow_captures], and the
     [serve.request_wall_s] histogram. With [slow_ms] and an enabled
     flight recorder, a request slower than the threshold dumps the
     recorder's timeline as a Chrome trace into [slow_trace_dir]. *)
@@ -42,4 +42,5 @@ val create :
 (** [handle_batch t lines] — replies in request order, one per line. *)
 val handle_batch : t -> string list -> string list
 
+(** One line on its own: a one-line round. *)
 val handle_line : t -> string -> string

@@ -24,9 +24,9 @@ type hitting_stats = {
 
 (* Every estimate below is a pure fold over one [Batch.hitting_times]
    array. Keeping the folds here — and funnelling both the one-shot
-   facade (a one-item batch) and a serving layer's fused batches
-   through them — is what makes "batched result = sequential result"
-   hold by construction rather than by test. *)
+   facade (a one-item batch) and the per-train batches of the CLI and
+   the daemon through them — is what makes "batched result = sequential
+   result" hold by construction rather than by test. *)
 
 let count_within times bound =
   Array.fold_left
@@ -129,7 +129,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* Every one-shot estimate is a one-item batch: the sampler, seeds and
-   span of a fused serving request. *)
+   span of a per-train batch. *)
 let sample ?pool ?cancel ?config ?seed ?runs net q =
   let it = Batch.item ?config ?seed ?runs net q in
   match Batch.hitting_times ?pool ?cancel [ it ] with

@@ -11,7 +11,7 @@
     depends only on [(seed, k)], batches shard freely across a [Par]
     pool: passing [?pool] changes wall-clock time, not one byte of any
     estimate, interval or verdict. The same contract extends to
-    {!Batch}: fusing several queries into one parallel range is
+    {!Batch}: sampling several queries in one parallel range is
     invisible in the results. *)
 
 module Kernel = Kernel
@@ -91,7 +91,8 @@ val hitting_time :
 
 (** The shared reductions every estimate above applies to one
     {!Batch.hitting_times} array. Exposed so a caller holding raw
-    per-item arrays (a serving layer) reduces them through {e the same
+    per-item arrays (the CLI and the daemon, which sample a model's
+    per-train queries as one batch) reduces them through {e the same
     code} as the one-shot entry points, which sample as a one-item
     batch — equality of batched and sequential results then holds by
     construction. *)
@@ -110,16 +111,15 @@ val cdf_of_times :
     {!val:hitting_time}. *)
 val stats_of_times : runs:int -> float option array -> hitting_stats
 
-(** Fused sampling for several SMC queries at once — the serving layer's
-    request coalescing. The [k]-th run of item [i] draws from
+(** Sampling for several SMC queries at once — one item per train of a
+    per-train query. The [k]-th run of item [i] draws from
     [Random.State.make [| seed_i; k |]], exactly the stream the one-shot
     entry points use, so per item the batched result is byte-for-byte
-    the one-shot result; fusing only changes how the work shards across
-    the pool (one [Par.map_range] over the concatenated run ranges keeps
-    every worker busy across item boundaries instead of paying a join
-    barrier per query). One [cancel] token covers the whole batch — a
-    coalescing server passes the earliest member deadline and re-runs
-    stragglers individually on expiry. *)
+    the one-shot result; batching only changes how the work shards
+    across the pool (one [Par.map_range] over the concatenated run
+    ranges keeps every worker busy across item boundaries instead of
+    paying a join barrier per query). One [cancel] token covers the
+    whole batch. *)
 module Batch : sig
   type item = {
     net : Ta.Model.network;

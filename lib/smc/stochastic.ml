@@ -212,30 +212,33 @@ let sync_broadcast c rng r i e =
   Kernel.apply st i ~dst:e.dst e.updates;
   List.iter (fun (j, er) -> Kernel.apply st j ~dst:er.dst er.updates) rs
 
+(* A candidate move of component [i] now: an enabled output edge, a
+   binary emission only with a ready receiver. *)
+let candidate c r i e =
+  enabled r.st e
+  && (e.chan < 0 || e.broadcast || fill_receivers c r ~from:i e.chan > 0)
+
 (* The move the winner [i] performs at the post-delay state: uniform
-   among its enabled output edges (a binary emission counts only with a
-   ready receiver). A move whose post-state breaks an invariant is not
-   enabled: it is dropped and the pick repeats over the rest, one draw
-   per attempt. When nothing is enabled (the sampled delay fell into a
-   gap between guard windows, or every move breaks an invariant) the
-   state stays the post-delay state. *)
+   among its candidates. A move whose post-state breaks an invariant is
+   not enabled: it is dropped and the pick repeats over the rest, one
+   draw per attempt. When nothing is enabled (the sampled delay fell
+   into a gap between guard windows, or every move breaks an invariant)
+   the state stays the post-delay state. True when [i] moved. *)
 let fire c rng r i =
   let st = r.st in
   let es = c.outs.(i).(st.Kernel.locs.(i)) in
   let nc = ref 0 in
   for k = 0 to Array.length es - 1 do
     let e = es.(k) in
-    if
-      enabled st e
-      && (e.chan < 0 || e.broadcast || fill_receivers c r ~from:i e.chan > 0)
-    then begin
+    if candidate c r i e then begin
       r.cands.(!nc) <- e;
       incr nc
     end
   done;
   Kernel.save st;
   let rec attempt m =
-    if m > 0 then begin
+    if m = 0 then false
+    else begin
       let k = Random.State.int rng m in
       let e = r.cands.(k) in
       let moved =
@@ -249,7 +252,8 @@ let fire c rng r i =
         end
         else sync_binary c rng r i e
       in
-      if not (moved && invariants_hold c st) then begin
+      (moved && invariants_hold c st)
+      || begin
         if moved then Kernel.restore st;
         remove_at r.cands k m;
         attempt (m - 1)
@@ -257,6 +261,18 @@ let fire c rng r i =
     end
   in
   attempt !nc
+
+(* After a race at delay 0 that moved nothing: true when no component
+   racing at delay 0 has a candidate, so the same race would repeat
+   until the fuel runs out. No draw. *)
+let time_locked c r nr =
+  let can_move k =
+    let i = r.race_comp.(k) in
+    r.race_delay.(k) = 0.0
+    && Array.exists (candidate c r i) c.outs.(i).(r.st.Kernel.locs.(i))
+  in
+  let rec none k = k >= nr || ((not (can_move k)) && none (k + 1)) in
+  none 0
 
 (* Enter component [i] into the race with the delay it draws, unless it
    cannot act before the bound [inv_ub] the invariants put on waiting.
@@ -318,7 +334,9 @@ let enter_race c cfg rng r ~inv_ub i nr =
 (* One race: every component draws a delay (committed components
    preempt everyone with delay 0), one draw picks among the smallest,
    time advances by it and the winner moves. False when no component
-   can ever act again. *)
+   can ever act again, or when the run is time-locked: a race at delay
+   0 moved nothing and no component racing at delay 0 has a candidate
+   (a committed or urgent location with no enabled edge, say). *)
 let step c cfg rng r =
   let st = r.st in
   let n = Array.length c.initial in
@@ -358,8 +376,7 @@ let step c cfg rng r =
       incr k
     done;
     Kernel.advance st r.race_delay.(!k);
-    fire c rng r r.race_comp.(!k);
-    true
+    fire c rng r r.race_comp.(!k) || !d_min > 0.0 || not (time_locked c r !nr)
   end
 
 (* SMC sampler instruments: one sample = one simulated run; accepted

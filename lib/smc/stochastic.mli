@@ -38,9 +38,12 @@ val compile : Ta.Model.network -> compiled
 (** [simulate c cfg rng ~horizon ~stop] runs from the initial state
     until [stop locs store] holds, the time horizon passes, the run gets
     stuck, or 100,000 races have run (counted in
-    [smc.truncated_runs]). Returns the final state, which belongs to
-    this run, and [Some t] with the hitting time when [stop] was
-    reached. *)
+    [smc.truncated_runs]). A run is stuck when no component can act
+    again, or when it is time-locked: a race at delay 0 moved nothing
+    and no component racing at delay 0 has an enabled move (a binary
+    emission counts only with a ready receiver). Returns the final
+    state, which belongs to this run, and [Some t] with the hitting
+    time when [stop] was reached. *)
 val simulate :
   compiled ->
   config ->

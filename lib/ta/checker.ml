@@ -26,7 +26,7 @@ type result = {
 
 exception
   Truncated of {
-    reason : [ `Mem_budget | `Stop ];
+    reason : [ `Max_states | `Mem_budget | `Stop ];
     stats : stats;
   }
 
@@ -61,18 +61,17 @@ let reach_extra (extrapolation : extrapolation) net f =
     let lower, upper = Prop.merge_lu net f in
     Dbm.Extra_lu { lower; upper }
 
-(* [max_states] keeps its historical contract (a hard [Failure]); the
-   resource-bound stops raise [Truncated] with the partial stats so a
-   caller — the CLI under --mem-budget, the daemon on a deadline — can
+(* Every bound that stops a run raises [Truncated] with the partial
+   stats, so a caller — the CLI, the daemon, the fuzz oracle — can
    degrade into a structured report instead of dying. *)
-let check_stopped ~what out =
+let check_stopped out =
+  let truncated reason =
+    raise (Truncated { reason; stats = out.Engine.Core.stats })
+  in
   match out.Engine.Core.stopped with
-  | Some Engine.Core.Max_states ->
-    failwith ("Checker: state limit exceeded " ^ what)
-  | Some Engine.Core.Mem_budget ->
-    raise (Truncated { reason = `Mem_budget; stats = out.Engine.Core.stats })
-  | Some Engine.Core.Stop_requested ->
-    raise (Truncated { reason = `Stop; stats = out.Engine.Core.stats })
+  | Some Engine.Core.Max_states -> truncated `Max_states
+  | Some Engine.Core.Mem_budget -> truncated `Mem_budget
+  | Some Engine.Core.Stop_requested -> truncated `Stop
   | None -> ()
 
 (* Generic exploration. [on_state] is called once per fresh symbolic
@@ -103,7 +102,7 @@ let explore ?(subsumption = true) ?(max_states = 1_000_000) ?stop
       ~init:(Zone_graph.initial net ~extra)
       ()
   in
-  check_stopped ~what:"(model too large or diverging)" out;
+  check_stopped out;
   let render (label, st) =
     if rich_trace then
       Format.asprintf "%s  @@ %a" label (Zone_graph.pp_state net) st
@@ -193,7 +192,7 @@ let build_graph ?(max_states = 1_000_000) ?stop ?mem_budget_words net ~extra =
       ~init:(Zone_graph.initial net ~extra)
       ()
   in
-  check_stopped ~what:"during liveness exploration" out;
+  check_stopped out;
   let parents =
     Array.map
       (fun (parent, label) ->

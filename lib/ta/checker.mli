@@ -23,7 +23,7 @@ type stats = Engine.Stats.t = {
   reopened : int;  (** best-cost re-openings (0 for zone stores) *)
   peak_frontier : int;  (** maximum waiting-list length *)
   store_words : int;  (** retained-heap estimate of the passed list *)
-  truncated : bool;  (** [max_states] hit (reported as [Failure] here) *)
+  truncated : bool;  (** a bound cut the run short (see {!Truncated}) *)
   time_s : float;  (** wall-clock exploration time *)
   dbm_phys_eq : int;  (** DBM comparisons settled by pointer identity *)
   dbm_lattice_cmp : int;  (** subset checks between distinct zones *)
@@ -43,15 +43,15 @@ type result = {
           ([None] for sequential checks and liveness queries) *)
 }
 
-(** The exploration was cut short by a {e resource} bound rather than
-    [max_states]: the [mem_budget_words] retained-heap budget, or the
-    [stop] hook (a deadline or cancellation). Carries the stats of the
+(** The exploration was cut short by a bound: [max_states] visited
+    states, the [mem_budget_words] retained-heap budget, or the [stop]
+    hook (a deadline or cancellation). Carries the stats of the
     explored prefix so callers can report what was covered before
-    degrading — the graceful alternative to an OOM kill or a hung
-    request. [max_states] keeps its historical [Failure]. *)
+    degrading — the graceful alternative to an OOM kill, a hung request
+    or a crash. *)
 exception
   Truncated of {
-    reason : [ `Mem_budget | `Stop ];
+    reason : [ `Max_states | `Mem_budget | `Stop ];
     stats : stats;
   }
 
@@ -97,8 +97,8 @@ type extrapolation = [ `None | `K | `Lu ]
     domain pool (the daemon's); without it a transient pool is created
     when [jobs > 1]. Liveness queries (leads-to, A<>) run their
     exact-graph analysis sequentially and ignore both options.
-    @raise Failure if the exploration exceeds [max_states].
-    @raise Truncated if [stop] or [mem_budget_words] cut the run short.
+    @raise Truncated if [max_states], [stop] or [mem_budget_words] cut
+    the run short.
     @raise Invalid_argument if [jobs < 1]. *)
 val check :
   ?subsumption:bool ->

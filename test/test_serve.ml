@@ -1,7 +1,7 @@
 (* Tests for the quantd service layer: protocol framing, in-process
-   request handling (reply cache, smc fusing determinism), the
-   registry's eviction order, intern-table lifecycle under warm-query
-   churn, and the socket daemon end to end —
+   request handling (reply cache, smc requests isolated within a read
+   round), the registry's eviction order, intern-table lifecycle under
+   warm-query churn, and the socket daemon end to end —
    byte-identity against the one-shot path, malformed-input survival,
    deadline expiry, LRU eviction under a memory budget and graceful
    SIGTERM shutdown. Daemon tests fork a child that never returns into
@@ -55,7 +55,7 @@ let test_reply_lines () =
   | Error _ -> Alcotest.fail "error_line does not parse"
 
 (* ------------------------------------------------------------------ *)
-(* In-process service: reply cache and fused-sampling determinism      *)
+(* In-process service: reply cache, one handler per request            *)
 (* ------------------------------------------------------------------ *)
 
 let with_service ?mem_budget_words f =
@@ -102,34 +102,49 @@ let test_check_matches_oneshot_and_caches () =
   check "second query hit the reply cache" true
     (Obs.Metrics.Counter.value hits > before)
 
-let test_fused_smc_equals_alone () =
-  (* Two smc requests in one read round are fused into a single sample
-     batch; the replies must be byte-equal to each request answered
-     alone on a fresh service. *)
-  let fischer_params =
-    [ ("model", Json.Str "fischer"); ("trains", Json.Int 2);
-      ("runs", Json.Int 120) ]
-  in
-  let train_params =
-    [ ("model", Json.Str "train-gate"); ("trains", Json.Int 2);
-      ("runs", Json.Int 120) ]
-  in
-  let alone_f =
-    with_service @@ fun svc ->
-    reply_text (Serve.Service.handle_line svc (request ~id:1 "smc" fischer_params))
-  in
-  let alone_t =
-    with_service @@ fun svc ->
-    reply_text (Serve.Service.handle_line svc (request ~id:2 "smc" train_params))
-  in
+let fischer_smc_params =
+  [ ("model", Json.Str "fischer"); ("trains", Json.Int 2); ("runs", Json.Int 120) ]
+
+let train_smc_params =
+  [ ("model", Json.Str "train-gate"); ("trains", Json.Int 2); ("runs", Json.Int 120) ]
+
+(* Each request answered alone, on a fresh service. *)
+let smc_alone id params =
+  with_service @@ fun svc ->
+  reply_text (Serve.Service.handle_line svc (request ~id "smc" params))
+
+let test_two_smc_in_one_round () =
+  (* Two smc requests in one read round: the replies must be byte-equal
+     to each request answered alone. *)
+  let alone_f = smc_alone 1 fischer_smc_params in
+  let alone_t = smc_alone 2 train_smc_params in
   with_service @@ fun svc ->
   match
     Serve.Service.handle_batch svc
-      [ request ~id:1 "smc" fischer_params; request ~id:2 "smc" train_params ]
+      [ request ~id:1 "smc" fischer_smc_params; request ~id:2 "smc" train_smc_params ]
   with
   | [ rf; rt ] ->
-    check_str "fused fischer = alone" alone_f (reply_text rf);
-    check_str "fused train-gate = alone" alone_t (reply_text rt)
+    check_str "fischer in the round = alone" alone_f (reply_text rf);
+    check_str "train-gate in the round = alone" alone_t (reply_text rt)
+  | _ -> Alcotest.fail "batch reply count"
+
+let test_expired_smc_in_round () =
+  (* A deadline of 1 us from the start of the round has passed by the
+     time its sampling starts: that request alone fails, and the other
+     smc request of the round keeps its bytes. *)
+  let alone_t = smc_alone 2 train_smc_params in
+  with_service @@ fun svc ->
+  match
+    Serve.Service.handle_batch svc
+      [ request ~deadline_ms:0.001 ~id:1 "smc" fischer_smc_params;
+        request ~id:2 "smc" train_smc_params ]
+  with
+  | [ rf; rt ] ->
+    (match P.parse_reply rf with
+     | Ok { P.payload = Error (code, _); _ } ->
+       check_str "expired request" "deadline_exceeded" code
+     | _ -> Alcotest.fail ("expected deadline_exceeded: " ^ rf));
+    check_str "the other request = alone" alone_t (reply_text rt)
   | _ -> Alcotest.fail "batch reply count"
 
 let test_bad_requests_are_structured () =
@@ -434,8 +449,8 @@ let test_daemon_byte_identity () =
         ("runs", Json.Int 100) ]
   in
   check_str "smc over the socket = one-shot" expected_smc (result_text r);
-  (* Pipelined pair in one write: the daemon fuses the sampling, the
-     replies keep request order and the same bytes. *)
+  (* Pipelined pair in one write: one read round, the replies keep
+     request order and the same bytes. *)
   match
     Serve.Client.call_many client
       [ ("smc",
@@ -587,8 +602,10 @@ let () =
         [
           Alcotest.test_case "check = one-shot bytes, then cached" `Quick
             test_check_matches_oneshot_and_caches;
-          Alcotest.test_case "fused smc = alone" `Quick
-            test_fused_smc_equals_alone;
+          Alcotest.test_case "two smc in a round = each alone" `Quick
+            test_two_smc_in_one_round;
+          Alcotest.test_case "expired smc request in a round" `Quick
+            test_expired_smc_in_round;
           Alcotest.test_case "structured errors" `Quick
             test_bad_requests_are_structured;
         ] );

@@ -304,9 +304,10 @@ let test_simulation_progresses () =
 (* ------------------------------------------------------------------ *)
 
 (* The list-based race simulator that the compiled kernel replaced,
-   kept verbatim as the oracle of the differential tests below: same
-   draws, in the same order, from the same stream, so every hitting
-   time, visited state and end time must be equal, not just close. *)
+   kept as the oracle of the differential tests below: same draws, in
+   the same order, from the same stream, so every hitting time, visited
+   state and end time must be equal, not just close. Its one change
+   since is the time-lock end in [step]. *)
 module Ref = struct
   module Bound = Zones.Bound
 
@@ -459,21 +460,21 @@ module Ref = struct
       | Some st' as r when invariants_hold net st' -> r
       | _ -> pick_valid net rng (List.filteri (fun j _ -> j <> k) xs) move)
 
-  let fire net rng (st : cstate) i =
+  let viable net (st : cstate) i =
     let candidates = List.filter (edge_enabled st) (output_edges net st i) in
-    let viable =
-      List.filter
-        (fun (e : Model.edge) ->
-          match e.Model.sync with
-          | Model.Tau -> true
-          | Model.Emit ch ->
-            (match ch.Model.kind with
-             | Model.Broadcast -> true
-             | Model.Binary -> receivers net st ~from:i ch <> [])
-          | Model.Receive _ -> false)
-        candidates
-    in
-    pick_valid net rng viable @@ fun (e : Model.edge) ->
+    List.filter
+      (fun (e : Model.edge) ->
+        match e.Model.sync with
+        | Model.Tau -> true
+        | Model.Emit ch ->
+          (match ch.Model.kind with
+           | Model.Broadcast -> true
+           | Model.Binary -> receivers net st ~from:i ch <> [])
+        | Model.Receive _ -> false)
+      candidates
+
+  let fire net rng (st : cstate) i =
+    pick_valid net rng (viable net st i) @@ fun (e : Model.edge) ->
     match e.Model.sync with
     | Model.Tau -> Some (apply_edges st [ (i, e) ])
     | Model.Emit ch ->
@@ -548,7 +549,17 @@ module Ref = struct
          let st' = advance st d in
          (match fire net rng st' i with
           | Some st'' -> Some st''
-          | None -> Some st'))
+          | None ->
+            (* Time-locked: nothing racing at delay 0 has a viable move,
+               so this race would repeat until the fuel is gone. *)
+            if
+              d = 0.0
+              && not
+                   (List.exists
+                      (fun (j, dj) -> dj = 0.0 && viable net st' j <> [])
+                      race_candidates)
+            then None
+            else Some st'))
 
   (* [stop] sees the discrete parts of every visited state, in order;
      the result is the end time and the hitting time. *)
@@ -696,6 +707,52 @@ let test_truncated_runs () =
   in
   check "not hit" true (times = [ [| None; None |] ]);
   Alcotest.(check (list int)) "truncated runs and their races" [ 2; 200_000 ] moved
+
+(* Time-locked networks: a committed location whose only edge waits
+   for x >= 1, and an urgent location whose only edge is a binary
+   emission no component is ready to receive. Every run ends in its
+   first race, unhit and not truncated. *)
+let committed_waiting () =
+  let b = Model.builder () in
+  let x = Model.fresh_clock b "x" in
+  let p = Model.automaton b "P" in
+  let a = Model.location p "A" ~kind:Model.Committed in
+  let l = Model.location p "B" in
+  Model.edge p ~src:a ~dst:l ~clock_guard:[ Model.clock_ge x 1 ] ();
+  Model.build b
+
+let urgent_unheard () =
+  let b = Model.builder () in
+  let c = Model.channel b "c" in
+  let p = Model.automaton b "P" in
+  let u = Model.location p "U" ~kind:Model.Urgent in
+  let l = Model.location p "L" in
+  Model.edge p ~src:u ~dst:l ~sync:(Model.Emit c) ();
+  let q = Model.automaton b "Q" in
+  let q0 = Model.location q "Q0" in
+  let q1 = Model.location q "Q1" in
+  Model.edge q ~src:q1 ~dst:q0 ~sync:(Model.Receive c) ();
+  Model.build b
+
+let test_time_lock_ends_run () =
+  List.iter
+    (fun (name, net) ->
+      let times, moved =
+        counting [ "smc.truncated_runs"; "smc.steps" ] (fun () ->
+            Smc.Batch.hitting_times
+              [
+                Smc.Batch.item ~runs:10 net
+                  { Smc.horizon = 10.0; goal = Prop.Not Prop.True };
+              ])
+      in
+      check (name ^ ": not hit") true (times = [ Array.make 10 None ]);
+      match moved with
+      | [ truncated; races ] ->
+        Alcotest.(check int) (name ^ ": truncated runs") 0 truncated;
+        check (Printf.sprintf "%s: %d races for 10 runs" name races) true
+          (races <= 10)
+      | _ -> assert false)
+    [ ("committed", committed_waiting ()); ("urgent", urgent_unheard ()) ]
 
 (* What Ta_gen never generates: a committed location, an urgent
    channel (emitted from an urgent and from a normal location),
@@ -847,6 +904,7 @@ let () =
         [
           Alcotest.test_case "E3 hitting times golden" `Quick test_golden_e3;
           Alcotest.test_case "truncated runs" `Quick test_truncated_runs;
+          Alcotest.test_case "time-locked runs end" `Quick test_time_lock_ends_run;
           Alcotest.test_case "random networks" `Quick test_reference_ta_gen;
           Alcotest.test_case "hand-built network" `Quick
             test_reference_hand_built;

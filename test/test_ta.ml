@@ -396,22 +396,20 @@ let test_subsumption_drops_weaker () =
   (* x>=2 evicts the stored x>=3 zone, then x>=1 evicts x>=2. *)
   check "widening zones evict stored ones" true (r.stats.Checker.dropped >= 2)
 
-(* max_states truncation surfaces as the historical Failure, both on the
-   subsumption path and on the exact liveness graph. *)
+(* max_states truncation raises [Truncated] with the explored prefix,
+   both on the subsumption path and on the exact liveness graph. *)
 let test_max_states_truncation () =
   let net = Train_gate.make ~n_trains:2 in
-  (try
-     ignore (Checker.check ~max_states:3 net (Train_gate.safety net));
-     Alcotest.fail "expected Failure"
-   with Failure msg ->
-     check "reachability message" true
-       (Astring.String.is_infix ~affix:"state limit" msg));
-  try
-    ignore (Checker.check ~max_states:3 net (Train_gate.liveness net 0));
-    Alcotest.fail "expected Failure"
-  with Failure msg ->
-    check "liveness message" true
-      (Astring.String.is_infix ~affix:"state limit" msg)
+  List.iter
+    (fun (name, q) ->
+      match Checker.check ~max_states:3 net q with
+      | _ -> Alcotest.failf "%s: expected Truncated" name
+      | exception Checker.Truncated { reason = `Max_states; stats } ->
+        check (name ^ " stats truncated") true stats.Checker.truncated
+      | exception Checker.Truncated _ ->
+        Alcotest.failf "%s: truncated for another reason" name)
+    [ ("reachability", Train_gate.safety net);
+      ("liveness", Train_gate.liveness net 0) ]
 
 (* Extrapolation ablation: every seal-time abstraction must reach the
    same verdict, and coarser abstractions cannot enlarge the zone graph.
